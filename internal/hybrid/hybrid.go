@@ -37,7 +37,8 @@ type Config struct {
 	CellDelay, HoldDelay float64
 }
 
-func (c Config) validate() error {
+// Validate reports the first parameter New and WithConfig would reject.
+func (c Config) Validate() error {
 	if c.ElementSize <= 0 {
 		return fmt.Errorf("hybrid: ElementSize must be positive, got %g", c.ElementSize)
 	}
@@ -77,7 +78,7 @@ type System struct {
 // the element handshake network: two elements are neighbors iff some pair
 // of their cells communicates.
 func New(g *comm.Graph, cfg Config) (*System, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if g.NumCells() == 0 {
@@ -147,7 +148,7 @@ func New(g *comm.Graph, cfg Config) (*System, error) {
 // across a parameter sweep: the batch /v1/simulate endpoint partitions
 // once and reuses the kernel for every config in the batch.
 func (s *System) WithConfig(cfg Config) (*System, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.ElementSize != s.cfg.ElementSize {

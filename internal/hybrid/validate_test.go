@@ -38,7 +38,7 @@ func TestConfigValidateErrorPaths(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := valid
 			tc.mutate(&cfg)
-			err := cfg.validate()
+			err := cfg.Validate()
 			if tc.wantErr == "" {
 				if err != nil {
 					t.Fatalf("config rejected: %v", err)

@@ -129,110 +129,69 @@ func buildTree(name string, g *comm.Graph, equalize bool, spacing float64) (*clo
 	return t, nil
 }
 
-// kernelKey is the canonical identity of one cached skew kernel: the
-// full graph (in the comm interchange encoding) plus the tree recipe.
-// Two requests that differ only in model, trial count, seed, or timeout
-// map to the same key and share one precomputation.
-type kernelKey struct {
-	Graph    *comm.Graph `json:"graph"`
-	Tree     string      `json:"tree"`
-	Equalize bool        `json:"equalize,omitempty"`
-	Spacing  float64     `json:"spacing,omitempty"`
-}
-
-// kernelFor returns the cached skew kernel for (g, tree recipe),
-// building tree and kernel on a miss. The cache is content-addressed
-// with the same SHA-256 scheme as the result cache, so inline graphs
-// and equivalent server-built topologies cannot collide. Errors are not
-// cached: an invalid builder name or inapplicable topology recomputes
-// (and re-reports) on every request, which keeps error semantics
-// identical to the uncached path.
-func (s *Server) kernelFor(g *comm.Graph, tree string, equalize bool, spacing float64) (*skew.Kernel, error) {
-	canonical, err := canonicalize(&kernelKey{Graph: g, Tree: tree, Equalize: equalize, Spacing: spacing})
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey("kernel", canonical)
-	if k, ok := s.kernels.Get(key); ok {
-		s.metrics.kernelHits.Add(1)
-		return k, nil
-	}
-	s.metrics.kernelMisses.Add(1)
-	t, err := buildTree(tree, g, equalize, spacing)
-	if err != nil {
-		return nil, err
-	}
-	k, err := skew.NewKernelWithLimits(g, t, s.cfg.KernelLimits)
-	if err != nil {
-		var se *skew.SizeError
-		if errors.As(err, &se) {
-			return nil, tooLarge(err)
+// kernelFor returns the cached skew kernel for id's tree recipe over g,
+// building tree and kernel on a miss.
+func (s *Server) kernelFor(id engineIdentity, g *comm.Graph) (*skew.Kernel, error) {
+	return s.kernels.get(id, func() (*skew.Kernel, error) {
+		t, err := buildTree(id.Tree, g, id.Equalize, id.Spacing)
+		if err != nil {
+			return nil, err
 		}
-		return nil, unprocessable(err)
-	}
-	s.kernels.Put(key, k)
-	return k, nil
-}
-
-// clockKernelFor returns the cached clocksim kernel for (g, tree
-// recipe): the flat propagation schedule reused across regimes, seeds,
-// trial counts, and the configs of one batched simulate. It rides on
-// kernelFor so the built tree is shared with analyze and the skew size
-// limits (413 on oversize arrays) apply identically.
-func (s *Server) clockKernelFor(g *comm.Graph, tree string, equalize bool, spacing float64) (*clocksim.Kernel, error) {
-	canonical, err := canonicalize(&kernelKey{Graph: g, Tree: tree, Equalize: equalize, Spacing: spacing})
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey("simkernel", canonical)
-	if k, ok := s.simKernels.Get(key); ok {
-		s.metrics.simKernelHits.Add(1)
+		k, err := skew.NewKernelWithLimits(g, t, s.cfg.KernelLimits)
+		if err != nil {
+			var se *skew.SizeError
+			if errors.As(err, &se) {
+				return nil, tooLarge(err)
+			}
+			return nil, unprocessable(err)
+		}
 		return k, nil
-	}
-	s.metrics.simKernelMisses.Add(1)
-	sk, err := s.kernelFor(g, tree, equalize, spacing)
-	if err != nil {
-		return nil, err
-	}
-	k, err := clocksim.NewKernel(g, sk.Tree())
-	if err != nil {
+	})
+}
+
+// clockKernelFor returns the cached clocksim kernel for id's tree
+// recipe over g: the flat propagation schedule reused across regimes,
+// seeds, trial counts, and the configs of one batched simulate. It
+// rides on kernelFor so the built tree is shared with analyze and the
+// skew size limits (413 on oversize arrays) apply identically.
+func (s *Server) clockKernelFor(id engineIdentity, g *comm.Graph) (*clocksim.Kernel, error) {
+	return s.simKernels.get(id, func() (*clocksim.Kernel, error) {
+		sk, err := s.kernelFor(id, g)
+		if err != nil {
+			return nil, err
+		}
+		k, err := clocksim.NewKernel(g, sk.Tree())
+		if err != nil {
+			return nil, unprocessable(err)
+		}
+		return k, nil
+	})
+}
+
+// hybridSystemFor returns a hybrid system for (g, cfg) over the cached
+// partition and recurrence kernel for id's element size, the only
+// config field they depend on; WithConfig layers cfg's timing
+// parameters on per request. cfg is validated first, so a build shared
+// with concurrent requests can fail only for reasons of the graph and
+// the element size, never for one request's timing parameters.
+func (s *Server) hybridSystemFor(id engineIdentity, g *comm.Graph, cfg hybrid.Config) (*hybrid.System, error) {
+	if err := cfg.Validate(); err != nil {
 		return nil, unprocessable(err)
 	}
-	s.simKernels.Put(key, k)
-	return k, nil
-}
-
-// hybridSystemKey is the canonical identity of one cached hybrid
-// system: the graph plus the element size, the only config field the
-// partition depends on. All other hybrid parameters are layered on per
-// request with WithConfig, sharing the cached recurrence kernel.
-type hybridSystemKey struct {
-	Graph       *comm.Graph `json:"graph"`
-	ElementSize float64     `json:"element_size"`
-}
-
-// hybridSystemFor returns a hybrid system for (g, cfg), reusing the
-// cached partition + kernel when one exists for (g, cfg.ElementSize).
-func (s *Server) hybridSystemFor(g *comm.Graph, cfg hybrid.Config) (*hybrid.System, error) {
-	canonical, err := canonicalize(&hybridSystemKey{Graph: g, ElementSize: cfg.ElementSize})
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey("hybridsys", canonical)
-	if base, ok := s.hybridSystems.Get(key); ok {
-		s.metrics.simKernelHits.Add(1)
-		sys, err := base.WithConfig(cfg)
+	base, err := s.hybridSystems.get(id, func() (*hybrid.System, error) {
+		sys, err := hybrid.New(g, cfg)
 		if err != nil {
 			return nil, unprocessable(err)
 		}
 		return sys, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	s.metrics.simKernelMisses.Add(1)
-	sys, err := hybrid.New(g, cfg)
+	sys, err := base.WithConfig(cfg)
 	if err != nil {
 		return nil, unprocessable(err)
 	}
-	s.hybridSystems.Put(key, sys)
 	return sys, nil
 }
 
@@ -370,41 +329,17 @@ func (req *AnalyzeRequest) applyDefaults() {
 	}
 }
 
-// routeIdentity is the cheap ring-routing identity of a kernel: the
-// graph exactly as the request described it (topology spec or inline
-// graph) plus the tree recipe. Hashing the request's own description
-// instead of the built graph makes key derivation O(request size),
-// not O(cells) — microseconds against tens of milliseconds per
-// forwarded request on large meshes. Requests naming the same spec
-// and recipe still route together, which is all the ring needs; two
-// different specs for the same graph merely route apart and cost one
-// duplicate kernel, never a wrong answer.
-type routeIdentity struct {
-	Input    GraphInput `json:"input"`
-	Kind     string     `json:"kind"` // kernel family: "kernel" or "hybridsys"
-	Tree     string     `json:"tree,omitempty"`
-	Equalize bool       `json:"equalize,omitempty"`
-	Spacing  float64    `json:"spacing,omitempty"`
-	Size     float64    `json:"size,omitempty"` // hybrid element size
+// engineID is the identity of tree's engines for this request.
+func (req *AnalyzeRequest) engineID(tree string) engineIdentity {
+	return engineIdentity{Input: req.GraphInput, Tree: tree, Equalize: req.Equalize, Spacing: req.BufferSpacing}
 }
 
-func (id *routeIdentity) key() (string, bool) {
-	canonical, err := canonicalize(id)
-	if err != nil {
-		return "", false
-	}
-	return cacheKey("route", canonical), true
-}
-
-// affinityKey routes an analyze request on the identity of its first
-// tree's kernel, so every request sharing that kernel — any model,
-// seed, or trial count — lands on the node that holds it.
+// affinityKey routes an analyze request on its first tree's engines.
 func (req *AnalyzeRequest) affinityKey() (string, bool) {
 	if len(req.Trees) == 0 {
 		return "", false
 	}
-	id := routeIdentity{Input: req.GraphInput, Kind: "kernel", Tree: req.Trees[0], Equalize: req.Equalize, Spacing: req.BufferSpacing}
-	return id.key()
+	return req.engineID(req.Trees[0]).routeKey()
 }
 
 // TreeAnalysis is one candidate tree's analysis. A builder that does not
@@ -472,7 +407,7 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 	// pair-geometry precomputation entirely.
 	results := runner.Map(ctx, s.cfg.Workers, len(req.Trees), func(ctx context.Context, i int) (TreeAnalysis, error) {
 		out := TreeAnalysis{Tree: req.Trees[i]}
-		k, err := s.kernelFor(g, req.Trees[i], req.Equalize, req.BufferSpacing)
+		k, err := s.kernelFor(req.engineID(req.Trees[i]), g)
 		if err != nil {
 			// An oversize array switches to the streamed path, which
 			// answers exactly in bounded memory; with the fallback
@@ -663,10 +598,19 @@ func (req *SimulateRequest) applyDefaults() {
 	req.Trials, req.Seed, req.Params, req.Hybrid = c.Trials, c.Seed, c.Params, c.Hybrid
 }
 
-// affinityKey routes a simulate request on its engine precomputation:
-// the clocksim kernel's content address in clock mode, the hybrid
-// system's in hybrid mode. A batch routes on its first config's recipe —
-// sweeps share one recipe, so the whole batch lands where the kernel is.
+// engineID is the identity of the engine c runs on over in: the hybrid
+// system for its element size in hybrid mode, otherwise its tree
+// recipe's kernels.
+func (c *SimulateConfig) engineID(in GraphInput) engineIdentity {
+	if c.Mode == "hybrid" {
+		return engineIdentity{Input: in, Size: c.Hybrid.ElementSize}
+	}
+	return engineIdentity{Input: in, Tree: c.Tree, Equalize: c.Equalize, Spacing: c.BufferSpacing}
+}
+
+// affinityKey routes a simulate request on its engine. A batch routes on
+// its first config's recipe — sweeps share one recipe, so the whole
+// batch lands where the engine is.
 func (req *SimulateRequest) affinityKey() (string, bool) {
 	c := req.config()
 	if len(req.Configs) > 0 {
@@ -675,18 +619,7 @@ func (req *SimulateRequest) affinityKey() (string, bool) {
 			return "", false
 		}
 	}
-	switch c.Mode {
-	case "hybrid":
-		size := 4.0
-		if c.Hybrid != nil && c.Hybrid.ElementSize != 0 {
-			size = c.Hybrid.ElementSize
-		}
-		id := routeIdentity{Input: req.GraphInput, Kind: "hybridsys", Size: size}
-		return id.key()
-	default:
-		id := routeIdentity{Input: req.GraphInput, Kind: "kernel", Tree: c.Tree, Equalize: c.Equalize, Spacing: c.BufferSpacing}
-		return id.key()
-	}
+	return c.engineID(req.GraphInput).routeKey()
 }
 
 // SummaryJSON is a stats.Summary in response form.
@@ -768,7 +701,7 @@ func (s *Server) computeSimulate(ctx context.Context, req *SimulateRequest) (res
 		return s.computeSimulateBatch(ctx, g, req)
 	}
 	cfg := req.config()
-	resp, err := s.simulateOne(ctx, g, &cfg)
+	resp, err := s.simulateOne(ctx, req.GraphInput, g, &cfg)
 	if err != nil {
 		return response{}, err
 	}
@@ -776,9 +709,10 @@ func (s *Server) computeSimulate(ctx context.Context, req *SimulateRequest) (res
 }
 
 // computeSimulateBatch fans the configs out over the worker pool. The
-// engine caches make the fan-out cheap: every config sharing a (tree
-// recipe) or element size reuses one precomputed kernel, so a fresh
-// topology costs one build for the whole sweep.
+// engine caches make the fan-out cheap: every config sharing a tree
+// recipe or element size reuses one engine, built once however the
+// fan-out races, so a fresh topology costs one build per recipe for the
+// whole sweep.
 func (s *Server) computeSimulateBatch(ctx context.Context, g *comm.Graph, req *SimulateRequest) (response, error) {
 	if len(req.Configs) > s.cfg.MaxBatchConfigs {
 		return response{}, badRequest("batch carries %d configs, limit %d", len(req.Configs), s.cfg.MaxBatchConfigs)
@@ -786,46 +720,9 @@ func (s *Server) computeSimulateBatch(ctx context.Context, g *comm.Graph, req *S
 	ctx, span := obs.Start(ctx, "simulate.batch",
 		obs.Int("configs", int64(len(req.Configs))), obs.Int("cells", int64(g.NumCells())))
 	defer span.End()
-	// Warm the engine caches sequentially so every distinct recipe in
-	// the batch is built exactly once, no matter how the fan-out races:
-	// concurrent items would otherwise each miss and build the same
-	// kernel. Errors are ignored here — they are not cached, so the
-	// owning item re-derives and reports them inline.
-	type clockRecipe struct {
-		tree    string
-		eq      bool
-		spacing float64
-	}
-	seenClock := make(map[clockRecipe]bool)
-	seenHybrid := make(map[float64]bool)
-	for i := range req.Configs {
-		c := &req.Configs[i]
-		if c.Topology != nil || c.Graph != nil {
-			continue
-		}
-		switch c.Mode {
-		case "clock":
-			r := clockRecipe{c.Tree, c.Equalize, c.BufferSpacing}
-			if !seenClock[r] {
-				seenClock[r] = true
-				_, _ = s.clockKernelFor(g, c.Tree, c.Equalize, c.BufferSpacing)
-			}
-		case "hybrid":
-			if c.Hybrid != nil && !seenHybrid[c.Hybrid.ElementSize] {
-				seenHybrid[c.Hybrid.ElementSize] = true
-				_, _ = s.hybridSystemFor(g, hybrid.Config{
-					ElementSize:       c.Hybrid.ElementSize,
-					Handshake:         c.Hybrid.Handshake,
-					LocalDistribution: c.Hybrid.LocalDistribution,
-					CellDelay:         c.Hybrid.CellDelay,
-					HoldDelay:         c.Hybrid.HoldDelay,
-				})
-			}
-		}
-	}
 	results := runner.Map(ctx, s.cfg.Workers, len(req.Configs), func(ctx context.Context, i int) (SimulateBatchItem, error) {
 		item := SimulateBatchItem{Index: i}
-		r, err := s.simulateOne(ctx, g, &req.Configs[i])
+		r, err := s.simulateOne(ctx, req.GraphInput, g, &req.Configs[i])
 		if err != nil {
 			// Oversize arrays (413) and expired deadlines fail the whole
 			// request with their typed status; anything else is this one
@@ -872,9 +769,10 @@ func (s *Server) logBatchError(ctx context.Context, index int, err error) {
 	s.logger.Println(string(line))
 }
 
-// simulateOne evaluates a single config against the shared graph. Both
-// the single form and every batch item funnel through here.
-func (s *Server) simulateOne(ctx context.Context, g *comm.Graph, cfg *SimulateConfig) (*SimulateResponse, error) {
+// simulateOne evaluates a single config against the shared graph g,
+// built from in. Both the single form and every batch item funnel
+// through here.
+func (s *Server) simulateOne(ctx context.Context, in GraphInput, g *comm.Graph, cfg *SimulateConfig) (*SimulateResponse, error) {
 	if cfg.Topology != nil || cfg.Graph != nil {
 		return nil, badRequest("a batch config carries its own topology or graph; every config runs over the request's topology")
 	}
@@ -889,11 +787,11 @@ func (s *Server) simulateOne(ctx context.Context, g *comm.Graph, cfg *SimulateCo
 	resp := &SimulateResponse{Graph: g.Name, Cells: g.NumCells(), Mode: cfg.Mode}
 	switch cfg.Mode {
 	case "hybrid":
-		if err := s.simulateHybrid(ctx, g, cfg, resp); err != nil {
+		if err := s.simulateHybrid(ctx, cfg.engineID(in), g, cfg, resp); err != nil {
 			return nil, err
 		}
 	case "clock":
-		if err := s.simulateClock(ctx, g, cfg, resp); err != nil {
+		if err := s.simulateClock(ctx, cfg.engineID(in), g, cfg, resp); err != nil {
 			return nil, err
 		}
 	default:
@@ -902,11 +800,11 @@ func (s *Server) simulateOne(ctx context.Context, g *comm.Graph, cfg *SimulateCo
 	return resp, nil
 }
 
-func (s *Server) simulateClock(ctx context.Context, g *comm.Graph, cfg *SimulateConfig, resp *SimulateResponse) error {
+func (s *Server) simulateClock(ctx context.Context, id engineIdentity, g *comm.Graph, cfg *SimulateConfig, resp *SimulateResponse) error {
 	// One precomputed clocksim kernel serves every regime, seed, and
 	// trial count over this (graph, tree) recipe — across requests via
 	// the cache, and across the configs of one batch.
-	k, err := s.clockKernelFor(g, cfg.Tree, cfg.Equalize, cfg.BufferSpacing)
+	k, err := s.clockKernelFor(id, g)
 	if err != nil {
 		return err
 	}
@@ -992,7 +890,7 @@ func (s *Server) simulateClock(ctx context.Context, g *comm.Graph, cfg *Simulate
 	return nil
 }
 
-func (s *Server) simulateHybrid(ctx context.Context, g *comm.Graph, cfg *SimulateConfig, resp *SimulateResponse) error {
+func (s *Server) simulateHybrid(ctx context.Context, id engineIdentity, g *comm.Graph, cfg *SimulateConfig, resp *SimulateResponse) error {
 	h := cfg.Hybrid
 	if h.Waves < 1 || h.Waves > 1<<12 {
 		return badRequest("hybrid waves must be in [1, %d], got %d", 1<<12, h.Waves)
@@ -1004,10 +902,7 @@ func (s *Server) simulateHybrid(ctx context.Context, g *comm.Graph, cfg *Simulat
 		CellDelay:         h.CellDelay,
 		HoldDelay:         h.HoldDelay,
 	}
-	// The cached system carries the partition and recurrence kernel for
-	// (graph, element size); WithConfig layers this request's timing
-	// parameters on without rebuilding either.
-	sys, err := s.hybridSystemFor(g, hcfg)
+	sys, err := s.hybridSystemFor(id, g, hcfg)
 	if err != nil {
 		return err
 	}

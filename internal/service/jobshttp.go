@@ -349,7 +349,7 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 				return nil, "", err
 			}
 			out := TreeAnalysis{Tree: treeName}
-			k, err := s.kernelFor(g, treeName, req.Equalize, req.BufferSpacing)
+			k, err := s.kernelFor(req.engineID(treeName), g)
 			if err != nil {
 				// Mirror computeAnalyze: an oversize array falls back to the
 				// streamed path — publishing shard-level partials as the scan

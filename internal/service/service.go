@@ -151,22 +151,19 @@ func marshalResponse(v any) (response, error) {
 // safe for concurrent use and carries no global state, so tests can run
 // many side by side.
 type Server struct {
-	cfg     Config
-	cache   *lru[response]
-	kernels *lru[*skew.Kernel]
-	// streamers caches the streamed path's per-(graph, tree recipe)
-	// precomputation — the CSR pair index plus a compact tree, ~8 B/pair
-	// against the kernel's ~40 — under the same content addressing as
-	// kernels but a distinct prefix.
-	streamers *lru[*skew.Streamer]
-	// simKernels and hybridSystems are the simulation engines' analogue
-	// of the skew-kernel cache: immutable per-(graph, recipe)
-	// precomputations reused across regimes, seeds, trial counts, and
-	// batch sweeps. One batched simulate over a fresh topology builds
-	// each at most once.
-	simKernels    *lru[*clocksim.Kernel]
-	hybridSystems *lru[*hybrid.System]
-	flight        *flightGroup
+	cfg   Config
+	cache *lru[response]
+	// The engine caches hold immutable per-(graph, recipe)
+	// precomputations reused across models, regimes, seeds, trial
+	// counts, and batch sweeps, each built once per engineIdentity:
+	// skew kernels; the streamed path's streamers (the CSR pair index
+	// plus a compact tree, 4 B/pair + 12 B/cell against the kernel's
+	// ~40 B/pair); clocksim kernels; and hybrid systems.
+	kernels       *engineCache[*skew.Kernel]
+	streamers     *engineCache[*skew.Streamer]
+	simKernels    *engineCache[*clocksim.Kernel]
+	hybridSystems *engineCache[*hybrid.System]
+	flight        *flightGroup[response]
 	metrics       *metrics
 	mux           *http.ServeMux
 	logger        *log.Logger
@@ -196,15 +193,16 @@ type Server struct {
 // NewServer builds a Server with cfg (zero fields defaulted).
 func NewServer(cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	m, n := newMetrics(), cfg.KernelCacheEntries
 	s := &Server{
 		cfg:           cfg,
 		cache:         newLRU[response](cfg.CacheEntries),
-		kernels:       newLRU[*skew.Kernel](cfg.KernelCacheEntries),
-		streamers:     newLRU[*skew.Streamer](cfg.KernelCacheEntries),
-		simKernels:    newLRU[*clocksim.Kernel](cfg.KernelCacheEntries),
-		hybridSystems: newLRU[*hybrid.System](cfg.KernelCacheEntries),
-		flight:        newFlightGroup(),
-		metrics:       newMetrics(),
+		kernels:       newEngineCache[*skew.Kernel]("kernel", n, &m.kernelHits, &m.kernelMisses),
+		streamers:     newEngineCache[*skew.Streamer]("streamer", n, &m.kernelHits, &m.kernelMisses),
+		simKernels:    newEngineCache[*clocksim.Kernel]("simkernel", n, &m.simKernelHits, &m.simKernelMisses),
+		hybridSystems: newEngineCache[*hybrid.System]("hybridsys", n, &m.simKernelHits, &m.simKernelMisses),
+		flight:        newFlightGroup[response](),
+		metrics:       m,
 		mux:           http.NewServeMux(),
 	}
 	if cfg.LogWriter != nil {
@@ -364,9 +362,9 @@ func post(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // forwardSpec is everything serveKeyed needs to relay a request to its
-// owning peer: the ring routing key (a kernel-affinity key when the
-// endpoint has one, so every request sharing a kernel lands on the same
-// node) and the raw request to replay.
+// owning peer: the ring routing key (the engine's route key when the
+// endpoint has one, so every request sharing an engine lands on the
+// same node) and the raw request to replay.
 type forwardSpec struct {
 	routeKey string
 	method   string
@@ -375,9 +373,9 @@ type forwardSpec struct {
 }
 
 // affinityKeyer lets a request type override the ring routing key with
-// the content address of the kernel it will need, instead of its full
-// result key. Routing on kernel affinity is what makes each distinct
-// kernel build happen exactly once cluster-wide.
+// the route key of the engine it will need, instead of its full result
+// key. Routing on engine affinity is what makes each distinct engine
+// build happen exactly once cluster-wide.
 type affinityKeyer interface {
 	affinityKey() (string, bool)
 }

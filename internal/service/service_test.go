@@ -3,12 +3,16 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/comm"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -450,19 +454,116 @@ func TestKernelCacheSharedAcrossSeedsAndEndpoints(t *testing.T) {
 }
 
 func TestKernelCacheDistinguishesRecipes(t *testing.T) {
+	// Inline graphs are keyed by their full content: the 4x4 mesh
+	// itself, and copies differing in one edge or one cell coordinate.
+	inline := func(edit func(*comm.Graph)) string {
+		g, err := comm.Mesh(4, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		edit(g)
+		b, err := json.Marshal(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return `{"graph":` + string(b) + `,"trees":["htree"]}`
+	}
+	mesh := inline(func(*comm.Graph) {})
 	s, ts := newTestServer(t, Config{})
+	bodies := map[string][]byte{}
 	for _, req := range []string{
 		`{"topology":{"kind":"mesh","n":4},"trees":["htree"]}`,
 		`{"topology":{"kind":"mesh","n":4},"trees":["htree"],"equalize":true}`,
 		`{"topology":{"kind":"mesh","n":4},"trees":["htree"],"buffer_spacing":2}`,
 		`{"topology":{"kind":"mesh","n":4},"trees":["spine"]}`,
+		mesh,
+		inline(func(g *comm.Graph) { g.Edges = g.Edges[:len(g.Edges)-1] }),
+		inline(func(g *comm.Graph) { g.Cells[len(g.Cells)-1].Pos.X += 0.5 }),
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/analyze", req)
 		if resp.StatusCode != 200 {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
+		var out AnalyzeResponse
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if e := out.Results[0].Error; e != "" {
+			t.Fatalf("%s: inline error %q", req, e)
+		}
+		bodies[req] = body
 	}
-	if got := s.metrics.kernelMisses.Value(); got != 4 {
-		t.Fatalf("kernel misses = %d, want 4 (every recipe differs)", got)
+	if got := s.metrics.kernelMisses.Value(); got != 7 {
+		t.Fatalf("kernel misses = %d, want 7 (every recipe and inline graph differs)", got)
+	}
+	// The inline mesh keys apart from its topology spec but answers
+	// bit for bit like it.
+	if topo := bodies[`{"topology":{"kind":"mesh","n":4},"trees":["htree"]}`]; !bytes.Equal(bodies[mesh], topo) {
+		t.Fatalf("inline mesh answer differs from the topology form:\n%s\nvs\n%s", bodies[mesh], topo)
+	}
+
+	// A hybrid element size spelled out at its default and one left to
+	// the default share one hybrid system.
+	for _, req := range []string{
+		`{"topology":{"kind":"mesh","n":4},"mode":"hybrid","hybrid":{"element_size":4}}`,
+		`{"topology":{"kind":"mesh","n":4},"mode":"hybrid","seed":2}`,
+	} {
+		resp, body := postJSON(t, ts.URL+"/v1/simulate", req)
+		if resp.StatusCode != 200 {
+			t.Fatalf("status %d: %s", resp.StatusCode, body)
+		}
+	}
+	if n, miss, hit := s.hybridSystems.Len(), s.metrics.simKernelMisses.Value(), s.metrics.simKernelHits.Value(); n != 1 || miss != 1 || hit != 1 {
+		t.Fatalf("hybrid systems = %d, sim-kernel misses/hits = %d/%d, want 1 entry and 1/1", n, miss, hit)
+	}
+}
+
+// TestConcurrentKernelBuildsCoalesce pins one build per recipe under
+// concurrency: N analyze requests for one recipe with distinct seeds
+// (all result-cache misses) reach the kernel cache together, and
+// exactly one of them builds the kernel.
+func TestConcurrentKernelBuildsCoalesce(t *testing.T) {
+	const n = 8
+	s := NewServer(Config{})
+	var arrived sync.WaitGroup
+	arrived.Add(n)
+	s.computeGate = func(string) { arrived.Done(); arrived.Wait() }
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	bodies := make([][]byte, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			req := fmt.Sprintf(`{"topology":{"kind":"mesh","n":32},"trees":["htree"],"montecarlo_trials":2,"seed":%d}`, i+1)
+			resp, body := postJSON(t, ts.URL+"/v1/analyze", req)
+			if resp.StatusCode != 200 {
+				t.Errorf("request %d: status %d: %s", i, resp.StatusCode, body)
+			}
+			bodies[i] = body
+		}(i)
+	}
+	wg.Wait()
+	if got := s.metrics.computes.Value(); got != n {
+		t.Fatalf("computes = %d, want %d distinct result-cache misses", got, n)
+	}
+	if miss, hit := s.metrics.kernelMisses.Value(), s.metrics.kernelHits.Value(); miss != 1 || hit != n-1 {
+		t.Fatalf("kernel_cache_misses/hits = %d/%d, want 1/%d", miss, hit, n-1)
+	}
+	// Every request saw the same kernel, so the seed-free fields agree.
+	results := make([]TreeAnalysis, n)
+	for i, body := range bodies {
+		var out AnalyzeResponse
+		if err := json.Unmarshal(body, &out); err != nil || len(out.Results) != 1 {
+			t.Fatalf("response %d: %v: %s", i, err, body)
+		}
+		results[i] = out.Results[0]
+	}
+	for i, a := range results {
+		if b := results[0]; a.MaxSkew != b.MaxSkew || a.WorstPair != b.WorstPair || a.Pairs != b.Pairs {
+			t.Fatalf("response %d analysis differs from response 0", i)
+		}
 	}
 }

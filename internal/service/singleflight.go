@@ -5,25 +5,26 @@ import (
 	"sync"
 )
 
-// flightGroup coalesces concurrent identical requests: while one caller
-// (the leader) computes the response for a key, followers arriving with
+// flightGroup coalesces concurrent identical work: while one caller
+// (the leader) computes the value for a key, followers arriving with
 // the same key block until the leader finishes and share its result —
-// the underlying engines run exactly once per distinct in-flight
-// request, no matter how many clients ask.
-type flightGroup struct {
+// the underlying computation runs exactly once per distinct in-flight
+// key, no matter how many callers ask. The serving flow coalesces
+// finished responses through it, the engine caches their builds.
+type flightGroup[V any] struct {
 	mu    sync.Mutex
-	calls map[string]*flightCall
+	calls map[string]*flightCall[V]
 }
 
-type flightCall struct {
+type flightCall[V any] struct {
 	done   chan struct{} // closed when res/err are final
 	leader string        // request ID of the caller computing the result
-	res    response
+	res    V
 	err    error
 }
 
-func newFlightGroup() *flightGroup {
-	return &flightGroup{calls: make(map[string]*flightCall)}
+func newFlightGroup[V any]() *flightGroup[V] {
+	return &flightGroup[V]{calls: make(map[string]*flightCall[V])}
 }
 
 // Do returns fn's result for key, computing it at most once across
@@ -34,7 +35,7 @@ func newFlightGroup() *flightGroup {
 // point at the leader's. A follower whose ctx expires stops waiting and
 // returns ctx's error; the leader's computation is not interrupted on
 // its behalf.
-func (g *flightGroup) Do(ctx context.Context, key, owner string, fn func() (response, error)) (res response, err error, coalesced bool, leader string) {
+func (g *flightGroup[V]) Do(ctx context.Context, key, owner string, fn func() (V, error)) (res V, err error, coalesced bool, leader string) {
 	g.mu.Lock()
 	if c, ok := g.calls[key]; ok {
 		g.mu.Unlock()
@@ -42,10 +43,10 @@ func (g *flightGroup) Do(ctx context.Context, key, owner string, fn func() (resp
 		case <-c.done:
 			return c.res, c.err, true, c.leader
 		case <-ctx.Done():
-			return response{}, ctx.Err(), true, c.leader
+			return res, ctx.Err(), true, c.leader
 		}
 	}
-	c := &flightCall{done: make(chan struct{}), leader: owner}
+	c := &flightCall[V]{done: make(chan struct{}), leader: owner}
 	g.calls[key] = c
 	g.mu.Unlock()
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestFlightGroupCoalesces(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup[response]()
 	var computes int
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -62,7 +62,7 @@ func TestFlightGroupCoalesces(t *testing.T) {
 }
 
 func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup[response]()
 	var mu sync.Mutex
 	ran := map[string]int{}
 	var wg sync.WaitGroup
@@ -87,7 +87,7 @@ func TestFlightGroupDistinctKeysIndependent(t *testing.T) {
 }
 
 func TestFlightGroupFollowerRespectsContext(t *testing.T) {
-	g := newFlightGroup()
+	g := newFlightGroup[response]()
 	release := make(chan struct{})
 	defer close(release)
 	started := make(chan struct{})

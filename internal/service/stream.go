@@ -43,31 +43,21 @@ func buildStreamTree(name string, g *comm.Graph, equalize bool, spacing float64)
 	return buildTree(name, g, equalize, spacing)
 }
 
-// streamerFor returns the cached skew.Streamer for (g, tree recipe),
-// building the (compact where possible) tree and streamer on a miss.
-// Content-addressed exactly like kernelFor, under a distinct prefix so
-// the two caches never alias.
-func (s *Server) streamerFor(g *comm.Graph, tree string, equalize bool, spacing float64) (*skew.Streamer, error) {
-	canonical, err := canonicalize(&kernelKey{Graph: g, Tree: tree, Equalize: equalize, Spacing: spacing})
-	if err != nil {
-		return nil, err
-	}
-	key := cacheKey("streamer", canonical)
-	if st, ok := s.streamers.Get(key); ok {
-		s.metrics.kernelHits.Add(1)
+// streamerFor returns the cached skew.Streamer for id's tree recipe
+// over g, building the (compact where possible) tree and streamer on a
+// miss.
+func (s *Server) streamerFor(id engineIdentity, g *comm.Graph) (*skew.Streamer, error) {
+	return s.streamers.get(id, func() (*skew.Streamer, error) {
+		t, err := buildStreamTree(id.Tree, g, id.Equalize, id.Spacing)
+		if err != nil {
+			return nil, err
+		}
+		st, err := skew.NewStreamer(g, t)
+		if err != nil {
+			return nil, unprocessable(err)
+		}
 		return st, nil
-	}
-	s.metrics.kernelMisses.Add(1)
-	t, err := buildStreamTree(tree, g, equalize, spacing)
-	if err != nil {
-		return nil, err
-	}
-	st, err := skew.NewStreamer(g, t)
-	if err != nil {
-		return nil, unprocessable(err)
-	}
-	s.streamers.Put(key, st)
-	return st, nil
+	})
 }
 
 // streamOptions assembles the server-side StreamOptions for one
@@ -94,7 +84,7 @@ func (s *Server) streamOptions(treeName string, req *AnalyzeRequest, progress fu
 // after kernelFor rejected the pair count for size.
 func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, treeName string, req *AnalyzeRequest, model skew.Model, progress func(skew.StreamPartial)) (TreeAnalysis, error) {
 	out := TreeAnalysis{Tree: treeName, Streamed: true}
-	st, err := s.streamerFor(g, treeName, req.Equalize, req.BufferSpacing)
+	st, err := s.streamerFor(req.engineID(treeName), g)
 	if err != nil {
 		// Same inline-vs-typed split as the kernel path: a builder that
 		// does not apply reports inline; typed statuses propagate.
@@ -186,7 +176,7 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 	if req.Tree == "" {
 		req.Tree = "htree"
 	}
-	st, err := s.streamerFor(g, req.Tree, req.Equalize, req.Spacing)
+	st, err := s.streamerFor(engineIdentity{Input: req.GraphInput, Tree: req.Tree, Equalize: req.Equalize, Spacing: req.Spacing}, g)
 	if err != nil {
 		writeError(w, statusOf(err), err.Error(), reasonOf(err))
 		return
@@ -208,7 +198,7 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 }
 
 // peerShardFn returns the StreamOptions.ShardFn that spills shards to
-// their ring owners: each shard routes by (streamer identity, shard
+// their ring owners: each shard routes by (engine route key, shard
 // index), shards owned by this node — or whose owner is down, or whose
 // call fails — return false and compute locally. Best-effort by design:
 // spill never changes results, only where the arithmetic runs.
@@ -218,8 +208,7 @@ func (s *Server) peerShardFn(treeName string, req *AnalyzeRequest) func(ctx cont
 		Tree:       treeName, Equalize: req.Equalize, Spacing: req.BufferSpacing,
 		Model: req.Model,
 	}
-	id := routeIdentity{Input: req.GraphInput, Kind: "kernel", Tree: treeName, Equalize: req.Equalize, Spacing: req.BufferSpacing}
-	base, ok := id.key()
+	base, ok := req.engineID(treeName).routeKey()
 	if !ok {
 		return nil
 	}
@@ -263,8 +252,8 @@ func (s *Server) peerShardFn(treeName string, req *AnalyzeRequest) func(ctx cont
 
 // kernelBytesInUse estimates the resident bytes of every cached engine
 // precomputation on the skew path — kernels (40 B/pair class) and
-// streamers (8 B/pair class) — the gauge operators watch against the
-// configured kernel byte budget.
+// streamers (4 B/pair + 12 B/cell) — the gauge operators watch against
+// the configured kernel byte budget.
 func (s *Server) kernelBytesInUse() int64 {
 	var total int64
 	for _, e := range s.kernels.Entries() {
