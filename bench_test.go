@@ -42,7 +42,9 @@ func BenchmarkFig3_HTreeDifferenceModel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		tree.Equalize()
+		if _, err := tree.Equalize(); err != nil {
+			b.Fatal(err)
+		}
 		a, err := skew.Analyze(g, tree, skew.Difference{})
 		if err != nil {
 			b.Fatal(err)

@@ -99,7 +99,9 @@ func buildScheme(name string, g *comm.Graph) (*clocktree.Tree, error) {
 		if err != nil {
 			return nil, err
 		}
-		tree.Equalize()
+		if _, err := tree.Equalize(); err != nil {
+			return nil, err
+		}
 		return tree, nil
 	case "serpentine":
 		return clocktree.Serpentine(g)

@@ -212,7 +212,9 @@ func runE1(rc *runCtx) (*ExperimentResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			tree.Equalize()
+			if _, err := tree.Equalize(); err != nil {
+				return nil, err
+			}
 			a, err := skew.AnalyzeCtx(rc.ctx, g, tree, model)
 			if err != nil {
 				return nil, err

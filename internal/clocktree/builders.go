@@ -21,10 +21,10 @@ func Spine(g *comm.Graph) (*Tree, error) {
 	if g.NumCells() == 0 {
 		return nil, fmt.Errorf("clocktree: Spine on empty graph")
 	}
-	b := NewBuilder("spine/" + g.Name)
+	b := newBuilder("spine/"+g.Name, g.NumCells(), g.NumCells())
 	prev := b.Root(g.Cells[0].Pos, g.Cells[0].ID)
 	for _, c := range g.Cells[1:] {
-		prev = b.Child(prev, c.Pos, c.ID, nil)
+		prev = b.Child(prev, c.Pos, c.ID)
 	}
 	return b.Finalize()
 }
@@ -36,10 +36,10 @@ func SpineWithHost(g *comm.Graph, hostPos geom.Point) (*Tree, error) {
 	if g.NumCells() == 0 {
 		return nil, fmt.Errorf("clocktree: SpineWithHost on empty graph")
 	}
-	b := NewBuilder("spine+host/" + g.Name)
+	b := newBuilder("spine+host/"+g.Name, g.NumCells()+1, g.NumCells())
 	prev := b.Root(hostPos, comm.Host)
 	for _, c := range g.Cells {
-		prev = b.Child(prev, c.Pos, c.ID, nil)
+		prev = b.Child(prev, c.Pos, c.ID)
 	}
 	return b.Finalize()
 }
@@ -89,7 +89,7 @@ func Ladder(g *comm.Graph) (*Tree, error) {
 	for i, x := range xs {
 		node := prev
 		if i > 0 {
-			node = b.Child(prev, geom.Pt(x, midY), comm.Host, nil)
+			node = b.Child(prev, geom.Pt(x, midY), comm.Host)
 		}
 		cells := byX[x]
 		if len(cells) > 2 {
@@ -99,7 +99,7 @@ func Ladder(g *comm.Graph) (*Tree, error) {
 		// the first.
 		rung := node
 		for _, c := range cells {
-			rung = b.Child(rung, c.Pos, c.ID, nil)
+			rung = b.Child(rung, c.Pos, c.ID)
 		}
 		prev = node
 	}
@@ -115,7 +115,7 @@ func Serpentine(g *comm.Graph) (*Tree, error) {
 	if g.Rows < 1 || g.Cols < 1 {
 		return nil, fmt.Errorf("clocktree: Serpentine needs a grid-shaped graph, got %q", g.Name)
 	}
-	b := NewBuilder("serpentine/" + g.Name)
+	b := newBuilder("serpentine/"+g.Name, g.NumCells(), g.NumCells())
 	var prev NodeID
 	first := true
 	for r := 0; r < g.Rows; r++ {
@@ -132,7 +132,7 @@ func Serpentine(g *comm.Graph) (*Tree, error) {
 				prev = b.Root(cell.Pos, cell.ID)
 				first = false
 			} else {
-				prev = b.Child(prev, cell.Pos, cell.ID, nil)
+				prev = b.Child(prev, cell.Pos, cell.ID)
 			}
 		}
 	}
@@ -148,34 +148,17 @@ func Serpentine(g *comm.Graph) (*Tree, error) {
 // tune all cell root distances exactly equal (the difference-model
 // regime of Theorem 2).
 func HTree(g *comm.Graph) (*Tree, error) {
-	if g.NumCells() == 0 {
+	n := g.NumCells()
+	if n == 0 {
 		return nil, fmt.Errorf("clocktree: HTree on empty graph")
 	}
-	return buildHTreeWith(g, NewBuilder("htree/"+g.Name))
-}
-
-// HTreeCompact builds the same H-tree as HTree — same name, node IDs,
-// edge lengths, and bit-identical root distances — in compact mode: wire
-// routes, child lists, and O(1)-LCA tables are not retained, so the
-// result fits arrays far past what a full tree can hold. LCA queries
-// fall back to the O(depth) parent walk, which stays O(log n) on the
-// balanced trees this builder produces. Equalize works; Buffered does
-// not (it needs the wire geometry).
-func HTreeCompact(g *comm.Graph) (*Tree, error) {
-	if g.NumCells() == 0 {
-		return nil, fmt.Errorf("clocktree: HTreeCompact on empty graph")
-	}
-	return buildHTreeWith(g, NewCompactBuilder("htree/"+g.Name))
-}
-
-func buildHTreeWith(g *comm.Graph, b *Builder) (*Tree, error) {
-	cells := append([]comm.Cell(nil), g.Cells...)
-	center := bboxCenter(cells)
-	if len(cells) == 1 {
-		b.Root(cells[0].Pos, cells[0].ID)
+	b := newBuilder("htree/"+g.Name, 2*n-1, n)
+	if n == 1 {
+		b.Root(g.Cells[0].Pos, g.Cells[0].ID)
 		return b.Finalize()
 	}
-	root := b.Root(center, comm.Host)
+	cells := append([]comm.Cell(nil), g.Cells...)
+	root := b.Root(bboxCenter(cells), comm.Host)
 	buildHTree(b, root, cells)
 	return b.Finalize()
 }
@@ -183,16 +166,16 @@ func buildHTreeWith(g *comm.Graph, b *Builder) (*Tree, error) {
 // buildHTree attaches the H-tree over cells below the given parent node.
 func buildHTree(b *Builder, parent NodeID, cells []comm.Cell) {
 	if len(cells) == 1 {
-		b.Child(parent, cells[0].Pos, cells[0].ID, nil)
+		b.Child(parent, cells[0].Pos, cells[0].ID)
 		return
 	}
 	lo, hi := splitCells(cells)
 	for _, half := range [][]comm.Cell{lo, hi} {
 		if len(half) == 1 {
-			b.Child(parent, half[0].Pos, half[0].ID, nil)
+			b.Child(parent, half[0].Pos, half[0].ID)
 			continue
 		}
-		mid := b.Child(parent, bboxCenter(half), comm.Host, nil)
+		mid := b.Child(parent, bboxCenter(half), comm.Host)
 		buildHTree(b, mid, half)
 	}
 }
@@ -329,7 +312,7 @@ func RandomBinary(g *comm.Graph, rng *stats.RNG) (*Tree, error) {
 	if g.NumCells() == 0 {
 		return nil, fmt.Errorf("clocktree: RandomBinary on empty graph")
 	}
-	b := NewBuilder(fmt.Sprintf("random%d/%s", rng.Seed(), g.Name))
+	b := newBuilder(fmt.Sprintf("random%d/%s", rng.Seed(), g.Name), 2*g.NumCells()-1, g.NumCells())
 	cells := append([]comm.Cell(nil), g.Cells...)
 	if len(cells) == 1 {
 		b.Root(cells[0].Pos, cells[0].ID)
@@ -342,7 +325,7 @@ func RandomBinary(g *comm.Graph, rng *stats.RNG) (*Tree, error) {
 
 func buildRandom(b *Builder, parent NodeID, cells []comm.Cell, rng *stats.RNG) {
 	if len(cells) == 1 {
-		b.Child(parent, cells[0].Pos, cells[0].ID, nil)
+		b.Child(parent, cells[0].Pos, cells[0].ID)
 		return
 	}
 	byX := rng.Bernoulli(0.5)
@@ -373,10 +356,10 @@ func buildRandom(b *Builder, parent NodeID, cells []comm.Cell, rng *stats.RNG) {
 	m := lo + rng.Intn(hi-lo)
 	for _, half := range [][]comm.Cell{sorted[:m], sorted[m:]} {
 		if len(half) == 1 {
-			b.Child(parent, half[0].Pos, half[0].ID, nil)
+			b.Child(parent, half[0].Pos, half[0].ID)
 			continue
 		}
-		mid := b.Child(parent, bboxCenter(half), comm.Host, nil)
+		mid := b.Child(parent, bboxCenter(half), comm.Host)
 		buildRandom(b, mid, half, rng)
 	}
 }
@@ -399,7 +382,7 @@ func AlongCommTree(g *comm.Graph) (*Tree, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("clocktree: AlongCommTree on empty graph")
 	}
-	b := NewBuilder("datapath/" + g.Name)
+	b := newBuilder("datapath/"+g.Name, n, n)
 	ids := make([]NodeID, n)
 	ids[0] = b.Root(g.Cell(0).Pos, 0)
 	for v := 0; v < n; v++ {
@@ -407,7 +390,7 @@ func AlongCommTree(g *comm.Graph) (*Tree, error) {
 			if ch >= n {
 				continue
 			}
-			ids[ch] = b.Child(ids[v], g.Cell(comm.CellID(ch)).Pos, comm.CellID(ch), nil)
+			ids[ch] = b.Child(ids[v], g.Cell(comm.CellID(ch)).Pos, comm.CellID(ch))
 		}
 	}
 	return b.Finalize()
@@ -416,59 +399,77 @@ func AlongCommTree(g *comm.Graph) (*Tree, error) {
 // Buffered returns a copy of t with buffer nodes inserted along every wire
 // so that no unbuffered segment exceeds spacing (assumption A7: buffers a
 // constant distance apart make the per-segment distribution time τ a
-// constant independent of array size).
+// constant independent of array size). Each edge is cut into as many
+// equal segments as its electrical length (wire plus Equalize's slack)
+// needs; the wire is split with geom.Path.Split and the slack shared
+// evenly, so every root distance is preserved. Nodes are emitted in one
+// depth-first pass, each followed by its subtree.
 func Buffered(t *Tree, spacing float64) (*Tree, error) {
 	if spacing <= 0 {
 		return nil, fmt.Errorf("clocktree: Buffered spacing must be positive, got %g", spacing)
 	}
-	if t.compact {
-		return nil, fmt.Errorf("clocktree: Buffered needs wire geometry, which compact tree %q does not retain", t.Name)
+	segments := func(v int32) int {
+		l := t.EdgeLen(NodeID(v))
+		nseg := int(l / spacing)
+		if float64(nseg)*spacing < l-1e-9 {
+			nseg++
+		}
+		return max(nseg, 1)
 	}
-	b := NewBuilder(fmt.Sprintf("buffered%.3g/%s", spacing, t.Name))
-	// Rebuild top-down, keeping a map from old node IDs to new ones.
-	newID := make([]NodeID, t.NumNodes())
-	rootNode := t.Node(t.Root())
-	newID[t.Root()] = b.Root(rootNode.Pos, rootNode.Cell)
-	var walk func(old NodeID)
-	walk = func(old NodeID) {
-		for _, c := range t.Children(old) {
-			parentNew := newID[old]
-			wire := t.Wire(c)
-			length := wire.Length()
-			nseg := int(length / spacing)
-			if float64(nseg)*spacing < length-1e-9 {
-				nseg++
-			}
-			if nseg < 1 {
-				nseg = 1
+	n := 1
+	for v := int32(1); int(v) < t.NumNodes(); v++ {
+		n += segments(v)
+	}
+	out := newTree(fmt.Sprintf("buffered%.3g/%s", spacing, t.Name), n, len(t.cellNode))
+	if t.extra != nil {
+		out.extra = make([]float64, 0, n)
+	}
+	emit := func(pos geom.Point, cell int32, buffer bool, parent int32, length, slack float64) int32 {
+		if out.extra != nil {
+			out.extra = append(out.extra, slack)
+		}
+		return int32(out.add(pos, comm.CellID(cell), buffer, parent, length))
+	}
+	newID := make([]int32, t.NumNodes())
+	emit(t.pos[0], t.cell[0], t.buffer[0], -1, 0, 0)
+	stack := []int32{0}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v != 0 {
+			p := newID[t.parent[v]]
+			nseg := segments(v)
+			length := t.edgeLen[v]
+			var slack float64
+			if t.extra != nil {
+				slack = t.extra[v] / float64(nseg)
 			}
 			// Insert nseg−1 buffers splitting the wire into nseg pieces.
-			remaining := wire
+			remaining := t.Wire(NodeID(v))
 			for i := 1; i < nseg; i++ {
-				segLen := length / float64(nseg)
 				var piece geom.Path
-				piece, remaining = remaining.Split(segLen)
-				bufID := b.addNode(piece.End(), comm.Host, true)
-				b.t.parent[bufID] = parentNew
-				b.t.children[parentNew] = append(b.t.children[parentNew], bufID)
-				b.t.wire[bufID] = piece
-				b.t.edgeLen[bufID] = piece.Length()
-				parentNew = bufID
+				piece, remaining = remaining.Split(length / float64(nseg))
+				p = emit(piece.End(), int32(comm.Host), true, p, piece.Length(), slack)
 			}
-			childNode := t.Node(c)
-			newID[c] = b.Child(parentNew, childNode.Pos, childNode.Cell, remaining)
-			walk(c)
+			newID[v] = emit(t.pos[v], t.cell[v], t.buffer[v], p, remaining.Length(), slack)
+		}
+		kids := t.Children(NodeID(v))
+		for i := len(kids) - 1; i >= 0; i-- {
+			stack = append(stack, int32(kids[i]))
 		}
 	}
-	walk(t.Root())
-	return b.Finalize()
+	out.index()
+	if err := out.Validate(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // BufferCount returns the number of buffer nodes in the tree.
 func (t *Tree) BufferCount() int {
 	n := 0
-	for _, node := range t.nodes {
-		if node.Buffer {
+	for _, b := range t.buffer {
+		if b {
 			n++
 		}
 	}
@@ -479,7 +480,7 @@ func (t *Tree) BufferCount() int {
 // the tree — the quantity A7's τ is proportional to in a buffered tree.
 func (t *Tree) MaxSegmentLength() float64 {
 	var m float64
-	for v := range t.nodes {
+	for v := range t.pos {
 		if l := t.EdgeLen(NodeID(v)); l > m {
 			m = l
 		}

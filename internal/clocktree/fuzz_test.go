@@ -133,7 +133,10 @@ func FuzzHTree(f *testing.F) {
 			t.Fatalf("HTree rejected a valid layout: %v", err)
 		}
 		checkTreeMetrics(t, g, tree)
-		added := tree.Equalize()
+		added, err := tree.Equalize()
+		if err != nil {
+			t.Fatalf("Equalize rejected an H-tree: %v", err)
+		}
 		if added < 0 || math.IsNaN(added) {
 			t.Fatalf("Equalize added %g", added)
 		}
@@ -144,6 +147,64 @@ func FuzzHTree(f *testing.F) {
 		for _, c := range g.Cells {
 			if d := tree.CellRootDist(c.ID); math.Abs(d-max) > 1e-9 {
 				t.Fatalf("cell %d not equalized: root distance %g, want %g", c.ID, d, max)
+			}
+		}
+	})
+}
+
+// FuzzBuffered checks buffer insertion on arbitrary layouts, spacings and
+// equalized or raw trees: the buffered tree validates, every original
+// node keeps its root distance, no segment's electrical length exceeds
+// the spacing, and every regenerated wire joins its parent's position to
+// its node's.
+func FuzzBuffered(f *testing.F) {
+	f.Add([]byte{0, 0}, uint8(0), false)
+	f.Add([]byte{0, 0, 10, 0, 20, 0, 30, 0}, uint8(3), false)
+	f.Add([]byte{0, 0, 0, 5, 0, 10}, uint8(1), true)
+	f.Add([]byte{0, 0, 1, 1, 2, 0, 3, 1, 4, 0}, uint8(2), true)
+	f.Add([]byte{255, 255, 0, 0, 127, 127}, uint8(7), true)
+	f.Fuzz(func(t *testing.T, data []byte, sp uint8, equalize bool) {
+		g := layoutFromBytes(data)
+		if g == nil {
+			t.Skip("layout rejected by comm")
+		}
+		spacing := 1 + float64(sp)/8
+		build := HTree
+		if !equalize && sp%2 == 1 {
+			build = Spine
+		}
+		tree, err := build(g)
+		if err != nil {
+			t.Fatalf("builder rejected a valid layout: %v", err)
+		}
+		if equalize {
+			if _, err := tree.Equalize(); err != nil {
+				t.Fatalf("Equalize rejected an H-tree: %v", err)
+			}
+		}
+		buf, err := Buffered(tree, spacing)
+		if err != nil {
+			t.Fatalf("Buffered: %v", err)
+		}
+		if err := buf.Validate(); err != nil {
+			t.Fatalf("buffered tree fails validation: %v", err)
+		}
+		for _, c := range g.Cells {
+			if d1, d2 := tree.CellRootDist(c.ID), buf.CellRootDist(c.ID); math.Abs(d1-d2) > 1e-9 {
+				t.Fatalf("cell %d root distance %g → %g", c.ID, d1, d2)
+			}
+		}
+		if got, want := buf.MaxRootDist(), tree.MaxRootDist(); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("max root distance %g → %g", want, got)
+		}
+		for v := 1; v < buf.NumNodes(); v++ {
+			id := NodeID(v)
+			if l := buf.EdgeLen(id); l > spacing+1e-9 {
+				t.Fatalf("segment into node %d has length %g > spacing %g", v, l, spacing)
+			}
+			w := buf.Wire(id)
+			if !w.Start().Eq(buf.Node(buf.Parent(id)).Pos, 0) || !w.End().Eq(buf.Node(id).Pos, 0) {
+				t.Fatalf("wire of node %d does not join its parent's position to its own", v)
 			}
 		}
 	})

@@ -29,89 +29,79 @@ type Node struct {
 	Buffer bool        // true for nodes inserted by Buffered (A7)
 }
 
-// Tree is a rooted binary clock tree with a planar wire layout. Build one
-// with a Builder; a finalized Tree is immutable and safe for concurrent
-// reads.
+// Tree is a rooted binary clock tree with a planar wire layout, stored as
+// flat arrays indexed by NodeID. Every parent precedes its children (the
+// root is node 0), so one ascending pass computes root distances and
+// depths. Wires are rectilinear L routes and are regenerated from the
+// node positions on demand rather than stored. Build one with a Builder;
+// a finalized Tree is immutable apart from Equalize and is safe for
+// concurrent reads.
 type Tree struct {
-	Name  string
-	nodes []Node
-	root  NodeID
+	Name string
 
-	parent   []NodeID
-	children [][]NodeID
-	wire     []geom.Path // wire[v]: route from parent(v).Pos to v.Pos
-	edgeLen  []float64   // edgeLen[v] = wire[v].Length(), 0 at the root
-	extra    []float64   // tuned slack added to edge v by Equalize
+	pos    []geom.Point
+	cell   []int32 // comm.Host for nodes that clock no cell
+	buffer []bool
 
-	// compact marks trees built by NewCompactBuilder: wire routes,
-	// child lists, and the O(n log n) LCA tables are not retained, only
-	// the parent/edgeLen/rootDist/depth arrays. Distance queries stay
-	// bit-identical (same arithmetic on the same operands); LCA degrades
-	// to a lockstep parent walk — O(depth), which is O(log n) for the
-	// balanced trees compact mode exists for. Buffered and wire-geometry
-	// queries are unavailable. This is what lets 8192²-cell arrays fit
-	// in memory: the retained state is ~56 bytes/node instead of the
-	// several hundred a full tree carries.
-	compact bool
-
+	parent   []int32   // -1 at the root
+	depth    []int32   // edges from the root
+	edgeLen  []float64 // wire length from parent(v) to v, 0 at the root
+	extra    []float64 // tuning slack added to edge v by Equalize; nil if none
 	rootDist []float64
-	depth    []int
-	up       [][]int32 // binary-lifting ancestor table; nil for compact trees
 
-	// Euler-tour RMQ structures for O(1) LCA: euler is the tour's node
-	// sequence (length 2n−1), firstVisit[v] the index of v's first tour
-	// occurrence, and sparse[k][i] the index of the minimum-depth node in
-	// the tour window [i, i+2^k).
-	euler      []int32
-	firstVisit []int32
-	sparse     [][]int32
-	log2       []uint8 // log2[w] = floor(log₂ w) for window sizes up to len(euler)
+	// Child lists in CSR form: v's children, in ascending ID order, are
+	// kids[kidStart[v]:kidStart[v+1]].
+	kidStart []int32
+	kids     []NodeID
 
-	cellNode map[comm.CellID]NodeID
+	cellNode []int32 // node clocking each cell, indexed by CellID; -1 if none
 }
 
 // NumNodes returns the number of tree nodes.
-func (t *Tree) NumNodes() int { return len(t.nodes) }
+func (t *Tree) NumNodes() int { return len(t.pos) }
 
 // Root returns the root node ID.
-func (t *Tree) Root() NodeID { return t.root }
+func (t *Tree) Root() NodeID { return 0 }
 
 // Node returns the node with the given ID.
-func (t *Tree) Node(id NodeID) Node { return t.nodes[id] }
-
-// Parent returns the parent of v, or -1 for the root.
-func (t *Tree) Parent(v NodeID) NodeID { return t.parent[v] }
-
-// Compact reports whether the tree was built in compact mode (no wire
-// routes, child lists, or O(1)-LCA tables retained).
-func (t *Tree) Compact() bool { return t.compact }
-
-// Children returns v's children; the slice must not be modified. Compact
-// trees do not retain child lists and always return nil.
-func (t *Tree) Children(v NodeID) []NodeID {
-	if t.children == nil {
-		return nil
-	}
-	return t.children[v]
+func (t *Tree) Node(id NodeID) Node {
+	return Node{ID: id, Pos: t.pos[id], Cell: comm.CellID(t.cell[id]), Buffer: t.buffer[id]}
 }
 
-// Wire returns the wire route from v's parent to v (nil at the root).
-// Compact trees do not retain wire routes and always return nil.
+// Parent returns the parent of v, or -1 for the root.
+func (t *Tree) Parent(v NodeID) NodeID { return NodeID(t.parent[v]) }
+
+// Children returns v's children in ascending ID order; the slice must not
+// be modified.
+func (t *Tree) Children(v NodeID) []NodeID {
+	return t.kids[t.kidStart[v]:t.kidStart[v+1]]
+}
+
+// Wire returns the rectilinear wire route from v's parent to v (nil at
+// the root), regenerated from the two node positions.
 func (t *Tree) Wire(v NodeID) geom.Path {
-	if t.wire == nil {
+	p := t.parent[v]
+	if p < 0 {
 		return nil
 	}
-	return t.wire[v]
+	return geom.Rectilinear(t.pos[p], t.pos[v])
 }
 
 // EdgeLen returns the electrical length of the wire from v's parent to v,
 // including any tuning slack added by Equalize.
-func (t *Tree) EdgeLen(v NodeID) float64 { return t.edgeLen[v] + t.extra[v] }
+func (t *Tree) EdgeLen(v NodeID) float64 {
+	if t.extra == nil {
+		return t.edgeLen[v]
+	}
+	return t.edgeLen[v] + t.extra[v]
+}
 
 // CellNode returns the tree node that clocks the given cell.
 func (t *Tree) CellNode(c comm.CellID) (NodeID, bool) {
-	id, ok := t.cellNode[c]
-	return id, ok
+	if c < 0 || int(c) >= len(t.cellNode) || t.cellNode[c] < 0 {
+		return -1, false
+	}
+	return NodeID(t.cellNode[c]), true
 }
 
 // RootDist returns the electrical length of the path from the root to v —
@@ -120,11 +110,7 @@ func (t *Tree) RootDist(v NodeID) float64 { return t.rootDist[v] }
 
 // CellRootDist returns the root distance of the node clocking cell c.
 func (t *Tree) CellRootDist(c comm.CellID) float64 {
-	id, ok := t.cellNode[c]
-	if !ok {
-		panic(fmt.Sprintf("clocktree: cell %d is not clocked by tree %q", c, t.Name))
-	}
-	return t.rootDist[id]
+	return t.rootDist[t.mustCellNode(c)]
 }
 
 // MaxRootDist returns the longest root-to-node electrical length P; per
@@ -139,71 +125,22 @@ func (t *Tree) MaxRootDist() float64 {
 	return m
 }
 
-// LCA returns the lowest common ancestor of a and b in O(1), answered
-// from the Euler-tour sparse table built at Finalize: the LCA is the
-// minimum-depth node in the tour between the two nodes' first visits.
+// LCA returns the lowest common ancestor of a and b by walking parent
+// links: lift the deeper node to the shallower's depth, then walk both up
+// in lockstep. O(depth) per query; callers with a known pair list use
+// PathLens instead.
 func (t *Tree) LCA(a, b NodeID) NodeID {
-	if t.sparse == nil {
-		return t.lcaWalk(a, b)
-	}
-	l, r := t.firstVisit[a], t.firstVisit[b]
-	if l > r {
-		l, r = r, l
-	}
-	k := t.log2[r-l+1]
-	i, j := t.sparse[k][l], t.sparse[k][r-(1<<k)+1]
-	if t.depth[t.euler[j]] < t.depth[t.euler[i]] {
-		i = j
-	}
-	return NodeID(t.euler[i])
-}
-
-// lcaWalk is the table-free LCA used by compact trees: lift the deeper
-// node to the shallower's depth, then walk both up in lockstep. O(depth)
-// per query — O(log n) on the balanced trees compact mode targets.
-func (t *Tree) lcaWalk(a, b NodeID) NodeID {
 	for t.depth[a] > t.depth[b] {
-		a = t.parent[a]
+		a = NodeID(t.parent[a])
 	}
 	for t.depth[b] > t.depth[a] {
-		b = t.parent[b]
+		b = NodeID(t.parent[b])
 	}
 	for a != b {
-		a = t.parent[a]
-		b = t.parent[b]
+		a = NodeID(t.parent[a])
+		b = NodeID(t.parent[b])
 	}
 	return a
-}
-
-// LCABinaryLifting is the O(log n) binary-lifting LCA retained alongside
-// the Euler-tour implementation as an independent oracle: differential
-// tests cross-check the two on every tree shape. Compact trees have no
-// lifting table and answer with the parent walk.
-func (t *Tree) LCABinaryLifting(a, b NodeID) NodeID {
-	if t.up == nil {
-		return t.lcaWalk(a, b)
-	}
-	u, v := int32(a), int32(b)
-	if t.depth[u] < t.depth[v] {
-		u, v = v, u
-	}
-	diff := t.depth[u] - t.depth[v]
-	for k := 0; diff != 0; k++ {
-		if diff&1 != 0 {
-			u = t.up[k][u]
-		}
-		diff >>= 1
-	}
-	if u == v {
-		return NodeID(u)
-	}
-	for k := len(t.up) - 1; k >= 0; k-- {
-		if t.up[k][u] != t.up[k][v] {
-			u = t.up[k][u]
-			v = t.up[k][v]
-		}
-	}
-	return NodeID(t.up[0][u])
 }
 
 // PathLen returns the electrical length s of the tree path connecting a
@@ -212,6 +149,80 @@ func (t *Tree) LCABinaryLifting(a, b NodeID) NodeID {
 func (t *Tree) PathLen(a, b NodeID) float64 {
 	l := t.LCA(a, b)
 	return t.rootDist[a] + t.rootDist[b] - 2*t.rootDist[l]
+}
+
+// PathLens sets s[i] = PathLen(a[i], b[i]) for every i, resolving all the
+// LCAs in one offline pass (Tarjan's algorithm) in O(nodes + pairs) time:
+// a depth-first walk enters each node, answers every query whose other
+// endpoint was entered earlier with the union-find root of that endpoint
+// — its deepest ancestor still on the walk's path — and on leaving a node
+// links it to its parent. The arithmetic is PathLen's, so the results are
+// bit-identical to per-pair queries.
+func (t *Tree) PathLens(a, b []int32, s []float64) {
+	n := len(t.parent)
+	// Queries in CSR form: the pair indices touching v are
+	// q[qStart[v]:qStart[v+1]].
+	qStart := make([]int32, n+1)
+	for i := range a {
+		qStart[a[i]]++
+		qStart[b[i]]++
+	}
+	var sum int32
+	for v := 0; v < n; v++ {
+		sum += qStart[v]
+		qStart[v] = sum
+	}
+	qStart[n] = sum
+	q := make([]int32, sum)
+	for i := len(a) - 1; i >= 0; i-- {
+		qStart[a[i]]--
+		q[qStart[a[i]]] = int32(i)
+		qStart[b[i]]--
+		q[qStart[b[i]]] = int32(i)
+	}
+
+	// uf[v] is -1 before v is entered, v while v is on the walk's path,
+	// and v's parent once v's subtree is done.
+	uf := make([]int32, n)
+	for v := range uf {
+		uf[v] = -1
+	}
+	find := func(x int32) int32 {
+		r := x
+		for uf[r] != r {
+			r = uf[r]
+		}
+		for uf[x] != r {
+			x, uf[x] = uf[x], r
+		}
+		return r
+	}
+	// A negative stack entry ^v marks the exit from v's subtree.
+	stack := []int32{0}
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if v < 0 {
+			uf[^v] = t.parent[^v]
+			continue
+		}
+		uf[v] = v
+		for _, i := range q[qStart[v]:qStart[v+1]] {
+			u := a[i]
+			if u == v {
+				u = b[i]
+			}
+			if uf[u] >= 0 {
+				s[i] = t.rootDist[a[i]] + t.rootDist[b[i]] - 2*t.rootDist[find(u)]
+			}
+		}
+		if v != 0 {
+			stack = append(stack, ^v)
+		}
+		for _, c := range t.kids[t.kidStart[v]:t.kidStart[v+1]] {
+			stack = append(stack, int32(c))
+		}
+	}
 }
 
 // DiffDist returns the positive difference d between the root distances of
@@ -231,7 +242,7 @@ func (t *Tree) CellDiffDist(a, b comm.CellID) float64 {
 }
 
 func (t *Tree) mustCellNode(c comm.CellID) NodeID {
-	id, ok := t.cellNode[c]
+	id, ok := t.CellNode(c)
 	if !ok {
 		panic(fmt.Sprintf("clocktree: cell %d is not clocked by tree %q", c, t.Name))
 	}
@@ -244,19 +255,26 @@ func (t *Tree) mustCellNode(c comm.CellID) NodeID {
 // is wire area by A3).
 func (t *Tree) TotalWireLength() float64 {
 	var sum float64
-	for v := range t.nodes {
+	for v := range t.pos {
 		sum += t.EdgeLen(NodeID(v))
 	}
 	return sum
 }
 
-// Bounds returns the bounding rectangle of all nodes and wire vertices.
+// Bounds returns the bounding rectangle of the tree. Every wire is an L
+// route whose corner lies in its endpoints' bounding box, so the node
+// positions bound the wires too.
 func (t *Tree) Bounds() geom.Rect {
-	r := geom.BoundingRectOfPaths(t.wire)
-	for _, n := range t.nodes {
-		r = r.Union(geom.Rect{Min: n.Pos, Max: n.Pos})
-	}
-	return r
+	return geom.BoundingRect(t.pos...)
+}
+
+// FootprintBytes returns the bytes the tree's arrays retain, computed from
+// their capacities.
+func (t *Tree) FootprintBytes() int64 {
+	return int64(len(t.Name)) +
+		16*int64(cap(t.pos)) + int64(cap(t.buffer)) +
+		4*int64(cap(t.cell)+cap(t.parent)+cap(t.depth)+cap(t.kidStart)+cap(t.cellNode)) +
+		8*int64(cap(t.edgeLen)+cap(t.extra)+cap(t.rootDist)+cap(t.kids))
 }
 
 // ParentArray returns the tree as a parent array (parent[root] = -1), the
@@ -272,9 +290,11 @@ func (t *Tree) ParentArray() []int {
 // CellMask returns a boolean mask over tree nodes marking the nodes that
 // clock cells, for use with the Lemma-5 separator.
 func (t *Tree) CellMask() []bool {
-	mask := make([]bool, len(t.nodes))
+	mask := make([]bool, len(t.pos))
 	for _, id := range t.cellNode {
-		mask[id] = true
+		if id >= 0 {
+			mask[id] = true
+		}
 	}
 	return mask
 }
@@ -283,7 +303,7 @@ func (t *Tree) CellMask() []bool {
 // (A4: a cell can be clocked only if it is also a node of CLK).
 func (t *Tree) Covers(g *comm.Graph) bool {
 	for _, c := range g.Cells {
-		if _, ok := t.cellNode[c.ID]; !ok {
+		if _, ok := t.CellNode(c.ID); !ok {
 			return false
 		}
 	}
@@ -294,141 +314,103 @@ func (t *Tree) Covers(g *comm.Graph) bool {
 // same root distance (the maximum). This models the practice, discussed in
 // Section VII, of tuning discrete clock-tree wiring so delay from the root
 // is the same for all cells — the regime where the difference model makes
-// H-tree clocking exact. It returns the amount of slack added in total.
-func (t *Tree) Equalize() float64 {
+// H-tree clocking exact. It returns the amount of slack added in total,
+// summed in cell ID order. Slack on an internal edge would lengthen every
+// path below it, so a tree in which some cell node has children (a spine,
+// say) cannot be equalized and yields an error.
+func (t *Tree) Equalize() (float64, error) {
 	target := 0.0
-	for _, id := range t.cellNode {
+	for c, id := range t.cellNode {
+		if id < 0 {
+			continue
+		}
+		if t.kidStart[id+1] > t.kidStart[id] {
+			return 0, fmt.Errorf("clocktree %q: cannot equalize: cell %d is not a leaf", t.Name, c)
+		}
 		if d := t.rootDist[id]; d > target {
 			target = d
 		}
 	}
 	var added float64
 	for _, id := range t.cellNode {
-		slack := target - t.rootDist[id]
-		if slack > 0 {
+		if id < 0 {
+			continue
+		}
+		if slack := target - t.rootDist[id]; slack > 0 {
+			if t.extra == nil {
+				t.extra = make([]float64, len(t.pos))
+			}
 			t.extra[id] += slack
 			added += slack
 		}
 	}
 	t.recomputeDistances()
-	return added
+	return added, nil
 }
 
-// recomputeDistances refreshes rootDist after edge-length changes.
+// recomputeDistances refreshes rootDist in one ascending pass: parents
+// precede children.
 func (t *Tree) recomputeDistances() {
-	if t.compact {
-		// The Builder creates every parent before its children, so
-		// ascending node order is topological; the per-node arithmetic is
-		// identical to the stack walk below, so rootDist values are
-		// bit-identical between the two modes.
-		for v := range t.parent {
-			if p := t.parent[v]; p >= 0 {
-				t.rootDist[v] = t.rootDist[p] + t.EdgeLen(NodeID(v))
-			} else {
-				t.rootDist[v] = 0
-			}
-		}
-		return
-	}
-	stack := []NodeID{t.root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if p := t.parent[v]; p >= 0 {
-			t.rootDist[v] = t.rootDist[p] + t.EdgeLen(v)
-		} else {
-			t.rootDist[v] = 0
-		}
-		stack = append(stack, t.children[v]...)
+	for v := 1; v < len(t.pos); v++ {
+		t.rootDist[v] = t.rootDist[t.parent[v]] + t.EdgeLen(NodeID(v))
 	}
 }
 
-// Validate checks the structural invariants required by A4 and the layout
-// conventions: a single root, binary branching, wires connecting parent to
-// child positions, and acyclicity (every node reachable from the root
-// exactly once).
-func (t *Tree) Validate() error {
-	if t.compact {
-		return t.validateCompact()
+// index computes root distances, depths and the CSR child lists of a tree
+// whose node arrays are complete.
+func (t *Tree) index() {
+	n := len(t.pos)
+	t.rootDist = make([]float64, n)
+	t.depth = make([]int32, n)
+	t.kidStart = make([]int32, n+1)
+	t.kids = make([]NodeID, n-1)
+	t.recomputeDistances()
+	for v := 1; v < n; v++ {
+		t.depth[v] = t.depth[t.parent[v]] + 1
 	}
-	n := len(t.nodes)
-	if n == 0 {
-		return fmt.Errorf("clocktree %q: empty tree", t.Name)
+	// Count children per parent, turn the counts into block ends, then
+	// fill each block from its end in descending child order so that
+	// kidStart ends at the block starts and each block ascends.
+	for v := 1; v < n; v++ {
+		t.kidStart[t.parent[v]]++
 	}
-	if t.parent[t.root] != -1 {
-		return fmt.Errorf("clocktree %q: root %d has a parent", t.Name, t.root)
-	}
-	seen := make([]bool, n)
-	count := 0
-	stack := []NodeID{t.root}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[v] {
-			return fmt.Errorf("clocktree %q: node %d reached twice", t.Name, v)
-		}
-		seen[v] = true
-		count++
-		if len(t.children[v]) > 2 {
-			return fmt.Errorf("clocktree %q: node %d has %d children (A4 requires binary)",
-				t.Name, v, len(t.children[v]))
-		}
-		for _, c := range t.children[v] {
-			if t.parent[c] != v {
-				return fmt.Errorf("clocktree %q: parent/child mismatch at %d→%d", t.Name, v, c)
-			}
-			w := t.wire[c]
-			if len(w) < 1 {
-				return fmt.Errorf("clocktree %q: edge %d→%d has no wire", t.Name, v, c)
-			}
-			if !w.Start().Eq(t.nodes[v].Pos, 1e-6) || !w.End().Eq(t.nodes[c].Pos, 1e-6) {
-				return fmt.Errorf("clocktree %q: wire of edge %d→%d does not connect node positions",
-					t.Name, v, c)
-			}
-			stack = append(stack, c)
-		}
-	}
-	if count != n {
-		return fmt.Errorf("clocktree %q: %d of %d nodes unreachable from root", t.Name, n-count, n)
-	}
-	for c, id := range t.cellNode {
-		if t.nodes[id].Cell != c {
-			return fmt.Errorf("clocktree %q: cell index broken for cell %d", t.Name, c)
-		}
-	}
-	return nil
-}
-
-// validateCompact checks the invariants a compact tree can check without
-// child lists or wires: parent-before-child ordering (which implies a
-// single root, acyclicity, and full reachability — every non-root chains
-// down to the root through strictly smaller indices), binary branching,
-// and a consistent cell index.
-func (t *Tree) validateCompact() error {
-	n := len(t.nodes)
-	if n == 0 {
-		return fmt.Errorf("clocktree %q: empty tree", t.Name)
-	}
-	if t.parent[t.root] != -1 {
-		return fmt.Errorf("clocktree %q: root %d has a parent", t.Name, t.root)
-	}
-	counts := make([]uint8, n)
+	var sum int32
 	for v := 0; v < n; v++ {
-		if NodeID(v) == t.root {
-			continue
-		}
-		p := t.parent[v]
-		if p < 0 || int(p) >= v {
-			return fmt.Errorf("clocktree %q: compact node %d has parent %d; parents must precede children",
-				t.Name, v, p)
-		}
-		if counts[p] == 2 {
-			return fmt.Errorf("clocktree %q: node %d has more than 2 children (A4 requires binary)", t.Name, p)
-		}
-		counts[p]++
+		sum += t.kidStart[v]
+		t.kidStart[v] = sum
 	}
-	for c, id := range t.cellNode {
-		if t.nodes[id].Cell != c {
+	t.kidStart[n] = sum
+	for v := n - 1; v >= 1; v-- {
+		p := t.parent[v]
+		t.kidStart[p]--
+		t.kids[t.kidStart[p]] = NodeID(v)
+	}
+}
+
+// Validate checks the structural invariants required by A4: a single root
+// at node 0, every other node's parent preceding it (which makes the tree
+// acyclic and every node reachable from the root), binary branching, and
+// a consistent cell index.
+func (t *Tree) Validate() error {
+	n := len(t.pos)
+	if n == 0 {
+		return fmt.Errorf("clocktree %q: empty tree", t.Name)
+	}
+	if t.parent[0] != -1 {
+		return fmt.Errorf("clocktree %q: root has a parent", t.Name)
+	}
+	for v := 1; v < n; v++ {
+		if p := t.parent[v]; p < 0 || int(p) >= v {
+			return fmt.Errorf("clocktree %q: node %d has parent %d; parents must precede children", t.Name, v, p)
+		}
+	}
+	for v := 0; v < n; v++ {
+		if k := t.kidStart[v+1] - t.kidStart[v]; k > 2 {
+			return fmt.Errorf("clocktree %q: node %d has %d children (A4 requires binary)", t.Name, v, k)
+		}
+	}
+	for v, c := range t.cell {
+		if c != int32(comm.Host) && (int(c) >= len(t.cellNode) || t.cellNode[c] != int32(v)) {
 			return fmt.Errorf("clocktree %q: cell index broken for cell %d", t.Name, c)
 		}
 	}
@@ -438,201 +420,87 @@ func (t *Tree) validateCompact() error {
 // Builder assembles a Tree incrementally. Create with NewBuilder, add the
 // root with Root, attach nodes with Child, then call Finalize.
 type Builder struct {
-	t       *Tree
-	rootSet bool
+	t *Tree
 }
 
 // NewBuilder returns a Builder for a tree with the given name.
-func NewBuilder(name string) *Builder {
-	return &Builder{t: &Tree{Name: name, cellNode: make(map[comm.CellID]NodeID)}}
+func NewBuilder(name string) *Builder { return newBuilder(name, 0, 0) }
+
+// newBuilder returns a Builder for a tree of known size; see newTree.
+func newBuilder(name string, nodes, cells int) *Builder {
+	return &Builder{t: newTree(name, nodes, cells)}
 }
 
-// NewCompactBuilder returns a Builder whose tree is built in compact
-// mode: wire routes and child lists are dropped as nodes are added, and
-// Finalize skips the O(n log n) LCA tables in favor of the parent-walk
-// LCA. The tree keeps the same name, node IDs, edge lengths, and root
-// distances (bit-identical) as the full tree the same Builder calls
-// would produce — only geometry retention and query complexity differ.
-func NewCompactBuilder(name string) *Builder {
-	return &Builder{t: &Tree{Name: name, compact: true, cellNode: make(map[comm.CellID]NodeID)}}
+// newTree returns an empty tree whose arrays are sized for the given node
+// and cell counts, so trees of known size retain no append slack.
+func newTree(name string, nodes, cells int) *Tree {
+	t := &Tree{
+		Name:     name,
+		pos:      make([]geom.Point, 0, nodes),
+		cell:     make([]int32, 0, nodes),
+		buffer:   make([]bool, 0, nodes),
+		parent:   make([]int32, 0, nodes),
+		edgeLen:  make([]float64, 0, nodes),
+		cellNode: make([]int32, cells),
+	}
+	for i := range t.cellNode {
+		t.cellNode[i] = -1
+	}
+	return t
 }
 
 // Root creates the root node. It may be called only once.
 func (b *Builder) Root(pos geom.Point, cell comm.CellID) NodeID {
-	if b.rootSet {
+	if len(b.t.pos) > 0 {
 		panic("clocktree: Root called twice")
 	}
-	b.rootSet = true
-	id := b.addNode(pos, cell, false)
-	b.t.root = id
-	b.t.parent[id] = -1
-	return id
+	return b.t.add(pos, cell, false, -1, 0)
 }
 
-// Child creates a node at pos attached to parent by the given wire route.
-// If wire is nil, a rectilinear route from the parent is used. cell may be
-// comm.Host for internal nodes.
-func (b *Builder) Child(parent NodeID, pos geom.Point, cell comm.CellID, wire geom.Path) NodeID {
-	if !b.rootSet {
+// Child creates a node at pos attached to parent by a rectilinear wire.
+// cell may be comm.Host for internal nodes.
+func (b *Builder) Child(parent NodeID, pos geom.Point, cell comm.CellID) NodeID {
+	if len(b.t.pos) == 0 {
 		panic("clocktree: Child before Root")
 	}
-	if wire == nil {
-		wire = geom.Rectilinear(b.t.nodes[parent].Pos, pos)
-	}
-	id := b.addNode(pos, cell, false)
-	b.t.parent[id] = parent
-	b.t.edgeLen[id] = wire.Length()
-	if !b.t.compact {
-		b.t.children[parent] = append(b.t.children[parent], id)
-		b.t.wire[id] = wire
-	}
-	return id
+	// The length of geom.Rectilinear(parentPos, pos), without building it.
+	return b.t.add(pos, cell, false, int32(parent), b.t.pos[parent].ManhattanDist(pos))
 }
 
-func (b *Builder) addNode(pos geom.Point, cell comm.CellID, buffer bool) NodeID {
-	id := NodeID(len(b.t.nodes))
-	b.t.nodes = append(b.t.nodes, Node{ID: id, Pos: pos, Cell: cell, Buffer: buffer})
-	b.t.parent = append(b.t.parent, -1)
-	if !b.t.compact {
-		b.t.children = append(b.t.children, nil)
-		b.t.wire = append(b.t.wire, nil)
-	}
-	b.t.edgeLen = append(b.t.edgeLen, 0)
-	b.t.extra = append(b.t.extra, 0)
+// add appends one node; its parent must already exist.
+func (t *Tree) add(pos geom.Point, cell comm.CellID, buffer bool, parent int32, edgeLen float64) NodeID {
+	id := NodeID(len(t.pos))
+	t.pos = append(t.pos, pos)
+	t.cell = append(t.cell, int32(cell))
+	t.buffer = append(t.buffer, buffer)
+	t.parent = append(t.parent, parent)
+	t.edgeLen = append(t.edgeLen, edgeLen)
 	if cell != comm.Host {
-		if _, dup := b.t.cellNode[cell]; dup {
+		if cell < 0 {
+			panic(fmt.Sprintf("clocktree: invalid cell ID %d", cell))
+		}
+		for int(cell) >= len(t.cellNode) {
+			t.cellNode = append(t.cellNode, -1)
+		}
+		if t.cellNode[cell] >= 0 {
 			panic(fmt.Sprintf("clocktree: cell %d clocked twice", cell))
 		}
-		b.t.cellNode[cell] = id
+		t.cellNode[cell] = int32(id)
 	}
 	return id
 }
 
-// Finalize computes distances and ancestor tables and returns the
-// completed tree. The Builder must not be used afterwards.
+// Finalize computes distances and child lists and returns the completed
+// tree. The Builder must not be used afterwards.
 func (b *Builder) Finalize() (*Tree, error) {
 	t := b.t
 	b.t = nil
-	if t == nil || len(t.nodes) == 0 {
+	if t == nil || len(t.pos) == 0 {
 		return nil, fmt.Errorf("clocktree: Finalize on empty builder")
 	}
-	n := len(t.nodes)
-	t.rootDist = make([]float64, n)
-	t.depth = make([]int, n)
-	if t.compact {
-		// One forward pass computes both distances and depths (parents
-		// precede children), and no ancestor tables are built.
-		if err := t.Validate(); err != nil {
-			return nil, err
-		}
-		for v := 0; v < n; v++ {
-			if p := t.parent[v]; p >= 0 {
-				t.rootDist[v] = t.rootDist[p] + t.EdgeLen(NodeID(v))
-				t.depth[v] = t.depth[p] + 1
-			}
-		}
-		return t, nil
-	}
-	t.recomputeDistances()
-	// Depths via BFS from root.
-	queue := []NodeID{t.root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, c := range t.children[v] {
-			t.depth[c] = t.depth[v] + 1
-			queue = append(queue, c)
-		}
-	}
-	// Binary-lifting table.
-	levels := 1
-	maxDepth := 0
-	for _, d := range t.depth {
-		if d > maxDepth {
-			maxDepth = d
-		}
-	}
-	for 1<<levels <= maxDepth {
-		levels++
-	}
-	t.up = make([][]int32, levels)
-	t.up[0] = make([]int32, n)
-	for v := 0; v < n; v++ {
-		if p := t.parent[v]; p >= 0 {
-			t.up[0][v] = int32(p)
-		} else {
-			t.up[0][v] = int32(v)
-		}
-	}
-	for k := 1; k < levels; k++ {
-		t.up[k] = make([]int32, n)
-		for v := 0; v < n; v++ {
-			t.up[k][v] = t.up[k-1][t.up[k-1][v]]
-		}
-	}
-	t.buildEulerRMQ()
+	t.index()
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
 	return t, nil
-}
-
-// buildEulerRMQ records the Euler tour of the tree and a sparse table of
-// minimum-depth positions over it, giving LCA queries in O(1) after
-// O(n log n) preprocessing.
-func (t *Tree) buildEulerRMQ() {
-	n := len(t.nodes)
-	t.euler = make([]int32, 0, 2*n-1)
-	t.firstVisit = make([]int32, n)
-	// Iterative Euler tour: each stack frame is a node plus the index of
-	// the next child to descend into; the node is appended on entry and
-	// again after each child's subtree.
-	type frame struct {
-		v    NodeID
-		next int
-	}
-	stack := []frame{{v: t.root}}
-	t.firstVisit[t.root] = 0
-	t.euler = append(t.euler, int32(t.root))
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		kids := t.children[f.v]
-		if f.next >= len(kids) {
-			stack = stack[:len(stack)-1]
-			if len(stack) > 0 {
-				t.euler = append(t.euler, int32(stack[len(stack)-1].v))
-			}
-			continue
-		}
-		c := kids[f.next]
-		f.next++
-		t.firstVisit[c] = int32(len(t.euler))
-		t.euler = append(t.euler, int32(c))
-		stack = append(stack, frame{v: c})
-	}
-	m := len(t.euler)
-	t.log2 = make([]uint8, m+1)
-	for w := 2; w <= m; w++ {
-		t.log2[w] = t.log2[w/2] + 1
-	}
-	levels := int(t.log2[m]) + 1
-	t.sparse = make([][]int32, levels)
-	base := make([]int32, m)
-	for i := range base {
-		base[i] = int32(i)
-	}
-	t.sparse[0] = base
-	for k := 1; k < levels; k++ {
-		width := 1 << k
-		row := make([]int32, m-width+1)
-		prev := t.sparse[k-1]
-		for i := range row {
-			a, b := prev[i], prev[i+width/2]
-			if t.depth[t.euler[b]] < t.depth[t.euler[a]] {
-				a = b
-			}
-			row[i] = a
-		}
-		t.sparse[k] = row
-	}
 }

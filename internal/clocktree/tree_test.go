@@ -164,7 +164,10 @@ func TestHTreeEqualizeOnIrregularLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	added := tr.Equalize()
+	added, err := tr.Equalize()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if added < 0 {
 		t.Errorf("Equalize added negative slack %g", added)
 	}
@@ -250,10 +253,10 @@ func TestLCAAndPathLen(t *testing.T) {
 	//                    c   d
 	b := NewBuilder("hand")
 	r := b.Root(geom.Pt(0, 0), comm.Host)
-	a := b.Child(r, geom.Pt(-2, 0), 0, nil)
-	bb := b.Child(r, geom.Pt(3, 0), 1, nil)
-	c := b.Child(a, geom.Pt(-2, 2), 2, nil)
-	d := b.Child(a, geom.Pt(-2, -1), 3, nil)
+	a := b.Child(r, geom.Pt(-2, 0), 0)
+	bb := b.Child(r, geom.Pt(3, 0), 1)
+	c := b.Child(a, geom.Pt(-2, 2), 2)
+	d := b.Child(a, geom.Pt(-2, -1), 3)
 	tr, err := b.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +359,7 @@ func TestBuilderPanics(t *testing.T) {
 				t.Error("Child before Root should panic")
 			}
 		}()
-		b.Child(0, geom.Pt(0, 0), comm.Host, nil)
+		b.Child(0, geom.Pt(0, 0), comm.Host)
 	}()
 	b.Root(geom.Pt(0, 0), comm.Host)
 	func() {
@@ -373,17 +376,17 @@ func TestBuilderPanics(t *testing.T) {
 				t.Error("double-clocked cell should panic")
 			}
 		}()
-		b.Child(0, geom.Pt(1, 0), 5, nil)
-		b.Child(0, geom.Pt(2, 0), 5, nil)
+		b.Child(0, geom.Pt(1, 0), 5)
+		b.Child(0, geom.Pt(2, 0), 5)
 	}()
 }
 
 func TestValidateRejectsTernary(t *testing.T) {
 	b := NewBuilder("ternary")
 	r := b.Root(geom.Pt(0, 0), comm.Host)
-	b.Child(r, geom.Pt(1, 0), 0, nil)
-	b.Child(r, geom.Pt(0, 1), 1, nil)
-	b.Child(r, geom.Pt(-1, 0), 2, nil)
+	b.Child(r, geom.Pt(1, 0), 0)
+	b.Child(r, geom.Pt(0, 1), 1)
+	b.Child(r, geom.Pt(-1, 0), 2)
 	if _, err := b.Finalize(); err == nil {
 		t.Error("ternary root accepted (violates A4)")
 	}
@@ -543,48 +546,91 @@ func TestAlongCommTreeSingleNode(t *testing.T) {
 	}
 }
 
-// The Euler-tour sparse-table LCA and the binary-lifting LCA are
-// independent implementations of the same query; they must agree on
-// every node pair of every tree shape the package can build.
-func TestEulerLCAMatchesBinaryLifting(t *testing.T) {
-	var trees []*Tree
+// everyBuilderTree builds one tree with every builder in the package, each
+// also buffered.
+func everyBuilderTree(t *testing.T) []*Tree {
+	t.Helper()
 	mesh := mustMesh(t, 5, 7)
 	lin := mustLinear(t, 23)
+	ring, err := comm.Ring(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err := comm.CompleteBinaryTree(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trees []*Tree
 	for _, build := range []func() (*Tree, error){
 		func() (*Tree, error) { return HTree(mesh) },
-		func() (*Tree, error) { return Serpentine(mesh) },
 		func() (*Tree, error) { return Spine(lin) },
+		func() (*Tree, error) { return SpineWithHost(lin, geom.Pt(-1, 0)) },
+		func() (*Tree, error) { return Ladder(ring) },
+		func() (*Tree, error) { return Serpentine(mesh) },
 		func() (*Tree, error) { return RandomBinary(mesh, stats.NewRNG(11)) },
 		func() (*Tree, error) { return RandomBinary(lin, stats.NewRNG(5)) },
+		func() (*Tree, error) { return AlongCommTree(bin) },
 	} {
 		tr, err := build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		trees = append(trees, tr)
+		buf, err := Buffered(tr, 0.7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trees = append(trees, tr, buf)
 	}
-	ring, err := comm.Ring(9)
-	if err != nil {
-		t.Fatal(err)
+	return trees
+}
+
+// naiveLCA marks every ancestor of a, then climbs from b to the first
+// marked node.
+func naiveLCA(tr *Tree, a, b NodeID) NodeID {
+	anc := map[NodeID]bool{}
+	for v := a; v >= 0; v = tr.Parent(v) {
+		anc[v] = true
 	}
-	if lad, err := Ladder(ring); err == nil {
-		trees = append(trees, lad)
+	for v := b; ; v = tr.Parent(v) {
+		if anc[v] {
+			return v
+		}
 	}
-	for _, tr := range trees {
+}
+
+// The offline batch pass and the parent walk are independent LCA
+// implementations; they must give bit-identical path lengths on every
+// node pair of every tree shape the package builds, and the walk must
+// agree with a naive ancestor-set LCA.
+func TestBatchLCAMatchesWalk(t *testing.T) {
+	for _, tr := range everyBuilderTree(t) {
 		n := tr.NumNodes()
+		var as, bs []int32
 		for a := 0; a < n; a++ {
 			for b := a; b < n; b++ {
-				fast := tr.LCA(NodeID(a), NodeID(b))
-				slow := tr.LCABinaryLifting(NodeID(a), NodeID(b))
-				if fast != slow {
-					t.Fatalf("tree %q: LCA(%d,%d): euler %d != lifting %d", tr.Name, a, b, fast, slow)
+				// Alternate the orientation so both query-list orders occur.
+				if (a+b)%2 == 0 {
+					as, bs = append(as, int32(a)), append(bs, int32(b))
+				} else {
+					as, bs = append(as, int32(b)), append(bs, int32(a))
 				}
+			}
+		}
+		s := make([]float64, len(as))
+		tr.PathLens(as, bs, s)
+		for i := range as {
+			a, b := NodeID(as[i]), NodeID(bs[i])
+			if l, want := tr.LCA(a, b), naiveLCA(tr, a, b); l != want {
+				t.Fatalf("tree %q: LCA(%d,%d) = %d, want %d", tr.Name, a, b, l, want)
+			}
+			if got, want := s[i], tr.PathLen(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("tree %q: batch PathLen(%d,%d) = %v, walk %v", tr.Name, a, b, got, want)
 			}
 		}
 	}
 }
 
-func TestEulerLCASingleNodeTree(t *testing.T) {
+func TestLCASingleNodeTree(t *testing.T) {
 	b := NewBuilder("solo")
 	r := b.Root(geom.Pt(0, 0), 0)
 	tr, err := b.Finalize()
@@ -594,9 +640,14 @@ func TestEulerLCASingleNodeTree(t *testing.T) {
 	if got := tr.LCA(r, r); got != r {
 		t.Errorf("LCA(root,root) = %d", got)
 	}
+	s := []float64{-1}
+	tr.PathLens([]int32{0}, []int32{0}, s)
+	if s[0] != 0 {
+		t.Errorf("batch PathLen(root,root) = %g", s[0])
+	}
 }
 
-func benchHTree(b *testing.B, n int) *Tree {
+func benchHTree(b *testing.B, n int) (*comm.Graph, *Tree) {
 	b.Helper()
 	g, err := comm.Mesh(n, n)
 	if err != nil {
@@ -606,11 +657,11 @@ func benchHTree(b *testing.B, n int) *Tree {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return tr
+	return g, tr
 }
 
-func BenchmarkLCAEuler32(b *testing.B) {
-	tr := benchHTree(b, 32)
+func BenchmarkLCAWalk32(b *testing.B) {
+	_, tr := benchHTree(b, 32)
 	n := NodeID(tr.NumNodes())
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -619,12 +670,21 @@ func BenchmarkLCAEuler32(b *testing.B) {
 	}
 }
 
-func BenchmarkLCABinaryLifting32(b *testing.B) {
-	tr := benchHTree(b, 32)
-	n := NodeID(tr.NumNodes())
+// BenchmarkPathLensBatch32 resolves every communicating pair of a 32×32
+// mesh in one offline pass, the way skew.NewKernel does.
+func BenchmarkPathLensBatch32(b *testing.B) {
+	g, tr := benchHTree(b, 32)
+	pairs := g.CommunicatingPairs()
+	as, bs := make([]int32, len(pairs)), make([]int32, len(pairs))
+	for i, p := range pairs {
+		na, _ := tr.CellNode(p[0])
+		nb, _ := tr.CellNode(p[1])
+		as[i], bs[i] = int32(na), int32(nb)
+	}
+	s := make([]float64, len(pairs))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.LCABinaryLifting(NodeID(i)%n, NodeID(i*7+3)%n)
+		tr.PathLens(as, bs, s)
 	}
 }

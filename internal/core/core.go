@@ -228,7 +228,9 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 			if err != nil {
 				return nil, err
 			}
-			tree.Equalize()
+			if _, err := tree.Equalize(); err != nil {
+				return nil, err
+			}
 			return clocktree.Buffered(tree, a.BufferSpacing)
 		})
 		if err != nil {
@@ -330,7 +332,9 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 		if err != nil {
 			return nil, err
 		}
-		tree.Equalize()
+		if _, err := tree.Equalize(); err != nil {
+			return nil, err
+		}
 		tau := a.Alpha * tree.MaxRootDist()
 		plan.Tau = tau
 		plan.Rationale = fmt.Sprintf("Pipelined clocking unavailable (A8 fails): an "+

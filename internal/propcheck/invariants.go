@@ -170,7 +170,8 @@ func checkAnalysisBoundsMonteCarlo(rng *stats.RNG) error {
 // checkKernelMatchesReference pins the kernel fast paths to the retained
 // pre-kernel implementations with zero tolerance: same Analysis field
 // for field (the reference recomputes every distance through the
-// binary-lifting LCA, so this also cross-checks the Euler-tour table),
+// parent-walk LCA, so this also cross-checks the kernel's offline batch
+// LCA pass),
 // same guaranteed minimum, and bit-identical Monte-Carlo results for a
 // shared seed.
 func checkKernelMatchesReference(rng *stats.RNG) error {
@@ -668,7 +669,9 @@ func equalizedHTreeDifferenceSkew(n int) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	tree.Equalize()
+	if _, err := tree.Equalize(); err != nil {
+		return 0, err
+	}
 	an, err := skew.Analyze(g, tree, skew.Difference{})
 	if err != nil {
 		return 0, err
@@ -705,19 +708,30 @@ func checkEqualizeZeroesDifferenceSkew(rng *stats.RNG) error {
 	if err != nil {
 		return err
 	}
-	added := tree.Equalize()
+	added, err := tree.Equalize()
+	if err != nil {
+		return err
+	}
 	if added < 0 {
 		return fmt.Errorf("Equalize removed wire: %g", added)
 	}
 	if err := tree.Validate(); err != nil {
 		return fmt.Errorf("equalized tree invalid: %w", err)
 	}
-	an, err := skew.Analyze(g, tree, skew.Difference{})
+	// Buffering must keep the tuning slack: the buffered copy of the
+	// equalized tree is zero-skew too.
+	buffered, err := clocktree.Buffered(tree, 0.25+2*rng.Float64())
 	if err != nil {
 		return err
 	}
-	if an.MaxSkew > 1e-9 {
-		return fmt.Errorf("%s on equalized %s: difference skew %g, want 0", g.Name, tree.Name, an.MaxSkew)
+	for _, tr := range []*clocktree.Tree{tree, buffered} {
+		an, err := skew.Analyze(g, tr, skew.Difference{})
+		if err != nil {
+			return err
+		}
+		if an.MaxSkew > 1e-9 {
+			return fmt.Errorf("%s on equalized %s: difference skew %g, want 0", g.Name, tr.Name, an.MaxSkew)
+		}
 	}
 	return nil
 }

@@ -115,7 +115,7 @@ type sizeEnv struct {
 	treeErr   error
 	kernelErr error
 
-	// streamer is the streamed path's environment: a compact H-tree plus
+	// streamer is the streamed path's environment: the shared H-tree plus
 	// the CSR pair index, deliberately NOT subject to cfg.Limits — the
 	// streamed engine exists to measure the sizes the kernel rejects.
 	streamer    *skew.Streamer
@@ -453,12 +453,11 @@ func runSizeEngines(ctx context.Context, cfg Config, engines []engine, topo stri
 	}
 	base.Cells = env.g.NumCells()
 	// Shared setup is built only when a selected engine needs it: a
-	// streamed-only ladder at 8192² must never pay for the full H-tree
-	// (wire geometry and child lists for 100M+ nodes) or a kernel build
-	// the size guard exists to reject.
+	// streamed-only ladder at 8192² must never pay for a kernel build the
+	// size guard exists to reject. Kernel and streamer share one H-tree.
 	var needTree, needKernel, needStreamer bool
 	for _, e := range engines {
-		needTree = needTree || e.needsTree || e.needsKernel
+		needTree = needTree || e.needsTree || e.needsKernel || e.needsStreamer
 		needKernel = needKernel || e.needsKernel
 		needStreamer = needStreamer || e.needsStreamer
 	}
@@ -471,11 +470,11 @@ func runSizeEngines(ctx context.Context, cfg Config, engines []engine, topo stri
 	case env.treeErr != nil:
 		env.kernelErr = env.treeErr
 	}
-	if needStreamer {
-		var compact *clocktree.Tree
-		if compact, env.streamerErr = clocktree.HTreeCompact(env.g); env.streamerErr == nil {
-			env.streamer, env.streamerErr = skew.NewStreamer(env.g, compact)
-		}
+	switch {
+	case needStreamer && env.treeErr == nil:
+		env.streamer, env.streamerErr = skew.NewStreamer(env.g, env.tree)
+	case env.treeErr != nil:
+		env.streamerErr = env.treeErr
 	}
 	for _, e := range engines {
 		p := base

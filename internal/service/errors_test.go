@@ -27,6 +27,9 @@ func TestErrorBodiesCarryReason(t *testing.T) {
 		{"job not found", http.MethodGet, "/v1/jobs/absent", "", 404, ReasonJobNotFound},
 		{"empty job", http.MethodPost, "/v1/jobs", `{}`, 400, ReasonBadRequest},
 		{"unknown topology", http.MethodPost, "/v1/analyze", `{"topology":{"kind":"blob","n":4}}`, 400, ReasonBadRequest},
+		// Equalize cannot tune a chain whose cells are internal nodes.
+		{"equalized spine simulate", http.MethodPost, "/v1/simulate", `{"topology":{"kind":"mesh","n":6},"mode":"clock","tree":"spine","equalize":true}`, 422, ReasonUnprocessable},
+		{"equalized spine layout", http.MethodGet, "/v1/layout.svg?kind=mesh&n=6&tree=spine&equalize=true", "", 422, ReasonUnprocessable},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -118,7 +118,9 @@ func buildTree(name string, g *comm.Graph, equalize bool, spacing float64) (*clo
 		return nil, unprocessable(err)
 	}
 	if equalize {
-		t.Equalize()
+		if _, err := t.Equalize(); err != nil {
+			return nil, unprocessable(err)
+		}
 	}
 	if spacing > 0 {
 		t, err = clocktree.Buffered(t, spacing)

@@ -157,7 +157,7 @@ type Server struct {
 	// precomputations reused across models, regimes, seeds, trial
 	// counts, and batch sweeps, each built once per engineIdentity:
 	// skew kernels; the streamed path's streamers (the CSR pair index
-	// plus a compact tree, 4 B/pair + 12 B/cell against the kernel's
+	// plus the tree, 4 B/pair + 8 B/cell against the kernel's
 	// ~40 B/pair); clocksim kernels; and hybrid systems.
 	kernels       *engineCache[*skew.Kernel]
 	streamers     *engineCache[*skew.Streamer]

@@ -16,39 +16,16 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/clocktree"
 	"repro/internal/comm"
 	"repro/internal/obs"
 	"repro/internal/skew"
 )
 
-// buildStreamTree builds the clock tree for a streamed analysis. The
-// htree builder (the default, and the only one that scales to the
-// arrays that trip the kernel limits) switches to its compact
-// representation — parent/depth arrays only, ~56 B/node instead of the
-// full wire geometry — unless buffering was requested, which compact
-// trees cannot carry. Every other recipe builds exactly as the kernel
-// path would.
-func buildStreamTree(name string, g *comm.Graph, equalize bool, spacing float64) (*clocktree.Tree, error) {
-	if name == "htree" && spacing == 0 {
-		t, err := clocktree.HTreeCompact(g)
-		if err != nil {
-			return nil, unprocessable(err)
-		}
-		if equalize {
-			t.Equalize()
-		}
-		return t, nil
-	}
-	return buildTree(name, g, equalize, spacing)
-}
-
 // streamerFor returns the cached skew.Streamer for id's tree recipe
-// over g, building the (compact where possible) tree and streamer on a
-// miss.
+// over g, building the tree and streamer on a miss.
 func (s *Server) streamerFor(id engineIdentity, g *comm.Graph) (*skew.Streamer, error) {
 	return s.streamers.get(id, func() (*skew.Streamer, error) {
-		t, err := buildStreamTree(id.Tree, g, id.Equalize, id.Spacing)
+		t, err := buildTree(id.Tree, g, id.Equalize, id.Spacing)
 		if err != nil {
 			return nil, err
 		}
@@ -116,9 +93,6 @@ func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, treeNa
 	out.QuantileRelError = res.QuantileRelError
 	out.Sampled = res.Sampled
 	if req.CertifiedLowerBound && g.Kind == comm.KindMesh {
-		// The certified bound needs a full tree; on the compact trees the
-		// streamed path prefers, it reports its inapplicability inline
-		// rather than silently vanishing.
 		cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
 		if err != nil {
 			out.Error = err.Error()
@@ -252,8 +226,8 @@ func (s *Server) peerShardFn(treeName string, req *AnalyzeRequest) func(ctx cont
 
 // kernelBytesInUse estimates the resident bytes of every cached engine
 // precomputation on the skew path — kernels (40 B/pair class) and
-// streamers (4 B/pair + 12 B/cell) — the gauge operators watch against
-// the configured kernel byte budget.
+// streamers (4 B/pair + 8 B/cell), each with the clock tree it retains
+// — the gauge operators watch against the configured kernel byte budget.
 func (s *Server) kernelBytesInUse() int64 {
 	var total int64
 	for _, e := range s.kernels.Entries() {

@@ -134,28 +134,30 @@ func TestStreamedFallbackMetrics(t *testing.T) {
 	}
 }
 
-// TestStreamedCertifiedBoundOnCompactTree: the certified lower bound
-// needs a full tree; on the compact tree the streamed path builds for
-// htree it must report its inapplicability inline rather than silently
-// certifying nothing.
-func TestStreamedCertifiedBoundOnCompactTree(t *testing.T) {
-	_, ts := newTestServer(t, Config{KernelLimits: skew.Limits{MaxPairs: 4}})
-	resp, body := postJSON(t, ts.URL+"/v1/analyze",
-		`{"topology":{"kind":"mesh","n":8},"model":{"kind":"summation","eps":0.25},"certified_lower_bound":true}`)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
+// TestStreamedCertifiedBound: the streamed path retains the same flat
+// tree the kernel path builds, so the certified lower bound it reports
+// equals the kernel path's.
+func TestStreamedCertifiedBound(t *testing.T) {
+	const body = `{"topology":{"kind":"mesh","n":8},"model":{"kind":"summation","eps":0.25},"certified_lower_bound":true}`
+	var bounds []float64
+	for _, lim := range []skew.Limits{{MaxPairs: 4}, {}} {
+		_, ts := newTestServer(t, Config{KernelLimits: lim})
+		resp, raw := postJSON(t, ts.URL+"/v1/analyze", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		}
+		var doc AnalyzeResponse
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			t.Fatal(err)
+		}
+		r := doc.Results[0]
+		if r.Streamed != (lim.MaxPairs != 0) || r.Error != "" || r.CertifiedLowerBound <= 0 {
+			t.Fatalf("limits %+v: got %+v", lim, r)
+		}
+		bounds = append(bounds, r.CertifiedLowerBound)
 	}
-	var doc AnalyzeResponse
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatal(err)
-	}
-	r := doc.Results[0]
-	if !r.Streamed || r.MaxSkew == 0 {
-		t.Fatalf("expected a streamed analysis, got %+v", r)
-	}
-	if r.CertifiedLowerBound != 0 || !strings.Contains(r.Error, "compact") {
-		t.Errorf("compact-tree certified bound: got bound %g, error %q; want 0 and an inline compact-tree error",
-			r.CertifiedLowerBound, r.Error)
+	if bounds[0] != bounds[1] {
+		t.Errorf("streamed certified bound %v, kernel path %v", bounds[0], bounds[1])
 	}
 }
 
@@ -233,7 +235,7 @@ func TestClusterShardEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := clocktree.HTreeCompact(g)
+	tree, err := clocktree.HTree(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,9 @@ import (
 )
 
 // Kernel is an immutable precomputation over one (graph, tree) pair that
-// makes every skew query array indexing. Built once — O(pairs) LCA
-// queries, each O(1) via the tree's Euler-tour table — it caches:
+// makes every skew query array indexing. Built once — every pair's LCA
+// resolved in one offline pass over the tree, O(nodes + pairs) — it
+// caches:
 //
 //   - the communicating-pair list resolved to flat tree-node indices,
 //   - each pair's difference distance d and tree-path length s
@@ -96,8 +97,10 @@ func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kern
 		na, _ := tree.CellNode(p[0])
 		nb, _ := tree.CellNode(p[1])
 		k.pairA[i], k.pairB[i] = int32(na), int32(nb)
-		k.d[i] = tree.DiffDist(na, nb)
-		k.s[i] = tree.PathLen(na, nb)
+	}
+	tree.PathLens(k.pairA, k.pairB, k.s)
+	for i := range pairs {
+		k.d[i] = tree.DiffDist(clocktree.NodeID(k.pairA[i]), clocktree.NodeID(k.pairB[i]))
 		if k.d[i] > k.maxD {
 			k.maxD = k.d[i]
 		}
@@ -144,10 +147,11 @@ func (k *Kernel) Tree() *clocktree.Tree { return k.tree }
 // Pairs returns the number of communicating pairs.
 func (k *Kernel) Pairs() int { return len(k.pairs) }
 
-// FootprintBytes returns the kernel's estimated resident size — the
-// KernelBytes estimate for its node and pair counts.
+// FootprintBytes returns the kernel's estimated resident size: the
+// KernelBytes estimate for its node and pair counts plus the clock tree
+// it retains.
 func (k *Kernel) FootprintBytes() int64 {
-	return KernelBytes(k.tree.NumNodes(), len(k.pairs))
+	return KernelBytes(k.tree.NumNodes(), len(k.pairs)) + k.tree.FootprintBytes()
 }
 
 // Analyze evaluates model over every communicating pair using the

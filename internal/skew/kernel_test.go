@@ -97,9 +97,9 @@ func diffModels() []Model {
 
 // The kernel-backed Analyze must reproduce the retained reference —
 // which re-enumerates pairs from the raw edge set and recomputes every
-// distance through the binary-lifting LCA — field for field with zero
-// tolerance. This is simultaneously the Euler-tour vs binary-lifting
-// cross-check on real workloads.
+// distance through the parent-walk LCA — field for field with zero
+// tolerance. This is simultaneously the offline-batch vs parent-walk
+// LCA cross-check on real workloads.
 func TestKernelAnalyzeMatchesReference(t *testing.T) {
 	for _, c := range diffCases(t) {
 		for _, m := range diffModels() {

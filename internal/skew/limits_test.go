@@ -73,7 +73,7 @@ func TestNewKernelDefaultLimitsAdmitNormalSizes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewKernel under default limits: %v", err)
 	}
-	want := KernelBytes(tr.NumNodes(), k.Pairs())
+	want := KernelBytes(tr.NumNodes(), k.Pairs()) + tr.FootprintBytes()
 	if got := k.FootprintBytes(); got != want {
 		t.Errorf("FootprintBytes = %d, want %d", got, want)
 	}

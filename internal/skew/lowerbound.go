@@ -60,12 +60,6 @@ func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) 
 	if !tree.Covers(g) {
 		return CertifiedResult{}, fmt.Errorf("skew: tree %q does not clock every cell of %q", tree.Name, g.Name)
 	}
-	if tree.Compact() {
-		// The subtree walk below needs child lists, which compact trees
-		// drop; without this guard it would visit only the root and
-		// silently certify a wrong bound.
-		return CertifiedResult{}, fmt.Errorf("skew: certified lower bound needs a full tree, %q is compact", tree.Name)
-	}
 	width := g.Rows // the cut bound is governed by the shorter side
 	if g.Cols < width {
 		width = g.Cols

@@ -17,9 +17,10 @@ import (
 // random layouts, every tree builder, and random models. The references
 // deliberately avoid every kernel-era shortcut: pairs are re-enumerated
 // from the raw edge set (no memoization), distances are recomputed per
-// query through the tree's O(log n) binary-lifting LCA, and the
-// Monte-Carlo trial walks the tree with a recursive closure and draws each
-// delay with a separate Uniform call.
+// query through the tree's parent-walk LCA (the kernel resolves all its
+// pairs in one offline batch pass instead), and the Monte-Carlo trial
+// walks the tree with a recursive closure and draws each delay with a
+// separate Uniform call.
 
 // referencePairs re-enumerates the communicating pairs of g from its raw
 // edge list, replicating comm.Graph.CommunicatingPairs before memoization:
@@ -60,13 +61,13 @@ func referenceCellDiffDist(tree *clocktree.Tree, a, b comm.CellID) float64 {
 
 // referenceCellPathLen recomputes the tree-path length with the tree's
 // exact pre-kernel formula rootDist(a) + rootDist(b) − 2·rootDist(lca)
-// — but resolves the LCA through the retained binary-lifting table, so
-// a wrong Euler-tour answer (a different node, hence a different
-// rootDist) cannot go unnoticed.
+// — resolving each LCA with the tree's parent walk, independently of the
+// kernel's offline batch pass, so a wrong batch answer (a different
+// node, hence a different rootDist) cannot go unnoticed.
 func referenceCellPathLen(tree *clocktree.Tree, a, b comm.CellID) float64 {
 	na, _ := tree.CellNode(a)
 	nb, _ := tree.CellNode(b)
-	l := tree.LCABinaryLifting(na, nb)
+	l := tree.LCA(na, nb)
 	return tree.RootDist(na) + tree.RootDist(nb) - 2*tree.RootDist(l)
 }
 

@@ -26,8 +26,9 @@ const DefaultMCSampleCap = 1 << 16
 
 // Streamer is the streamed counterpart of Kernel: a reusable context
 // over one (graph, tree) pair that never materializes per-pair arrays.
-// It holds the graph's CSR pair index (~8 B per pair), a flat
-// cell→tree-node table, and a pool of per-worker shard arenas, so the
+// It holds the graph's CSR pair index (~8 B per pair), the clock tree
+// (whose cell→node slice resolves each pair's endpoints), and a pool of
+// per-worker shard arenas, so the
 // resident cost is O(cells), not O(pairs)·40 B like the kernel — this
 // is the path that breaks the kernel byte ceiling. Safe for concurrent
 // use; the serving stack caches Streamers content-addressed exactly as
@@ -36,8 +37,6 @@ type Streamer struct {
 	graph *comm.Graph
 	tree  *clocktree.Tree
 	ix    *comm.PairIndex
-
-	cellToNode []int32 // tree node clocking each cell, indexed by CellID
 
 	arenas sync.Pool // *streamArena
 }
@@ -56,16 +55,7 @@ func NewStreamer(g *comm.Graph, tree *clocktree.Tree) (*Streamer, error) {
 	if !tree.Covers(g) {
 		return nil, fmt.Errorf("skew: tree %q does not clock every cell of %q", tree.Name, g.Name)
 	}
-	st := &Streamer{
-		graph:      g,
-		tree:       tree,
-		ix:         g.PairIndex(),
-		cellToNode: make([]int32, g.NumCells()),
-	}
-	for c := 0; c < g.NumCells(); c++ {
-		id, _ := tree.CellNode(comm.CellID(c)) // Covers above guarantees ok
-		st.cellToNode[c] = int32(id)
-	}
+	st := &Streamer{graph: g, tree: tree, ix: g.PairIndex()}
 	st.arenas.New = func() any { return &streamArena{} }
 	return st, nil
 }
@@ -131,8 +121,8 @@ func (st *Streamer) processShard(model Model, lb LowerBounder, lo, hi int64, are
 		if !ok {
 			break
 		}
-		na := clocktree.NodeID(st.cellToNode[a])
-		nb := clocktree.NodeID(st.cellToNode[b])
+		na, _ := st.tree.CellNode(a) // NewStreamer checked Covers
+		nb, _ := st.tree.CellNode(b)
 		d := st.tree.DiffDist(na, nb)
 		s := st.tree.PathLen(na, nb)
 		sk := model.Bound(d, s)
@@ -428,8 +418,8 @@ func (st *Streamer) SampledMax(ctx context.Context, model Model, trials int, sam
 		var worst float64
 		for _, i := range idxs {
 			a, b := st.ix.Pair(i)
-			na := clocktree.NodeID(st.cellToNode[a])
-			nb := clocktree.NodeID(st.cellToNode[b])
+			na, _ := st.tree.CellNode(a)
+			nb, _ := st.tree.CellNode(b)
 			if sk := model.Bound(st.tree.DiffDist(na, nb), st.tree.PathLen(na, nb)); sk > worst {
 				worst = sk
 			}
@@ -475,11 +465,11 @@ func AnalyzeStreamed(ctx context.Context, g *comm.Graph, tree *clocktree.Tree, m
 }
 
 // FootprintBytes estimates the streamer's resident size: the CSR index
-// plus the cell→node table. Unlike KernelBytes it carries no per-pair
-// float arrays — the gap between the two is exactly what the streamed
-// path saves.
+// and the clock tree it retains. Unlike KernelBytes it carries no
+// per-pair float arrays — the gap between the two is exactly what the
+// streamed path saves.
 func (st *Streamer) FootprintBytes() int64 {
-	return st.ix.NumPairs()*4 + int64(st.graph.NumCells())*(8+4)
+	return st.ix.NumPairs()*4 + int64(st.graph.NumCells())*8 + st.tree.FootprintBytes()
 }
 
 func boolInt(b bool) int64 {

@@ -32,63 +32,48 @@ func streamTestGraphs(t *testing.T) []*comm.Graph {
 	return out
 }
 
-// streamTestTrees builds both tree representations for g: the kernel can
-// only run on the full tree, the streamed path must agree on both.
-func streamTestTrees(t *testing.T, g *comm.Graph) (full, compact *clocktree.Tree) {
-	t.Helper()
-	full, err := clocktree.HTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compact, err = clocktree.HTreeCompact(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return full, compact
-}
-
 // TestStreamedMatchesKernelExact is the tentpole's bit-identity oracle:
 // over a matrix of graphs × tree representations × models × shard sizes ×
 // worker counts, every exact field of the streamed analysis — MaxSkew,
 // the argmax pair, its d and s, MaxD, MaxS, Pairs — must equal
-// Kernel.Analyze at tolerance zero. The kernel always runs on the full
-// tree; the streamed side also runs on the compact tree, proving the
-// bounded-memory representation changes nothing.
+// Kernel.Analyze at tolerance zero. The kernel resolves its path lengths
+// in one offline LCA pass, the streamer with per-pair parent walks.
 func TestStreamedMatchesKernelExact(t *testing.T) {
 	models := []Model{
 		Linear{M: 1, Eps: 0.1},
 		Linear{M: 2.5, Eps: 0.01},
 	}
 	for _, g := range streamTestGraphs(t) {
-		full, compact := streamTestTrees(t, g)
-		k, err := NewKernel(g, full)
+		tree, err := clocktree.HTree(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k, err := NewKernel(g, tree)
 		if err != nil {
 			t.Fatalf("%s: NewKernel: %v", g.Name, err)
 		}
 		nPairs := int64(k.Pairs())
 		for _, m := range models {
 			want := k.Analyze(m)
-			for _, tree := range []*clocktree.Tree{full, compact} {
-				for _, shardSize := range []int64{1, 3, 7, nPairs, nPairs + 1, DefaultShardSize} {
-					if shardSize <= 0 {
-						continue
+			for _, shardSize := range []int64{1, 3, 7, nPairs, nPairs + 1, DefaultShardSize} {
+				if shardSize <= 0 {
+					continue
+				}
+				for _, workers := range []int{1, 4} {
+					got, err := AnalyzeStreamed(context.Background(), g, tree, m, StreamOptions{
+						ShardSize: shardSize,
+						Workers:   workers,
+					})
+					if err != nil {
+						t.Fatalf("%s: AnalyzeStreamed: %v", g.Name, err)
 					}
-					for _, workers := range []int{1, 4} {
-						got, err := AnalyzeStreamed(context.Background(), g, tree, m, StreamOptions{
-							ShardSize: shardSize,
-							Workers:   workers,
-						})
-						if err != nil {
-							t.Fatalf("%s: AnalyzeStreamed: %v", g.Name, err)
-						}
-						if got.Analysis != want {
-							t.Fatalf("%s tree=%s compact=%v shard=%d workers=%d:\n got %+v\nwant %+v",
-								g.Name, tree.Name, tree.Compact(), shardSize, workers, got.Analysis, want)
-						}
-						if got.GuaranteedMinSkew != k.GuaranteedMinSkew(m) {
-							t.Fatalf("%s shard=%d: GuaranteedMinSkew %v, want %v",
-								g.Name, shardSize, got.GuaranteedMinSkew, k.GuaranteedMinSkew(m))
-						}
+					if got.Analysis != want {
+						t.Fatalf("%s tree=%s shard=%d workers=%d:\n got %+v\nwant %+v",
+							g.Name, tree.Name, shardSize, workers, got.Analysis, want)
+					}
+					if got.GuaranteedMinSkew != k.GuaranteedMinSkew(m) {
+						t.Fatalf("%s shard=%d: GuaranteedMinSkew %v, want %v",
+							g.Name, shardSize, got.GuaranteedMinSkew, k.GuaranteedMinSkew(m))
 					}
 				}
 			}
@@ -150,7 +135,7 @@ func TestStreamedProgress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := clocktree.HTreeCompact(g)
+	tree, err := clocktree.HTree(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +266,7 @@ func TestSampledMaxExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tree, err := clocktree.HTreeCompact(g)
+	tree, err := clocktree.HTree(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -469,7 +454,8 @@ func TestStreamerFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kb := KernelBytes(tree.NumNodes(), int(st.NumPairs()))
+	// Both footprints count the tree the engine retains.
+	kb := KernelBytes(tree.NumNodes(), int(st.NumPairs())) + tree.FootprintBytes()
 	if fp := st.FootprintBytes(); fp <= 0 || fp >= kb {
 		t.Fatalf("FootprintBytes = %d, want in (0, %d)", fp, kb)
 	}
@@ -483,7 +469,7 @@ func BenchmarkStreamedShardSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := clocktree.HTreeCompact(g)
+	tree, err := clocktree.HTree(g)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -516,7 +502,7 @@ func BenchmarkStreamedAnalyze32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tree, err := clocktree.HTreeCompact(g)
+	tree, err := clocktree.HTree(g)
 	if err != nil {
 		b.Fatal(err)
 	}
