@@ -24,7 +24,7 @@ var paperAssumptions = map[string]PaperAssumption{
 		Statement: "Intercell communications of an ideally synchronized array are a " +
 			"directed graph COMM laid out in the plane; each edge carries one data " +
 			"item per cycle between communicating cells.",
-		Implementation: "internal/comm (Graph, CommunicatingPairs); internal/array (RunIdeal)",
+		Implementation: "internal/comm (Graph, PairIndex); internal/array (RunIdeal)",
 		Experiments:    []string{"E1", "E3", "E8"},
 	},
 	"A2": {

@@ -51,33 +51,37 @@ func runBoth(t *testing.T, m *array.Machine, cycles int) {
 // duplicate-free, which array.New requires.
 func treeReduceMachine(depth int) (*array.Machine, error) {
 	n := 1<<(depth+1) - 1
-	g := &comm.Graph{Kind: comm.KindTree, Name: fmt.Sprintf("reduce-tree-%d", depth)}
+	var cells []comm.Cell
 	level, width := 0, 1
 	for i := 0; i < n; i++ {
 		if i >= 2*width-1 {
 			level++
 			width *= 2
 		}
-		g.Cells = append(g.Cells, comm.Cell{
+		cells = append(cells, comm.Cell{
 			ID:  comm.CellID(i),
 			Pos: geom.Pt(float64(n)*float64(i-(width-1))/float64(width), float64(level)),
 		})
 	}
-	g.Edges = append(g.Edges,
-		comm.Edge{From: comm.Host, To: 0, Label: "d"},
-		comm.Edge{From: 0, To: comm.Host, Label: "u"})
+	edges := []comm.Edge{
+		{From: comm.Host, To: 0, Label: "d"},
+		{From: 0, To: comm.Host, Label: "u"}}
 	for i := 0; i < n; i++ {
 		l, r := 2*i+1, 2*i+2
 		if l < n {
-			g.Edges = append(g.Edges,
+			edges = append(edges,
 				comm.Edge{From: comm.CellID(i), To: comm.CellID(l), Label: "dl"},
 				comm.Edge{From: comm.CellID(l), To: comm.CellID(i), Label: "ul"})
 		}
 		if r < n {
-			g.Edges = append(g.Edges,
+			edges = append(edges,
 				comm.Edge{From: comm.CellID(i), To: comm.CellID(r), Label: "dr"},
 				comm.Edge{From: comm.CellID(r), To: comm.CellID(i), Label: "ur"})
 		}
+	}
+	g, err := comm.New(comm.KindTree, fmt.Sprintf("reduce-tree-%d", depth), 0, 0, cells, edges)
+	if err != nil {
+		return nil, err
 	}
 	logic := func(id comm.CellID) array.Logic {
 		w := float64(id%7) + 1

@@ -98,7 +98,8 @@ func minPeriod(n int, scheme string) (float64, float64, error) {
 	// spine (a chain, one subtree) the same adversary can only shift
 	// neighbors by (m ± eps) per cell pitch.
 	off := array.Offsets{Cell: make([]float64, g.NumCells())}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		node, _ := tree.CellNode(c.ID)
 		off.Cell[c.ID] = tree.RootDist(node) * (wireM + wireEps*side(tree, node))
 	}
@@ -155,7 +156,8 @@ func maxReceiverLag(m *array.Machine, off array.Offsets) float64 {
 		}
 		return off.Cell[c]
 	}
-	for _, e := range m.Graph().Edges {
+	for ei := 0; ei < m.Graph().NumEdges(); ei++ {
+		e := m.Graph().Edge(ei)
 		lag := at(e.To, off.HostRead) - at(e.From, off.Host)
 		if lag > worst {
 			worst = lag

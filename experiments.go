@@ -372,7 +372,8 @@ func firMinPeriod(ctx context.Context, n int, unitSkewPerPitch float64) (float64
 		return 0, err
 	}
 	off := array.Offsets{Cell: make([]float64, g.NumCells())}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		off.Cell[c.ID] = tree.CellRootDist(c.ID) * unitSkewPerPitch
 	}
 	// Fig. 5: the host's write port taps the clock where the spine

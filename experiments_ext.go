@@ -190,10 +190,11 @@ func runE13(rc *runCtx) (*ExperimentResult, error) {
 func worstSummationPair(g *comm.Graph, tree *clocktree.Tree) (comm.CellID, comm.CellID) {
 	var a, b comm.CellID
 	var worst float64
-	for _, p := range g.CommunicatingPairs() {
-		if s := tree.CellPathLen(p[0], p[1]); s > worst {
+	c := g.PairIndex().Cursor(0)
+	for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
+		if s := tree.CellPathLen(pa, pb); s > worst {
 			worst = s
-			a, b = p[0], p[1]
+			a, b = pa, pb
 		}
 	}
 	return a, b

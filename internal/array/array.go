@@ -107,9 +107,6 @@ type Machine struct {
 // New validates the wiring and returns a Machine. logicFor is called once
 // per cell; inputs must provide a stream for every host input edge.
 func New(g *comm.Graph, logicFor func(comm.CellID) Logic, inputs map[HostIn]Stream) (*Machine, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("array: %w", err)
-	}
 	n := g.NumCells()
 	m := &Machine{
 		g:        g,
@@ -135,7 +132,8 @@ func New(g *comm.Graph, logicFor func(comm.CellID) Logic, inputs map[HostIn]Stre
 		set[c][label] = true
 		return nil
 	}
-	for i, e := range g.Edges {
+	for i := 0; i < g.NumEdges(); i++ {
+		e := g.Edge(i)
 		switch {
 		case e.From == comm.Host:
 			m.hostIn = append(m.hostIn, i)
@@ -187,7 +185,7 @@ func (m *Machine) freshLogic() []Logic {
 func (m *Machine) newTrace(cycles int) *Trace {
 	t := &Trace{Out: make(map[HostOut][]Value, len(m.hostOut)), Cycles: cycles}
 	for _, ei := range m.hostOut {
-		e := m.g.Edges[ei]
+		e := m.g.Edge(ei)
 		t.Out[HostOut{From: e.From, Label: e.Label}] = make([]Value, 0, cycles)
 	}
 	return t
@@ -200,14 +198,14 @@ func (m *Machine) RunIdeal(cycles int) (*Trace, error) {
 		return nil, fmt.Errorf("array: cycles must be ≥ 1, got %d", cycles)
 	}
 	logic := m.freshLogic()
-	wires := make([]Value, len(m.g.Edges))
-	next := make([]Value, len(m.g.Edges))
+	wires := make([]Value, m.g.NumEdges())
+	next := make([]Value, m.g.NumEdges())
 	trace := m.newTrace(cycles)
 	in := make(map[string]Value)
 	for k := 0; k < cycles; k++ {
 		// Host inputs for this cycle become visible before cells read.
 		for _, ei := range m.hostIn {
-			e := m.g.Edges[ei]
+			e := m.g.Edge(ei)
 			wires[ei] = m.inputs[HostIn{To: e.To, Label: e.Label}](k)
 		}
 		copy(next, wires)
@@ -216,16 +214,16 @@ func (m *Machine) RunIdeal(cycles int) (*Trace, error) {
 				delete(in, k)
 			}
 			for _, ei := range m.inEdges[id] {
-				in[m.g.Edges[ei].Label] = wires[ei]
+				in[m.g.Edge(ei).Label] = wires[ei]
 			}
 			out := logic[id].Step(in)
 			for _, ei := range m.outEdges[id] {
-				next[ei] = out[m.g.Edges[ei].Label] // missing labels yield 0
+				next[ei] = out[m.g.Edge(ei).Label] // missing labels yield 0
 			}
 		}
 		wires, next = next, wires
 		for _, ei := range m.hostOut {
-			e := m.g.Edges[ei]
+			e := m.g.Edge(ei)
 			key := HostOut{From: e.From, Label: e.Label}
 			trace.Out[key] = append(trace.Out[key], wires[ei])
 		}
@@ -280,18 +278,19 @@ func UniformOffsets(n int) Offsets { return Offsets{Cell: make([]float64, n)} }
 // on host edges) — the σ of assumption A5 for these offsets.
 func (m *Machine) MaxCommSkew(off Offsets) float64 {
 	var worst float64
-	for _, p := range m.g.CommunicatingPairs() {
-		if d := math.Abs(off.Cell[p[0]] - off.Cell[p[1]]); d > worst {
+	c := m.g.PairIndex().Cursor(0)
+	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+		if d := math.Abs(off.Cell[a] - off.Cell[b]); d > worst {
 			worst = d
 		}
 	}
 	for _, ei := range m.hostIn {
-		if d := math.Abs(off.Cell[m.g.Edges[ei].To] - off.Host); d > worst {
+		if d := math.Abs(off.Cell[m.g.Edge(ei).To] - off.Host); d > worst {
 			worst = d
 		}
 	}
 	for _, ei := range m.hostOut {
-		if d := math.Abs(off.Cell[m.g.Edges[ei].From] - off.HostRead); d > worst {
+		if d := math.Abs(off.Cell[m.g.Edge(ei).From] - off.HostRead); d > worst {
 			worst = d
 		}
 	}
@@ -306,7 +305,8 @@ func (m *Machine) MaxCommSkew(off Offsets) float64 {
 // that such exact formulas "exhibit the same type of growth".
 func (m *Machine) MaxDirectedSkew(off Offsets) float64 {
 	var worst float64
-	for _, e := range m.g.Edges {
+	for ei := 0; ei < m.g.NumEdges(); ei++ {
+		e := m.g.Edge(ei)
 		var from, to float64
 		switch {
 		case e.From == comm.Host:
@@ -392,7 +392,7 @@ func (m *Machine) RunScheduled(cycles int, timing Timing, sched Schedule) (*Trac
 
 	var sim des.Sim
 	logic := m.freshLogic()
-	wires := make([]Value, len(m.g.Edges))
+	wires := make([]Value, m.g.NumEdges())
 	trace := m.newTrace(cycles)
 
 	writeEdge := func(ei int, v Value, tick float64) {
@@ -405,7 +405,7 @@ func (m *Machine) RunScheduled(cycles int, timing Timing, sched Schedule) (*Trac
 		// Host writes cycle-k inputs.
 		for _, ei := range m.hostIn {
 			ei := ei
-			e := m.g.Edges[ei]
+			e := m.g.Edge(ei)
 			t := sched.HostWrite(e.To, k)
 			if t < 0 {
 				return nil, fmt.Errorf("array: negative host write time %g (cell %d cycle %d)", t, e.To, k)
@@ -424,18 +424,18 @@ func (m *Machine) RunScheduled(cycles int, timing Timing, sched Schedule) (*Trac
 			sim.At(t, func() {
 				in := make(map[string]Value, len(m.inEdges[id]))
 				for _, ei := range m.inEdges[id] {
-					in[m.g.Edges[ei].Label] = wires[ei]
+					in[m.g.Edge(ei).Label] = wires[ei]
 				}
 				out := logic[id].Step(in)
 				for _, ei := range m.outEdges[id] {
-					writeEdge(ei, out[m.g.Edges[ei].Label], sim.Now())
+					writeEdge(ei, out[m.g.Edge(ei).Label], sim.Now())
 				}
 			})
 		}
 		// Host latches cycle-k outputs.
 		for _, ei := range m.hostOut {
 			ei := ei
-			e := m.g.Edges[ei]
+			e := m.g.Edge(ei)
 			t := sched.HostRead(e.From, k)
 			if t < 0 {
 				return nil, fmt.Errorf("array: negative host read time %g (cell %d cycle %d)", t, e.From, k)
@@ -451,7 +451,7 @@ func (m *Machine) RunScheduled(cycles int, timing Timing, sched Schedule) (*Trac
 			})
 		}
 	}
-	sim.Run(int64(cycles+4) * int64(len(m.g.Edges)+m.NumCells()+4) * 4)
+	sim.Run(int64(cycles+4) * int64(m.g.NumEdges()+m.NumCells()+4) * 4)
 	return trace, nil
 }
 

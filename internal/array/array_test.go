@@ -81,8 +81,17 @@ func TestNewValidation(t *testing.T) {
 		t.Error("nil logic accepted")
 	}
 	// Duplicate in-label: two edges into cell 1 labeled "x".
-	g2, _ := comm.Linear(3)
-	g2.Edges = append(g2.Edges, comm.Edge{From: 2, To: 1, Label: "x"})
+	line, _ := comm.Linear(3)
+	cells := []comm.Cell{line.Cell(0), line.Cell(1), line.Cell(2)}
+	var edges []comm.Edge
+	for i := 0; i < line.NumEdges(); i++ {
+		edges = append(edges, line.Edge(i))
+	}
+	edges = append(edges, comm.Edge{From: 2, To: 1, Label: "x"})
+	g2, err := comm.New(line.Kind(), line.Name, line.Rows(), line.Cols(), cells, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := New(g2, passLogic, map[HostIn]Stream{{To: 0, Label: "x"}: ZeroStream}); err == nil {
 		t.Error("duplicate in-label accepted")
 	}

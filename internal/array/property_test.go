@@ -54,7 +54,8 @@ func TestClockedEqualsIdealUnderSafeTimingProperty(t *testing.T) {
 			return false
 		}
 		inputs := make(map[HostIn]Stream)
-		for _, e := range g.Edges {
+		for ei := 0; ei < g.NumEdges(); ei++ {
+			e := g.Edge(ei)
 			if e.From == comm.Host {
 				phase := rng.Uniform(0, 1)
 				inputs[HostIn{To: e.To, Label: e.Label}] = func(k int) Value {
@@ -81,7 +82,8 @@ func TestClockedEqualsIdealUnderSafeTimingProperty(t *testing.T) {
 		// Safe timing: hold covers every receiver lag; period covers
 		// δ + every sender lead.
 		maxLag := 0.0
-		for _, e := range g.Edges {
+		for ei := 0; ei < g.NumEdges(); ei++ {
+			e := g.Edge(ei)
 			var from, to float64
 			switch {
 			case e.From == comm.Host:

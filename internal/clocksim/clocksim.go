@@ -81,12 +81,13 @@ func (a *Arrivals) CellArrival(c comm.CellID) (float64, error) {
 // communicating cells of g.
 func (a *Arrivals) MaxCommSkew(g *comm.Graph) (float64, error) {
 	var worst float64
-	for _, p := range g.CommunicatingPairs() {
-		ta, err := a.CellArrival(p[0])
+	c := g.PairIndex().Cursor(0)
+	for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
+		ta, err := a.CellArrival(pa)
 		if err != nil {
 			return 0, err
 		}
-		tb, err := a.CellArrival(p[1])
+		tb, err := a.CellArrival(pb)
 		if err != nil {
 			return 0, err
 		}
@@ -104,7 +105,8 @@ func (a *Arrivals) MaxCommSkew(g *comm.Graph) (float64, error) {
 func (a *Arrivals) Offsets(g *comm.Graph) (array.Offsets, error) {
 	off := array.Offsets{Cell: make([]float64, g.NumCells())}
 	min, max := math.Inf(1), math.Inf(-1)
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		t, err := a.CellArrival(c.ID)
 		if err != nil {
 			return array.Offsets{}, err

@@ -64,7 +64,8 @@ func TestNominalArrivalsMatchRootDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		node, _ := tr.CellNode(c.ID)
 		want := 2 * tr.RootDist(node)
 		got, err := a.CellArrival(c.ID)
@@ -106,8 +107,9 @@ func TestRandomSkewWithinSummationBound(t *testing.T) {
 		}
 		// Upper bound: M·d + Eps·s over all pairs (Section III).
 		var bound float64
-		for _, pr := range g.CommunicatingPairs() {
-			b := p.M*tr.CellDiffDist(pr[0], pr[1]) + p.Eps*tr.CellPathLen(pr[0], pr[1])
+		c := g.PairIndex().Cursor(0)
+		for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
+			b := p.M*tr.CellDiffDist(pa, pb) + p.Eps*tr.CellPathLen(pa, pb)
 			if b > bound {
 				bound = b
 			}
@@ -124,10 +126,11 @@ func TestAdversarialAchievesA11Bound(t *testing.T) {
 	// Pick the worst communicating pair under the summation metric.
 	var a, b comm.CellID
 	var worstS float64
-	for _, pr := range g.CommunicatingPairs() {
-		if s := tr.CellPathLen(pr[0], pr[1]); s > worstS {
+	c := g.PairIndex().Cursor(0)
+	for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
+		if s := tr.CellPathLen(pa, pb); s > worstS {
 			worstS = s
-			a, b = pr[0], pr[1]
+			a, b = pa, pb
 		}
 	}
 	arr, err := Adversarial(tr, p, a, b)
@@ -276,7 +279,8 @@ func TestRandomArrivalsDeterministicPerSeed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		t1, _ := a1.CellArrival(c.ID)
 		t2, _ := a2.CellArrival(c.ID)
 		if t1 != t2 {

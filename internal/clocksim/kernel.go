@@ -45,8 +45,7 @@ type Kernel struct {
 	length   []float64
 	buffered []bool
 
-	pairs        [][2]comm.CellID // shared with graph's memoized list
-	pairA, pairB []int32          // tree-node index of each pair's endpoints
+	pairA, pairB []int32 // tree-node index of each pair's endpoints, in PairIndex order
 
 	worstBuffers int // max root-path buffer count over nodes
 
@@ -70,14 +69,7 @@ func NewKernel(g *comm.Graph, tree *clocktree.Tree) (*Kernel, error) {
 	}
 	k := newTreeKernel(tree)
 	k.graph = g
-	k.pairs = g.CommunicatingPairs()
-	k.pairA = make([]int32, len(k.pairs))
-	k.pairB = make([]int32, len(k.pairs))
-	for i, p := range k.pairs {
-		na, _ := tree.CellNode(p[0])
-		nb, _ := tree.CellNode(p[1])
-		k.pairA[i], k.pairB[i] = int32(na), int32(nb)
-	}
+	k.pairA, k.pairB = tree.PairNodes(g.PairIndex())
 	return k, nil
 }
 
@@ -135,7 +127,7 @@ func (k *Kernel) Graph() *comm.Graph { return k.graph }
 
 // Pairs returns the number of communicating pairs (0 for tree-only
 // kernels).
-func (k *Kernel) Pairs() int { return len(k.pairs) }
+func (k *Kernel) Pairs() int { return len(k.pairA) }
 
 // errNeedRNG and errNotClocked keep kernel and reference error text
 // identical, so differential tests can compare failure modes too.

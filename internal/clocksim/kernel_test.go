@@ -107,9 +107,9 @@ func TestKernelMatchesReferenceRegimes(t *testing.T) {
 			sameArrivals(t, name+"/jittered", got, want)
 		}
 
-		pairs := tc.g.CommunicatingPairs()
-		for _, pr := range []int{0, len(pairs) / 2, len(pairs) - 1} {
-			a, b := pairs[pr][0], pairs[pr][1]
+		ix := tc.g.PairIndex()
+		for _, pr := range []int64{0, ix.NumPairs() / 2, ix.NumPairs() - 1} {
+			a, b := ix.Pair(pr)
 			got, err = k.Adversarial(p, a, b)
 			if err != nil {
 				t.Fatal(err)
@@ -182,12 +182,12 @@ func TestKernelSkewMatchesArrivals(t *testing.T) {
 			},
 			"adversarial": {
 				fast: func() (float64, error) {
-					pr := tc.g.CommunicatingPairs()[0]
-					return k.AdversarialSkew(p, pr[0], pr[1])
+					a, b := tc.g.PairIndex().Pair(0)
+					return k.AdversarialSkew(p, a, b)
 				},
 				full: func() (*Arrivals, error) {
-					pr := tc.g.CommunicatingPairs()[0]
-					return k.Adversarial(p, pr[0], pr[1])
+					a, b := tc.g.PairIndex().Pair(0)
+					return k.Adversarial(p, a, b)
 				},
 			},
 		}

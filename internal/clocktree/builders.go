@@ -2,6 +2,7 @@ package clocktree
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/comm"
@@ -22,9 +23,10 @@ func Spine(g *comm.Graph) (*Tree, error) {
 		return nil, fmt.Errorf("clocktree: Spine on empty graph")
 	}
 	b := newBuilder("spine/"+g.Name, g.NumCells(), g.NumCells())
-	prev := b.Root(g.Cells[0].Pos, g.Cells[0].ID)
-	for _, c := range g.Cells[1:] {
-		prev = b.Child(prev, c.Pos, c.ID)
+	first := g.Cell(0)
+	prev := b.Root(first.Pos, first.ID)
+	for id := comm.CellID(1); int(id) < g.NumCells(); id++ {
+		prev = b.Child(prev, g.Cell(id).Pos, id)
 	}
 	return b.Finalize()
 }
@@ -38,7 +40,8 @@ func SpineWithHost(g *comm.Graph, hostPos geom.Point) (*Tree, error) {
 	}
 	b := newBuilder("spine+host/"+g.Name, g.NumCells()+1, g.NumCells())
 	prev := b.Root(hostPos, comm.Host)
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		prev = b.Child(prev, c.Pos, c.ID)
 	}
 	return b.Finalize()
@@ -57,7 +60,8 @@ func Ladder(g *comm.Graph) (*Tree, error) {
 	}
 	// Group cells into the two rows by y coordinate.
 	ys := map[float64][]comm.Cell{}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		ys[c.Pos.Y] = append(ys[c.Pos.Y], c)
 	}
 	if len(ys) > 2 {
@@ -77,7 +81,8 @@ func Ladder(g *comm.Graph) (*Tree, error) {
 	// One rung position per distinct x, in x order.
 	byX := map[float64][]comm.Cell{}
 	var xs []float64
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		if _, seen := byX[c.Pos.X]; !seen {
 			xs = append(xs, c.Pos.X)
 		}
@@ -112,17 +117,17 @@ func Ladder(g *comm.Graph) (*Tree, error) {
 // adjacent in the same column but consecutive-row-apart are Θ(row length)
 // apart along the chain.
 func Serpentine(g *comm.Graph) (*Tree, error) {
-	if g.Rows < 1 || g.Cols < 1 {
+	if g.Rows() < 1 || g.Cols() < 1 {
 		return nil, fmt.Errorf("clocktree: Serpentine needs a grid-shaped graph, got %q", g.Name)
 	}
 	b := newBuilder("serpentine/"+g.Name, g.NumCells(), g.NumCells())
 	var prev NodeID
 	first := true
-	for r := 0; r < g.Rows; r++ {
-		for k := 0; k < g.Cols; k++ {
+	for r := 0; r < g.Rows(); r++ {
+		for k := 0; k < g.Cols(); k++ {
 			c := k
 			if r%2 == 1 {
-				c = g.Cols - 1 - k
+				c = g.Cols() - 1 - k
 			}
 			cell, ok := g.CellAt(r, c)
 			if !ok {
@@ -153,35 +158,49 @@ func HTree(g *comm.Graph) (*Tree, error) {
 		return nil, fmt.Errorf("clocktree: HTree on empty graph")
 	}
 	b := newBuilder("htree/"+g.Name, 2*n-1, n)
+	cells := graphCells(g)
 	if n == 1 {
-		b.Root(g.Cells[0].Pos, g.Cells[0].ID)
+		b.Root(cells[0].Pos, cells[0].ID)
 		return b.Finalize()
 	}
-	cells := append([]comm.Cell(nil), g.Cells...)
-	root := b.Root(bboxCenter(cells), comm.Host)
-	buildHTree(b, root, cells)
+	box := cellBox(cells)
+	root := b.Root(boxCenter(box), comm.Host)
+	buildHTree(b, root, cells, box)
 	return b.Finalize()
 }
 
-// buildHTree attaches the H-tree over cells below the given parent node.
-func buildHTree(b *Builder, parent NodeID, cells []comm.Cell) {
+// graphCells returns a copy of g's cells for a builder to partition in
+// place.
+func graphCells(g *comm.Graph) []comm.Cell {
+	cells := make([]comm.Cell, g.NumCells())
+	for i := range cells {
+		cells[i] = g.Cell(comm.CellID(i))
+	}
+	return cells
+}
+
+// buildHTree attaches the H-tree over cells, whose bounding box is box,
+// below the given parent node. Each region's box is computed once and
+// serves both its center node and its split.
+func buildHTree(b *Builder, parent NodeID, cells []comm.Cell, box geom.Rect) {
 	if len(cells) == 1 {
 		b.Child(parent, cells[0].Pos, cells[0].ID)
 		return
 	}
-	lo, hi := splitCells(cells)
+	lo, hi := splitCells(cells, box)
 	for _, half := range [][]comm.Cell{lo, hi} {
 		if len(half) == 1 {
 			b.Child(parent, half[0].Pos, half[0].ID)
 			continue
 		}
-		mid := b.Child(parent, bboxCenter(half), comm.Host)
-		buildHTree(b, mid, half)
+		halfBox := cellBox(half)
+		mid := b.Child(parent, boxCenter(halfBox), comm.Host)
+		buildHTree(b, mid, half, halfBox)
 	}
 }
 
 // splitCells halves the cell set at the median along the longer axis of
-// its bounding box, partitioning in place: on return, cells[:m] holds
+// box, the cells' bounding box, partitioning in place: on return, cells[:m] holds
 // the m = len/2 smallest cells under the axis order and cells[m:] the
 // rest. The halves are the same *sets* a full sort would produce (cell
 // positions are distinct, so the axis comparator is a total order and
@@ -191,12 +210,8 @@ func buildHTree(b *Builder, parent NodeID, cells []comm.Cell) {
 // gigabytes of allocation churn here. Tree construction only consumes
 // the halves as sets (bounding-box centers and further splits), so the
 // built tree is identical node for node.
-func splitCells(cells []comm.Cell) (lo, hi []comm.Cell) {
-	r := geom.EmptyRect()
-	for _, c := range cells {
-		r = r.Union(geom.Rect{Min: c.Pos, Max: c.Pos})
-	}
-	byX := r.Width() >= r.Height()
+func splitCells(cells []comm.Cell, box geom.Rect) (lo, hi []comm.Cell) {
+	byX := box.Width() >= box.Height()
 	m := len(cells) / 2
 	selectCells(cells, m, byX)
 	return cells[:m], cells[m:]
@@ -295,12 +310,34 @@ func bitsLen(n int) int {
 	return l
 }
 
-func bboxCenter(cells []comm.Cell) geom.Point {
-	r := geom.EmptyRect()
-	for _, c := range cells {
-		r = r.Union(geom.Rect{Min: c.Pos, Max: c.Pos})
-	}
+func bboxCenter(cells []comm.Cell) geom.Point { return boxCenter(cellBox(cells)) }
+
+func boxCenter(r geom.Rect) geom.Point {
 	return geom.Pt((r.Min.X+r.Max.X)/2, (r.Min.Y+r.Max.Y)/2)
+}
+
+// cellBox returns the bounding box of a non-empty cell set with plain
+// comparisons. On finite positions it equals the geom.Rect.Union fold
+// bit for bit, signed zeros included: math.Min prefers −0 and math.Max
+// +0 on a tie between zeros, and so do the tie rules here.
+func cellBox(cells []comm.Cell) geom.Rect {
+	r := geom.Rect{Min: cells[0].Pos, Max: cells[0].Pos}
+	for _, c := range cells[1:] {
+		p := c.Pos
+		if p.X < r.Min.X || p.X == r.Min.X && math.Signbit(p.X) {
+			r.Min.X = p.X
+		}
+		if p.X > r.Max.X || p.X == r.Max.X && !math.Signbit(p.X) {
+			r.Max.X = p.X
+		}
+		if p.Y < r.Min.Y || p.Y == r.Min.Y && math.Signbit(p.Y) {
+			r.Min.Y = p.Y
+		}
+		if p.Y > r.Max.Y || p.Y == r.Max.Y && !math.Signbit(p.Y) {
+			r.Max.Y = p.Y
+		}
+	}
+	return r
 }
 
 // RandomBinary builds a random recursive binary clock tree over the cells
@@ -313,7 +350,7 @@ func RandomBinary(g *comm.Graph, rng *stats.RNG) (*Tree, error) {
 		return nil, fmt.Errorf("clocktree: RandomBinary on empty graph")
 	}
 	b := newBuilder(fmt.Sprintf("random%d/%s", rng.Seed(), g.Name), 2*g.NumCells()-1, g.NumCells())
-	cells := append([]comm.Cell(nil), g.Cells...)
+	cells := graphCells(g)
 	if len(cells) == 1 {
 		b.Root(cells[0].Pos, cells[0].ID)
 		return b.Finalize()
@@ -375,8 +412,8 @@ func buildRandom(b *Builder, parent NodeID, cells []comm.Cell, rng *stats.RNG) {
 // graph must be a complete binary tree as built by
 // comm.CompleteBinaryTree (heap-indexed cells).
 func AlongCommTree(g *comm.Graph) (*Tree, error) {
-	if g.Kind != comm.KindTree {
-		return nil, fmt.Errorf("clocktree: AlongCommTree needs a tree COMM graph, got %q", g.Kind)
+	if g.Kind() != comm.KindTree {
+		return nil, fmt.Errorf("clocktree: AlongCommTree needs a tree COMM graph, got %q", g.Kind())
 	}
 	n := g.NumCells()
 	if n == 0 {

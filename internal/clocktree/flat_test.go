@@ -192,7 +192,8 @@ func TestBufferedKeepsEqualizeSlack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		if d1, d2 := tr.CellRootDist(c.ID), buf.CellRootDist(c.ID); math.Abs(d1-d2) > 1e-9 {
 			t.Errorf("cell %d root distance %g → %g", c.ID, d1, d2)
 		}

@@ -29,19 +29,20 @@ func layoutFromBytes(data []byte) *comm.Graph {
 	if n > 32 {
 		n = 32
 	}
-	g := &comm.Graph{Kind: comm.KindLinear, Name: fmt.Sprintf("fuzz-%d", n)}
+	var cells []comm.Cell
 	for i := 0; i < n; i++ {
-		g.Cells = append(g.Cells, comm.Cell{
+		cells = append(cells, comm.Cell{
 			ID:  comm.CellID(i),
 			Pos: geom.Pt(float64(int8(data[2*i])), float64(int8(data[2*i+1]))),
 		})
 	}
-	g.Edges = append(g.Edges, comm.Edge{From: comm.Host, To: 0, Label: "x"})
+	edges := []comm.Edge{{From: comm.Host, To: 0, Label: "x"}}
 	for i := 0; i+1 < n; i++ {
-		g.Edges = append(g.Edges, comm.Edge{From: comm.CellID(i), To: comm.CellID(i + 1), Label: "x"})
+		edges = append(edges, comm.Edge{From: comm.CellID(i), To: comm.CellID(i + 1), Label: "x"})
 	}
-	g.Edges = append(g.Edges, comm.Edge{From: comm.CellID(n - 1), To: comm.Host, Label: "x"})
-	if g.Validate() != nil {
+	edges = append(edges, comm.Edge{From: comm.CellID(n - 1), To: comm.Host, Label: "x"})
+	g, err := comm.New(comm.KindLinear, fmt.Sprintf("fuzz-%d", n), 0, 0, cells, edges)
+	if err != nil {
 		return nil
 	}
 	return g
@@ -108,7 +109,7 @@ func FuzzSpine(f *testing.F) {
 		}
 		checkTreeMetrics(t, g, tree)
 		for i := 0; i+1 < g.NumCells(); i++ {
-			a, b := g.Cells[i], g.Cells[i+1]
+			a, b := g.Cell(comm.CellID(i)), g.Cell(comm.CellID(i+1))
 			want := geom.Rectilinear(a.Pos, b.Pos).Length()
 			if got := tree.CellPathLen(a.ID, b.ID); math.Abs(got-want) > 1e-9 {
 				t.Fatalf("spine distance %d↔%d is %g, want wire length %g", a.ID, b.ID, got, want)
@@ -144,7 +145,8 @@ func FuzzHTree(f *testing.F) {
 			t.Fatalf("equalized tree fails validation: %v", err)
 		}
 		max := tree.MaxRootDist()
-		for _, c := range g.Cells {
+		for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+			c := g.Cell(id)
 			if d := tree.CellRootDist(c.ID); math.Abs(d-max) > 1e-9 {
 				t.Fatalf("cell %d not equalized: root distance %g, want %g", c.ID, d, max)
 			}
@@ -189,7 +191,8 @@ func FuzzBuffered(f *testing.F) {
 		if err := buf.Validate(); err != nil {
 			t.Fatalf("buffered tree fails validation: %v", err)
 		}
-		for _, c := range g.Cells {
+		for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+			c := g.Cell(id)
 			if d1, d2 := tree.CellRootDist(c.ID), buf.CellRootDist(c.ID); math.Abs(d1-d2) > 1e-9 {
 				t.Fatalf("cell %d root distance %g → %g", c.ID, d1, d2)
 			}

@@ -95,7 +95,7 @@ func TestSplitCellsMatchesSortReference(t *testing.T) {
 	for i, cells := range inputs {
 		wantLo, wantHi := splitCellsRef(cells)
 		work := append([]comm.Cell(nil), cells...)
-		gotLo, gotHi := splitCells(work)
+		gotLo, gotHi := splitCells(work, cellBox(work))
 		if !sameCellSet(gotLo, wantLo) || !sameCellSet(gotHi, wantHi) {
 			t.Fatalf("input %d (n=%d): quickselect halves differ from sort reference", i, len(cells))
 		}
@@ -113,7 +113,7 @@ func TestSelectCellsBudgetFallback(t *testing.T) {
 		cells = append(cells, comm.Cell{ID: comm.CellID(i), Pos: geom.Pt(float64(i%3), float64(i))})
 	}
 	want, _ := splitCellsRef(cells)
-	got, _ := splitCells(cells)
+	got, _ := splitCells(cells, cellBox(cells))
 	if !sameCellSet(got, want) {
 		t.Fatal("fallback path produced wrong halves")
 	}

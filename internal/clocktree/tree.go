@@ -151,6 +151,20 @@ func (t *Tree) PathLen(a, b NodeID) float64 {
 	return t.rootDist[a] + t.rootDist[b] - 2*t.rootDist[l]
 }
 
+// PairNodes resolves every pair of ix, in the index's canonical order, to
+// the tree nodes clocking its two cells. The tree must clock every cell
+// the pairs name (see Covers).
+func (t *Tree) PairNodes(ix *comm.PairIndex) (a, b []int32) {
+	a = make([]int32, ix.NumPairs())
+	b = make([]int32, len(a))
+	c := ix.Cursor(0)
+	for i := range a {
+		ca, cb, _ := c.Next()
+		a[i], b[i] = t.cellNode[ca], t.cellNode[cb]
+	}
+	return a, b
+}
+
 // PathLens sets s[i] = PathLen(a[i], b[i]) for every i, resolving all the
 // LCAs in one offline pass (Tarjan's algorithm) in O(nodes + pairs) time:
 // a depth-first walk enters each node, answers every query whose other
@@ -302,8 +316,8 @@ func (t *Tree) CellMask() []bool {
 // Covers reports whether every cell of g is clocked by some node of t
 // (A4: a cell can be clocked only if it is also a node of CLK).
 func (t *Tree) Covers(g *comm.Graph) bool {
-	for _, c := range g.Cells {
-		if _, ok := t.CellNode(c.ID); !ok {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		if _, ok := t.CellNode(id); !ok {
 			return false
 		}
 	}

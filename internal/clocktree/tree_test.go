@@ -120,8 +120,8 @@ func TestSerpentineNeighborGap(t *testing.T) {
 	// of 1D clocking in 2D.
 	a, _ := g.CellAt(0, 0)
 	b, _ := g.CellAt(1, 0)
-	if d := tr.CellPathLen(a.ID, b.ID); d < float64(2*g.Cols-2) {
-		t.Errorf("serpentine column-adjacent path = %g, want ≥ %d", d, 2*g.Cols-2)
+	if d := tr.CellPathLen(a.ID, b.ID); d < float64(2*g.Cols()-2) {
+		t.Errorf("serpentine column-adjacent path = %g, want ≥ %d", d, 2*g.Cols()-2)
 	}
 }
 
@@ -149,7 +149,8 @@ func TestHTreeEquidistantOnPowerOfTwoMesh(t *testing.T) {
 	}
 	// Root distances of all cells should be equal (classical H-tree).
 	var dists []float64
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		dists = append(dists, tr.CellRootDist(c.ID))
 	}
 	spread := stats.Max(dists) - stats.Min(dists)
@@ -172,7 +173,8 @@ func TestHTreeEqualizeOnIrregularLayout(t *testing.T) {
 		t.Errorf("Equalize added negative slack %g", added)
 	}
 	var dists []float64
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		dists = append(dists, tr.CellRootDist(c.ID))
 	}
 	if spread := stats.Max(dists) - stats.Min(dists); spread > 1e-9 {
@@ -238,7 +240,8 @@ func TestRandomBinaryDeterministicPerSeed(t *testing.T) {
 	if a.NumNodes() != b.NumNodes() {
 		t.Fatalf("node counts differ: %d vs %d", a.NumNodes(), b.NumNodes())
 	}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		if a.CellRootDist(c.ID) != b.CellRootDist(c.ID) {
 			t.Fatalf("cell %d root dist differs", c.ID)
 		}
@@ -327,15 +330,17 @@ func TestBufferedPreservesDistances(t *testing.T) {
 		t.Errorf("max segment %g exceeds spacing", seg)
 	}
 	// Electrical distances are preserved by subdivision.
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		if d1, d2 := tr.CellRootDist(c.ID), buf.CellRootDist(c.ID); math.Abs(d1-d2) > 1e-6 {
 			t.Errorf("cell %d root dist changed %g → %g", c.ID, d1, d2)
 		}
 	}
-	pairs := g.CommunicatingPairs()
-	for _, p := range pairs[:5] {
-		if d1, d2 := tr.CellPathLen(p[0], p[1]), buf.CellPathLen(p[0], p[1]); math.Abs(d1-d2) > 1e-6 {
-			t.Errorf("pair %v path len changed %g → %g", p, d1, d2)
+	ix := g.PairIndex()
+	for i := int64(0); i < 5; i++ {
+		a, b := ix.Pair(i)
+		if d1, d2 := tr.CellPathLen(a, b), buf.CellPathLen(a, b); math.Abs(d1-d2) > 1e-6 {
+			t.Errorf("pair (%d,%d) path len changed %g → %g", a, b, d1, d2)
 		}
 	}
 }
@@ -467,9 +472,10 @@ func TestLadderRingConstantSkew(t *testing.T) {
 		}
 		// Every ring pair — wrap-around included — within constant tree
 		// distance.
-		for _, p := range g.CommunicatingPairs() {
-			if d := tr.CellPathLen(p[0], p[1]); d > 4.5 {
-				t.Errorf("n=%d: pair %v tree distance %g > 4.5", n, p, d)
+		c := g.PairIndex().Cursor(0)
+		for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+			if d := tr.CellPathLen(a, b); d > 4.5 {
+				t.Errorf("n=%d: pair (%d,%d) tree distance %g > 4.5", n, a, b, d)
 			}
 		}
 	}
@@ -493,9 +499,10 @@ func TestLadderOnLinear(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range g.CommunicatingPairs() {
-		if d := tr.CellPathLen(p[0], p[1]); d > 2.1 {
-			t.Errorf("pair %v distance %g", p, d)
+	c := g.PairIndex().Cursor(0)
+	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+		if d := tr.CellPathLen(a, b); d > 2.1 {
+			t.Errorf("pair (%d,%d) distance %g", a, b, d)
 		}
 	}
 }
@@ -517,10 +524,11 @@ func TestAlongCommTreeSkewTracksWireLength(t *testing.T) {
 	}
 	// Every communicating pair is a COMM tree edge, and the clock path
 	// between them IS that edge: tree distance == physical distance.
-	for _, p := range g.CommunicatingPairs() {
-		want := g.Cell(p[0]).Pos.Dist(g.Cell(p[1]).Pos)
-		if got := tr.CellPathLen(p[0], p[1]); math.Abs(got-want) > 1e-9 {
-			t.Errorf("pair %v: clock distance %g != wire %g", p, got, want)
+	c := g.PairIndex().Cursor(0)
+	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+		want := g.Cell(a).Pos.Dist(g.Cell(b).Pos)
+		if got := tr.CellPathLen(a, b); math.Abs(got-want) > 1e-9 {
+			t.Errorf("pair (%d,%d): clock distance %g != wire %g", a, b, got, want)
 		}
 	}
 }
@@ -674,17 +682,24 @@ func BenchmarkLCAWalk32(b *testing.B) {
 // mesh in one offline pass, the way skew.NewKernel does.
 func BenchmarkPathLensBatch32(b *testing.B) {
 	g, tr := benchHTree(b, 32)
-	pairs := g.CommunicatingPairs()
-	as, bs := make([]int32, len(pairs)), make([]int32, len(pairs))
-	for i, p := range pairs {
-		na, _ := tr.CellNode(p[0])
-		nb, _ := tr.CellNode(p[1])
-		as[i], bs[i] = int32(na), int32(nb)
-	}
-	s := make([]float64, len(pairs))
+	as, bs := tr.PairNodes(g.PairIndex())
+	s := make([]float64, len(as))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.PathLens(as, bs, s)
+	}
+}
+
+func BenchmarkHTree128(b *testing.B) {
+	g, err := comm.Mesh(128, 128)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := HTree(g); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

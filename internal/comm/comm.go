@@ -9,11 +9,9 @@ package comm
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/geom"
-	"repro/internal/graph"
 )
 
 // CellID identifies a cell within a Graph; IDs are dense in [0, NumCells).
@@ -56,162 +54,203 @@ const (
 )
 
 // Graph is an ideally synchronized processor array's communication graph,
-// laid out in the plane.
+// laid out in the plane. It is immutable: every Graph comes from New (or a
+// topology builder, FoldLinear/CombLinear or JSON decoding, which all go
+// through the same validation), and its cells and edges are read through
+// index accessors. The derived lookups — the communicating-pair index and
+// the grid index behind CellAt — are therefore built once, on first use,
+// and never go stale. A Graph is safe for concurrent reads.
 type Graph struct {
-	Kind  Kind
-	Name  string
-	Cells []Cell
-	Edges []Edge
+	// Name labels the graph in reports, errors and JSON. It is the one
+	// exported field: nothing is derived from it, so relabelling a graph
+	// cannot invalidate any cached lookup.
+	Name string
 
-	// Rows and Cols are the grid dimensions for grid-shaped topologies
-	// (Rows == 1 for linear arrays); 0 when not applicable.
-	Rows, Cols int
+	kind       Kind
+	rows, cols int
+	cells      []Cell
+	edges      []Edge
 
-	byPos map[[2]int]CellID
-
-	// memo caches derived pair geometry. It is a pointer so Graph values
-	// remain assignable (UnmarshalJSON) without copying a sync.Once; the
-	// package constructors allocate it, and a nil memo (hand-built Graph
-	// literals) degrades to uncached enumeration.
-	memo *graphMemo
+	// lazy holds the lookups built on first use. It is a pointer so Graph
+	// values stay assignable (UnmarshalJSON) without copying a sync.Once;
+	// it is nil only in the zero Graph, which has no cells.
+	lazy *lazyIndex
 }
 
-// graphMemo holds the communicating-pair list, computed once on first
-// use. After that first use the edge set is frozen: the pair list is
-// what every analysis engine iterates, so a mutation that silently
-// missed it would corrupt results. numEdges and fingerprint record the
-// edge count and an FNV-1a content hash at memoization time to detect
-// (and panic on) late mutation — the count alone would miss a mutation
-// that rewires an edge in place.
-type graphMemo struct {
-	once        sync.Once
-	pairs       [][2]CellID
-	numEdges    int
-	fingerprint uint64
+// lazyIndex holds a graph's derived lookups, each built at most once.
+type lazyIndex struct {
+	pairsOnce sync.Once
+	pairs     *PairIndex
 
-	// The CSR pair index (PairIndex) memoizes independently: streamed
-	// analysis must be able to build it without ever materializing the
-	// flat pair slice above, so the two caches share nothing but the
-	// same freeze-on-first-use contract.
-	idxOnce        sync.Once
-	idx            *PairIndex
-	idxNumEdges    int
-	idxFingerprint uint64
+	gridOnce sync.Once
+	grid     []int32 // cell ID + 1 at row*cols+col; 0 marks a hole
 }
 
-// edgeFingerprint hashes the edge set's content (endpoints and labels,
-// in order) with FNV-1a. It is O(edges) with no allocation — cheap
-// enough to recompute on every CommunicatingPairs call — and changes
-// under any in-place edge rewrite, including count-preserving ones.
-func (g *Graph) edgeFingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	word := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= prime64
-			v >>= 8
-		}
-	}
-	for _, e := range g.Edges {
-		word(uint64(int64(e.From)))
-		word(uint64(int64(e.To)))
-		for i := 0; i < len(e.Label); i++ {
-			h ^= uint64(e.Label[i])
-			h *= prime64
-		}
-		h ^= 0xff // label terminator so ("ab","c") ≠ ("a","bc")
-		h *= prime64
-	}
-	return h
-}
+// Kind returns the topology family.
+func (g *Graph) Kind() Kind { return g.kind }
+
+// Rows returns the grid height for grid-shaped topologies (1 for linear
+// arrays), 0 when not applicable.
+func (g *Graph) Rows() int { return g.rows }
+
+// Cols returns the grid width for grid-shaped topologies, 0 when not
+// applicable.
+func (g *Graph) Cols() int { return g.cols }
 
 // NumCells returns the number of cells.
-func (g *Graph) NumCells() int { return len(g.Cells) }
+func (g *Graph) NumCells() int { return len(g.cells) }
 
 // Cell returns the cell with the given ID; it panics for Host or
 // out-of-range IDs.
 func (g *Graph) Cell(id CellID) Cell {
-	if id < 0 || int(id) >= len(g.Cells) {
-		panic(fmt.Sprintf("comm: no cell %d", id))
+	if uint(id) >= uint(len(g.cells)) {
+		panic(noCell(id))
 	}
-	return g.Cells[id]
+	return g.cells[id]
 }
 
-// CellAt returns the cell at grid coordinates (row, col), if any.
+// noCell is Cell's panic value; a named type rather than a formatted
+// string keeps Cell small enough to inline.
+type noCell CellID
+
+func (id noCell) Error() string { return fmt.Sprintf("comm: no cell %d", CellID(id)) }
+
+// NumEdges returns the number of directed edges, host edges included.
+func (g *Graph) NumEdges() int { return len(g.edges) }
+
+// Edge returns the i-th directed edge, 0 ≤ i < NumEdges, in construction
+// order.
+func (g *Graph) Edge(i int) Edge { return g.edges[i] }
+
+// New returns a graph over copies of the given cells and edges after
+// checking its structural invariants: cell IDs dense and equal to their
+// index, distinct cell positions, and edges between known cells (or the
+// host) with no self-loops. It is the constructor for graphs that are not
+// one of the package's topologies.
+func New(kind Kind, name string, rows, cols int, cells []Cell, edges []Edge) (*Graph, error) {
+	return newGraph(kind, name, rows, cols,
+		append([]Cell(nil), cells...), append([]Edge(nil), edges...))
+}
+
+// newGraph is New without the defensive copies: the graph takes
+// ownership of cells and edges.
+func newGraph(kind Kind, name string, rows, cols int, cells []Cell, edges []Edge) (*Graph, error) {
+	g := &Graph{Name: name, kind: kind, rows: rows, cols: cols,
+		cells: cells, edges: edges, lazy: &lazyIndex{}}
+	if err := g.validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// validate checks the invariants New documents.
+func (g *Graph) validate() error {
+	for i, c := range g.cells {
+		if int(c.ID) != i {
+			return fmt.Errorf("comm: cell at index %d has ID %d", i, c.ID)
+		}
+	}
+	if a, b, dup := firstSharedPosition(g.cells); dup {
+		return fmt.Errorf("comm: cells %d and %d share position %v", a, b, g.cells[b].Pos)
+	}
+	n := CellID(len(g.cells))
+	for _, e := range g.edges {
+		for _, end := range [2]CellID{e.From, e.To} {
+			if end < Host || end >= n {
+				return fmt.Errorf("comm: edge %v references unknown cell %d", e, end)
+			}
+		}
+		if e.From == e.To {
+			return fmt.Errorf("comm: self-loop edge on cell %d", e.From)
+		}
+	}
+	return nil
+}
+
+// firstSharedPosition returns the first cell b whose position equals an
+// earlier cell a's, comparing positions with == as a map keyed by
+// geom.Point would. It probes an open-addressing table of cell indices:
+// one allocation and O(cells) expected time.
+func firstSharedPosition(cells []Cell) (a, b CellID, dup bool) {
+	size := 1
+	for size < 2*len(cells) {
+		size <<= 1
+	}
+	mask := uint64(size - 1)
+	slots := make([]int32, size) // cell index + 1; 0 marks an empty slot
+	for i := range cells {
+		p := cells[i].Pos
+		h := posHash(p) & mask
+		for ; slots[h] != 0; h = (h + 1) & mask {
+			if j := slots[h] - 1; cells[j].Pos == p {
+				return CellID(j), CellID(i), true
+			}
+		}
+		slots[h] = int32(i + 1)
+	}
+	return 0, 0, false
+}
+
+// posHash mixes a position's coordinate bits (murmur3's 64-bit
+// finalizer). Adding +0 maps −0 to +0, which compares equal to it.
+func posHash(p geom.Point) uint64 {
+	mix := func(h uint64) uint64 {
+		h ^= h >> 33
+		h *= 0xff51afd7ed558ccd
+		h ^= h >> 33
+		h *= 0xc4ceb9fe1a85ec53
+		return h ^ h>>33
+	}
+	return mix(mix(math.Float64bits(p.X+0)) ^ math.Float64bits(p.Y+0))
+}
+
+// CellAt returns the cell at grid coordinates (row, col) of the
+// Rows×Cols grid, if any. The lookup is one index into a dense grid built
+// on first use; for a decoded graph whose declared grid is far larger
+// than its cell count it scans the cells instead. Where two cells claim
+// the same coordinates, the later one wins.
 func (g *Graph) CellAt(row, col int) (Cell, bool) {
-	id, ok := g.byPos[[2]int{row, col}]
-	if !ok {
+	if row < 0 || row >= g.rows || col < 0 || col >= g.cols {
 		return Cell{}, false
 	}
-	return g.Cells[id], true
+	if grid := g.cellGrid(); grid != nil {
+		if id := grid[row*g.cols+col]; id != 0 {
+			return g.cells[id-1], true
+		}
+		return Cell{}, false
+	}
+	for i := len(g.cells) - 1; i >= 0; i-- {
+		if c := g.cells[i]; c.Row == row && c.Col == col {
+			return c, true
+		}
+	}
+	return Cell{}, false
 }
 
-// CommunicatingPairs returns every unordered pair of distinct cells joined
-// by at least one communication edge (host edges excluded), each pair once
-// with a < b. These are exactly the pairs whose clock skew matters (A5).
-//
-// The list is computed once and memoized: every analysis engine iterates
-// it, often many times per graph, and the map-and-sort enumeration
-// dominated their setup cost. The returned slice is shared — callers must
-// not modify it. After the first call the graph's edge set is frozen;
-// appending to Edges — or rewriting an edge in place, even preserving
-// the count — panics on the next call rather than silently analyzing a
-// stale pair list. (Graphs built as bare literals,
-// without the package constructors, skip memoization and recompute.)
-func (g *Graph) CommunicatingPairs() [][2]CellID {
-	if g.memo == nil {
-		return g.communicatingPairsUncached()
+// cellGrid returns the dense (row, col) → cell index, or nil when the
+// declared grid holds more than four slots per cell. Callers have checked
+// that the grid is non-empty; the division keeps decoded dimensions from
+// overflowing the product.
+func (g *Graph) cellGrid() []int32 {
+	if g.lazy == nil || g.rows > (4*len(g.cells)+16)/g.cols {
+		return nil
 	}
-	g.memo.once.Do(func() {
-		g.memo.pairs = g.communicatingPairsUncached()
-		g.memo.numEdges = len(g.Edges)
-		g.memo.fingerprint = g.edgeFingerprint()
+	g.lazy.gridOnce.Do(func() {
+		grid := make([]int32, g.rows*g.cols)
+		for i, c := range g.cells {
+			if c.Row >= 0 && c.Row < g.rows && c.Col >= 0 && c.Col < g.cols {
+				grid[c.Row*g.cols+c.Col] = int32(i + 1)
+			}
+		}
+		g.lazy.grid = grid
 	})
-	if len(g.Edges) != g.memo.numEdges {
-		panic(fmt.Sprintf("comm: graph %q mutated after first CommunicatingPairs call (%d edges then, %d now)",
-			g.Name, g.memo.numEdges, len(g.Edges)))
-	}
-	if fp := g.edgeFingerprint(); fp != g.memo.fingerprint {
-		panic(fmt.Sprintf("comm: graph %q edges rewritten after first CommunicatingPairs call (content fingerprint %x then, %x now)",
-			g.Name, g.memo.fingerprint, fp))
-	}
-	return g.memo.pairs
-}
-
-// communicatingPairsUncached enumerates, dedups, and sorts the pair list.
-func (g *Graph) communicatingPairsUncached() [][2]CellID {
-	seen := make(map[[2]CellID]bool)
-	for _, e := range g.Edges {
-		if e.From == Host || e.To == Host || e.From == e.To {
-			continue
-		}
-		a, b := e.From, e.To
-		if a > b {
-			a, b = b, a
-		}
-		seen[[2]CellID{a, b}] = true
-	}
-	out := make([][2]CellID, 0, len(seen))
-	for p := range seen {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
+	return g.lazy.grid
 }
 
 // HostEdges returns the edges that connect the array to the host.
 func (g *Graph) HostEdges() []Edge {
 	var out []Edge
-	for _, e := range g.Edges {
+	for _, e := range g.edges {
 		if e.From == Host || e.To == Host {
 			out = append(out, e)
 		}
@@ -223,23 +262,10 @@ func (g *Graph) HostEdges() []Edge {
 // half a cell pitch on each side so each unit-area cell fits (A2).
 func (g *Graph) Bounds() geom.Rect {
 	r := geom.EmptyRect()
-	for _, c := range g.Cells {
+	for _, c := range g.cells {
 		r = r.Union(geom.Rect{Min: c.Pos, Max: c.Pos})
 	}
 	return r.Expand(0.5)
-}
-
-// Undirected returns the simple undirected graph underlying COMM (host
-// edges and duplicate/parallel edges dropped), for use with the bisection
-// machinery of Section V-B.
-func (g *Graph) Undirected() *graph.Graph {
-	u := graph.New(len(g.Cells))
-	for _, p := range g.CommunicatingPairs() {
-		if err := u.AddEdge(int(p[0]), int(p[1])); err != nil {
-			panic(err) // CommunicatingPairs deduplicates, so this cannot happen
-		}
-	}
-	return u
 }
 
 // MaxEdgeLength returns the longest straight-line distance between any two
@@ -247,50 +273,13 @@ func (g *Graph) Undirected() *graph.Graph {
 // this must remain O(1) as the array grows.
 func (g *Graph) MaxEdgeLength() float64 {
 	var m float64
-	for _, p := range g.CommunicatingPairs() {
-		if d := g.Cells[p[0]].Pos.Dist(g.Cells[p[1]].Pos); d > m {
+	c := g.PairIndex().Cursor(0)
+	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+		if d := g.cells[a].Pos.Dist(g.cells[b].Pos); d > m {
 			m = d
 		}
 	}
 	return m
-}
-
-// Validate checks structural invariants: cell IDs dense and matching
-// indices, edges referencing valid cells, and distinct cell positions.
-func (g *Graph) Validate() error {
-	positions := make(map[geom.Point]CellID, len(g.Cells))
-	for i, c := range g.Cells {
-		if int(c.ID) != i {
-			return fmt.Errorf("comm: cell at index %d has ID %d", i, c.ID)
-		}
-		if prev, dup := positions[c.Pos]; dup {
-			return fmt.Errorf("comm: cells %d and %d share position %v", prev, c.ID, c.Pos)
-		}
-		positions[c.Pos] = c.ID
-	}
-	for _, e := range g.Edges {
-		for _, end := range []CellID{e.From, e.To} {
-			if end != Host && (end < 0 || int(end) >= len(g.Cells)) {
-				return fmt.Errorf("comm: edge %v references unknown cell %d", e, end)
-			}
-		}
-		if e.From == e.To {
-			return fmt.Errorf("comm: self-loop edge on cell %d", e.From)
-		}
-	}
-	return nil
-}
-
-func newGraph(kind Kind, name string, rows, cols int) *Graph {
-	return &Graph{Kind: kind, Name: name, Rows: rows, Cols: cols,
-		byPos: make(map[[2]int]CellID), memo: &graphMemo{}}
-}
-
-func (g *Graph) addCell(row, col int, pos geom.Point) CellID {
-	id := CellID(len(g.Cells))
-	g.Cells = append(g.Cells, Cell{ID: id, Pos: pos, Row: row, Col: col})
-	g.byPos[[2]int{row, col}] = id
-	return id
 }
 
 // Linear returns an n-cell one-dimensional array (Fig. 4(a)): cells at
@@ -299,33 +288,25 @@ func Linear(n int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("comm: Linear needs n ≥ 1, got %d", n)
 	}
-	g := newGraph(KindLinear, fmt.Sprintf("linear-%d", n), 1, n)
-	for i := 0; i < n; i++ {
-		g.addCell(0, i, geom.Pt(float64(i), 0))
-	}
-	g.Edges = append(g.Edges, Edge{From: Host, To: 0, Label: "x"})
-	for i := 0; i+1 < n; i++ {
-		g.Edges = append(g.Edges, Edge{From: CellID(i), To: CellID(i + 1), Label: "x"})
-	}
-	g.Edges = append(g.Edges, Edge{From: CellID(n - 1), To: Host, Label: "x"})
-	return g, nil
+	edges := chainEdges(make([]Edge, 0, n+1), n, "x")
+	return newGraph(KindLinear, fmt.Sprintf("linear-%d", n), 1, n, rowCells(n), edges)
 }
 
 // Bidirectional returns an n-cell linear array with edges in both
 // directions between neighbors, as used by systolic algorithms with
 // counter-flowing data streams.
 func Bidirectional(n int) (*Graph, error) {
-	g, err := Linear(n)
-	if err != nil {
-		return nil, err
+	if n < 1 {
+		return nil, fmt.Errorf("comm: Linear needs n ≥ 1, got %d", n)
 	}
-	g.Name = fmt.Sprintf("bidi-%d", n)
+	edges := chainEdges(make([]Edge, 0, 2*n+2), n, "x")
 	for i := 0; i+1 < n; i++ {
-		g.Edges = append(g.Edges, Edge{From: CellID(i + 1), To: CellID(i), Label: "y"})
+		edges = append(edges, Edge{From: CellID(i + 1), To: CellID(i), Label: "y"})
 	}
-	g.Edges = append(g.Edges, Edge{From: 0, To: Host, Label: "y"})
-	g.Edges = append(g.Edges, Edge{From: Host, To: CellID(n - 1), Label: "y"})
-	return g, nil
+	edges = append(edges,
+		Edge{From: 0, To: Host, Label: "y"},
+		Edge{From: Host, To: CellID(n - 1), Label: "y"})
+	return newGraph(KindLinear, fmt.Sprintf("bidi-%d", n), 1, n, rowCells(n), edges)
 }
 
 // LinearDual returns an n-cell one-dimensional array carrying two
@@ -336,18 +317,28 @@ func LinearDual(n int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("comm: LinearDual needs n ≥ 1, got %d", n)
 	}
-	g := newGraph(KindLinear, fmt.Sprintf("lineardual-%d", n), 1, n)
-	for i := 0; i < n; i++ {
-		g.addCell(0, i, geom.Pt(float64(i), 0))
+	edges := chainEdges(make([]Edge, 0, 2*n+2), n, "x")
+	edges = chainEdges(edges, n, "y")
+	return newGraph(KindLinear, fmt.Sprintf("lineardual-%d", n), 1, n, rowCells(n), edges)
+}
+
+// rowCells returns n cells at (0,0)…(n−1,0), on grid row 0.
+func rowCells(n int) []Cell {
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = Cell{ID: CellID(i), Pos: geom.Pt(float64(i), 0), Col: i}
 	}
-	for _, label := range []string{"x", "y"} {
-		g.Edges = append(g.Edges, Edge{From: Host, To: 0, Label: label})
-		for i := 0; i+1 < n; i++ {
-			g.Edges = append(g.Edges, Edge{From: CellID(i), To: CellID(i + 1), Label: label})
-		}
-		g.Edges = append(g.Edges, Edge{From: CellID(n - 1), To: Host, Label: label})
+	return cells
+}
+
+// chainEdges appends a left-to-right stream with the given label over n
+// cells: in from the host at cell 0, out to the host from cell n−1.
+func chainEdges(edges []Edge, n int, label string) []Edge {
+	edges = append(edges, Edge{From: Host, To: 0, Label: label})
+	for i := 0; i+1 < n; i++ {
+		edges = append(edges, Edge{From: CellID(i), To: CellID(i + 1), Label: label})
 	}
-	return g, nil
+	return append(edges, Edge{From: CellID(n - 1), To: Host, Label: label})
 }
 
 // Ring returns an n-cell ring laid out on a rectangle perimeter so that
@@ -356,14 +347,13 @@ func Ring(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("comm: Ring needs n ≥ 3, got %d", n)
 	}
-	g := newGraph(KindRing, fmt.Sprintf("ring-%d", n), 0, 0)
+	cells := make([]Cell, n)
+	edges := make([]Edge, n)
 	for i := 0; i < n; i++ {
-		g.addCell(0, i, ringPos(i, n))
+		cells[i] = Cell{ID: CellID(i), Pos: ringPos(i, n), Col: i}
+		edges[i] = Edge{From: CellID(i), To: CellID((i + 1) % n), Label: "x"}
 	}
-	for i := 0; i < n; i++ {
-		g.Edges = append(g.Edges, Edge{From: CellID(i), To: CellID((i + 1) % n), Label: "x"})
-	}
-	return g, nil
+	return newGraph(KindRing, fmt.Sprintf("ring-%d", n), 0, 0, cells, edges)
 }
 
 // ringPos flattens the loop into two facing rows (a hairpin): cells 0..⌈n/2⌉−1
@@ -385,30 +375,45 @@ func Mesh(rows, cols int) (*Graph, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("comm: Mesh needs positive dims, got %d×%d", rows, cols)
 	}
-	g := newGraph(KindMesh, fmt.Sprintf("mesh-%dx%d", rows, cols), rows, cols)
+	cells, edges := meshParts(rows, cols, 2)
+	edges = appendMeshHostEdges(edges, rows, cols)
+	return newGraph(KindMesh, fmt.Sprintf("mesh-%dx%d", rows, cols), rows, cols, cells, edges)
+}
+
+// meshParts returns an r×c mesh's cells, in row-major order, and its
+// neighbor edges, with room for extra more edges.
+func meshParts(rows, cols, extra int) ([]Cell, []Edge) {
+	cells := make([]Cell, 0, rows*cols)
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			g.addCell(r, c, geom.Pt(float64(c), float64(r)))
+			cells = append(cells, Cell{ID: CellID(len(cells)), Pos: geom.Pt(float64(c), float64(r)), Row: r, Col: c})
 		}
 	}
+	edges := make([]Edge, 0, 2*rows*(cols-1)+2*cols*(rows-1)+extra)
 	id := func(r, c int) CellID { return CellID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				g.Edges = append(g.Edges,
+				edges = append(edges,
 					Edge{From: id(r, c), To: id(r, c+1), Label: "e"},
 					Edge{From: id(r, c+1), To: id(r, c), Label: "w"})
 			}
 			if r+1 < rows {
-				g.Edges = append(g.Edges,
+				edges = append(edges,
 					Edge{From: id(r, c), To: id(r+1, c), Label: "n"},
 					Edge{From: id(r+1, c), To: id(r, c), Label: "s"})
 			}
 		}
 	}
-	g.Edges = append(g.Edges, Edge{From: Host, To: id(0, 0), Label: "in"})
-	g.Edges = append(g.Edges, Edge{From: id(rows-1, cols-1), To: Host, Label: "out"})
-	return g, nil
+	return cells, edges
+}
+
+// appendMeshHostEdges appends Mesh's host input at the row-0 west corner
+// and host output at the opposite corner.
+func appendMeshHostEdges(edges []Edge, rows, cols int) []Edge {
+	return append(edges,
+		Edge{From: Host, To: 0, Label: "in"},
+		Edge{From: CellID(rows*cols - 1), To: Host, Label: "out"})
 }
 
 // MeshWithBoundaryIO returns an r×c mesh whose west boundary cells each
@@ -418,31 +423,22 @@ func Mesh(rows, cols int) (*Graph, error) {
 // I/O shape two-dimensional systolic algorithms such as matrix
 // multiplication need.
 func MeshWithBoundaryIO(rows, cols int) (*Graph, error) {
-	g, err := Mesh(rows, cols)
-	if err != nil {
-		return nil, err
+	if rows < 1 || cols < 1 {
+		return nil, fmt.Errorf("comm: Mesh needs positive dims, got %d×%d", rows, cols)
 	}
-	g.Name = fmt.Sprintf("meshio-%dx%d", rows, cols)
-	// Drop the single corner-to-corner host edges from Mesh.
-	edges := g.Edges[:0]
-	for _, e := range g.Edges {
-		if e.From != Host && e.To != Host {
-			edges = append(edges, e)
-		}
-	}
-	g.Edges = edges
+	cells, edges := meshParts(rows, cols, 2*(rows+cols))
 	id := func(r, c int) CellID { return CellID(r*cols + c) }
 	for r := 0; r < rows; r++ {
-		g.Edges = append(g.Edges,
+		edges = append(edges,
 			Edge{From: Host, To: id(r, 0), Label: "e"},
 			Edge{From: id(r, cols-1), To: Host, Label: "e"})
 	}
 	for c := 0; c < cols; c++ {
-		g.Edges = append(g.Edges,
+		edges = append(edges,
 			Edge{From: Host, To: id(0, c), Label: "n"},
 			Edge{From: id(rows-1, c), To: Host, Label: "n"})
 	}
-	return g, nil
+	return newGraph(KindMesh, fmt.Sprintf("meshio-%dx%d", rows, cols), rows, cols, cells, edges)
 }
 
 // Hex returns a hexagonal array with the given number of cells per side
@@ -452,37 +448,45 @@ func Hex(side int) (*Graph, error) {
 	if side < 1 {
 		return nil, fmt.Errorf("comm: Hex needs side ≥ 1, got %d", side)
 	}
-	g := newGraph(KindHex, fmt.Sprintf("hex-%d", side), side, side)
+	cells, edges := hexParts(side, 0)
+	return newGraph(KindHex, fmt.Sprintf("hex-%d", side), side, side, cells, edges)
+}
+
+// hexParts returns a side×side hexagonal array's cells, in row-major
+// order, and its neighbor edges, with room for extra more edges.
+func hexParts(side, extra int) ([]Cell, []Edge) {
 	dx, dy := 1.0, math.Sqrt(3)/2
+	cells := make([]Cell, 0, side*side)
 	for r := 0; r < side; r++ {
 		for c := 0; c < side; c++ {
 			x := float64(c) + float64(r)*0.5
-			g.addCell(r, c, geom.Pt(x*dx, float64(r)*dy))
+			cells = append(cells, Cell{ID: CellID(len(cells)), Pos: geom.Pt(x*dx, float64(r)*dy), Row: r, Col: c})
 		}
 	}
+	edges := make([]Edge, 0, 4*side*(side-1)+2*(side-1)*(side-1)+extra)
 	id := func(r, c int) CellID { return CellID(r*side + c) }
 	for r := 0; r < side; r++ {
 		for c := 0; c < side; c++ {
 			// Three of the six hex directions; the reverse edges complete
 			// the other three.
 			if c+1 < side {
-				g.Edges = append(g.Edges,
+				edges = append(edges,
 					Edge{From: id(r, c), To: id(r, c+1), Label: "e"},
 					Edge{From: id(r, c+1), To: id(r, c), Label: "w"})
 			}
 			if r+1 < side {
-				g.Edges = append(g.Edges,
+				edges = append(edges,
 					Edge{From: id(r, c), To: id(r+1, c), Label: "ne"},
 					Edge{From: id(r+1, c), To: id(r, c), Label: "sw"})
 			}
 			if r+1 < side && c-1 >= 0 {
-				g.Edges = append(g.Edges,
+				edges = append(edges,
 					Edge{From: id(r, c), To: id(r+1, c-1), Label: "nw"},
 					Edge{From: id(r+1, c-1), To: id(r, c), Label: "se"})
 			}
 		}
 	}
-	return g, nil
+	return cells, edges
 }
 
 // HexWithBandIO returns a w×w hexagonal array (Fig. 3(c)) wired for band
@@ -491,23 +495,22 @@ func Hex(side int) (*Graph, error) {
 // boundary (label "ne"), and accumulated C values leave along the "se"
 // direction from the u=0 and v=w−1 boundaries.
 func HexWithBandIO(w int) (*Graph, error) {
-	g, err := Hex(w)
-	if err != nil {
-		return nil, err
+	if w < 1 {
+		return nil, fmt.Errorf("comm: Hex needs side ≥ 1, got %d", w)
 	}
-	g.Name = fmt.Sprintf("hexio-%d", w)
+	cells, edges := hexParts(w, 4*w-1)
 	id := func(u, v int) CellID { return CellID(u*w + v) }
 	for u := 0; u < w; u++ {
-		g.Edges = append(g.Edges, Edge{From: Host, To: id(u, 0), Label: "e"})
+		edges = append(edges, Edge{From: Host, To: id(u, 0), Label: "e"})
 	}
 	for v := 0; v < w; v++ {
-		g.Edges = append(g.Edges, Edge{From: Host, To: id(0, v), Label: "ne"})
-		g.Edges = append(g.Edges, Edge{From: id(0, v), To: Host, Label: "se"})
+		edges = append(edges, Edge{From: Host, To: id(0, v), Label: "ne"})
+		edges = append(edges, Edge{From: id(0, v), To: Host, Label: "se"})
 	}
 	for u := 1; u < w; u++ {
-		g.Edges = append(g.Edges, Edge{From: id(u, w-1), To: Host, Label: "se"})
+		edges = append(edges, Edge{From: id(u, w-1), To: Host, Label: "se"})
 	}
-	return g, nil
+	return newGraph(KindHex, fmt.Sprintf("hexio-%d", w), w, w, cells, edges)
 }
 
 // Torus returns an r×c torus: a mesh with wraparound edges. Wraparound
@@ -518,24 +521,20 @@ func Torus(rows, cols int) (*Graph, error) {
 	if rows < 3 || cols < 3 {
 		return nil, fmt.Errorf("comm: Torus needs dims ≥ 3, got %d×%d", rows, cols)
 	}
-	g, err := Mesh(rows, cols)
-	if err != nil {
-		return nil, err
-	}
-	g.Kind = KindTorus
-	g.Name = fmt.Sprintf("torus-%dx%d", rows, cols)
+	cells, edges := meshParts(rows, cols, 2+2*(rows+cols))
+	edges = appendMeshHostEdges(edges, rows, cols)
 	id := func(r, c int) CellID { return CellID(r*cols + c) }
 	for r := 0; r < rows; r++ {
-		g.Edges = append(g.Edges,
+		edges = append(edges,
 			Edge{From: id(r, cols-1), To: id(r, 0), Label: "wrap-e"},
 			Edge{From: id(r, 0), To: id(r, cols-1), Label: "wrap-w"})
 	}
 	for c := 0; c < cols; c++ {
-		g.Edges = append(g.Edges,
+		edges = append(edges,
 			Edge{From: id(rows-1, c), To: id(0, c), Label: "wrap-n"},
 			Edge{From: id(0, c), To: id(rows-1, c), Label: "wrap-s"})
 	}
-	return g, nil
+	return newGraph(KindTorus, fmt.Sprintf("torus-%dx%d", rows, cols), rows, cols, cells, edges)
 }
 
 // CompleteBinaryTree returns a complete binary tree COMM graph with the
@@ -547,21 +546,22 @@ func CompleteBinaryTree(levels int) (*Graph, error) {
 		return nil, fmt.Errorf("comm: CompleteBinaryTree needs 1 ≤ levels ≤ 24, got %d", levels)
 	}
 	n := (1 << levels) - 1
-	g := newGraph(KindTree, fmt.Sprintf("tree-%d", levels), 0, 0)
 	pos := make([]geom.Point, n)
 	hTreePositions(pos, 0, geom.Pt(0, 0), levels, true)
-	for v := 0; v < n; v++ {
-		g.addCell(0, v, pos[v])
+	cells := make([]Cell, n)
+	for v := range cells {
+		cells[v] = Cell{ID: CellID(v), Pos: pos[v], Col: v}
 	}
+	edges := make([]Edge, 0, 2*(n-1)+2)
 	for v := 0; 2*v+2 < n; v++ {
 		for _, ch := range []int{2*v + 1, 2*v + 2} {
-			g.Edges = append(g.Edges,
+			edges = append(edges,
 				Edge{From: CellID(v), To: CellID(ch), Label: "down"},
 				Edge{From: CellID(ch), To: CellID(v), Label: "up"})
 		}
 	}
-	g.Edges = append(g.Edges, Edge{From: Host, To: 0, Label: "in"}, Edge{From: 0, To: Host, Label: "out"})
-	return g, nil
+	edges = append(edges, Edge{From: Host, To: 0, Label: "in"}, Edge{From: 0, To: Host, Label: "out"})
+	return newGraph(KindTree, fmt.Sprintf("tree-%d", levels), 0, 0, cells, edges)
 }
 
 // hTreePositions recursively places the subtree rooted at v (heap index)

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/geom"
 )
 
 func TestLinear(t *testing.T) {
@@ -11,14 +13,10 @@ func TestLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if g.NumCells() != 5 {
 		t.Errorf("NumCells = %d", g.NumCells())
 	}
-	pairs := g.CommunicatingPairs()
-	if len(pairs) != 4 {
+	if pairs := indexPairs(g.PairIndex()); len(pairs) != 4 {
 		t.Errorf("pairs = %v", pairs)
 	}
 	if len(g.HostEdges()) != 2 {
@@ -37,12 +35,9 @@ func TestBidirectional(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Pairs are the same 3 neighbor pairs; directed edges double.
-	if len(g.CommunicatingPairs()) != 3 {
-		t.Errorf("pairs = %v", g.CommunicatingPairs())
+	if pairs := indexPairs(g.PairIndex()); len(pairs) != 3 {
+		t.Errorf("pairs = %v", pairs)
 	}
 	if len(g.HostEdges()) != 4 {
 		t.Errorf("host edges = %d, want 4", len(g.HostEdges()))
@@ -55,11 +50,8 @@ func TestRingNeighborDistanceBounded(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := g.Validate(); err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(g.CommunicatingPairs()) != n {
-			t.Errorf("n=%d: pairs = %d", n, len(g.CommunicatingPairs()))
+		if got := g.PairIndex().NumPairs(); got != int64(n) {
+			t.Errorf("n=%d: pairs = %d", n, got)
 		}
 		if d := g.MaxEdgeLength(); d > 3 {
 			t.Errorf("n=%d: ring neighbor distance %g not bounded", n, d)
@@ -75,14 +67,11 @@ func TestMesh(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if g.NumCells() != 12 {
 		t.Errorf("NumCells = %d", g.NumCells())
 	}
 	// 17 undirected neighbor pairs.
-	if got := len(g.CommunicatingPairs()); got != 17 {
+	if got := g.PairIndex().NumPairs(); got != 17 {
 		t.Errorf("pairs = %d, want 17", got)
 	}
 	c, ok := g.CellAt(2, 3)
@@ -100,23 +89,9 @@ func TestMesh(t *testing.T) {
 	}
 }
 
-func TestMeshUndirectedMatchesGraphPackage(t *testing.T) {
-	g, _ := Mesh(4, 4)
-	u := g.Undirected()
-	if u.N() != 16 || u.M() != 24 {
-		t.Errorf("undirected N=%d M=%d, want 16, 24", u.N(), u.M())
-	}
-	if !u.Connected() {
-		t.Error("undirected mesh disconnected")
-	}
-}
-
 func TestHex(t *testing.T) {
 	g, err := Hex(3)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if g.NumCells() != 9 {
@@ -125,7 +100,7 @@ func TestHex(t *testing.T) {
 	// Interior cell (1,1) should have 6 neighbors.
 	center, _ := g.CellAt(1, 1)
 	deg := 0
-	for _, p := range g.CommunicatingPairs() {
+	for _, p := range indexPairs(g.PairIndex()) {
 		if p[0] == center.ID || p[1] == center.ID {
 			deg++
 		}
@@ -146,9 +121,6 @@ func TestTorusWraparoundLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Wraparound edges make MaxEdgeLength ≈ cols−1.
 	if d := g.MaxEdgeLength(); math.Abs(d-5) > 1e-9 {
 		t.Errorf("torus MaxEdgeLength = %g, want 5", d)
@@ -163,13 +135,10 @@ func TestCompleteBinaryTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if g.NumCells() != 15 {
 		t.Errorf("NumCells = %d", g.NumCells())
 	}
-	if got := len(g.CommunicatingPairs()); got != 14 {
+	if got := g.PairIndex().NumPairs(); got != 14 {
 		t.Errorf("pairs = %d, want 14", got)
 	}
 	if _, err := CompleteBinaryTree(0); err == nil {
@@ -210,25 +179,31 @@ func TestHTreeEdgeLengthGrowsAsSqrtN(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	g, _ := Linear(3)
-	g.Cells[1].ID = 7
-	if err := g.Validate(); err == nil {
+	base, _ := Linear(3)
+	build := func(cells []Cell, edges []Edge) error {
+		_, err := New(base.Kind(), base.Name, base.Rows(), base.Cols(), cells, edges)
+		return err
+	}
+	cells := append([]Cell(nil), base.cells...)
+	cells[1].ID = 7
+	if err := build(cells, base.edges); err == nil {
 		t.Error("bad cell ID not caught")
 	}
-	g, _ = Linear(3)
-	g.Cells[2].Pos = g.Cells[0].Pos
-	if err := g.Validate(); err == nil {
+	cells = append([]Cell(nil), base.cells...)
+	cells[2].Pos = cells[0].Pos
+	if err := build(cells, base.edges); err == nil {
 		t.Error("duplicate position not caught")
 	}
-	g, _ = Linear(3)
-	g.Edges = append(g.Edges, Edge{From: 0, To: 99})
-	if err := g.Validate(); err == nil {
+	edges := append(append([]Edge(nil), base.edges...), Edge{From: 0, To: 99})
+	if err := build(base.cells, edges); err == nil {
 		t.Error("dangling edge not caught")
 	}
-	g, _ = Linear(3)
-	g.Edges = append(g.Edges, Edge{From: 1, To: 1})
-	if err := g.Validate(); err == nil {
+	edges = append(append([]Edge(nil), base.edges...), Edge{From: 1, To: 1})
+	if err := build(base.cells, edges); err == nil {
 		t.Error("self-loop not caught")
+	}
+	if err := build(base.cells, base.edges); err != nil {
+		t.Errorf("intact graph rejected: %v", err)
 	}
 }
 
@@ -249,7 +224,7 @@ func TestCommunicatingPairsSortedAndUniqueProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		pairs := g.CommunicatingPairs()
+		pairs := indexPairs(g.PairIndex())
 		for i := 1; i < len(pairs); i++ {
 			if pairs[i][0] < pairs[i-1][0] ||
 				(pairs[i][0] == pairs[i-1][0] && pairs[i][1] <= pairs[i-1][1]) {
@@ -281,8 +256,8 @@ func TestBoundsCoverAllCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		b := g.Bounds()
-		for _, c := range g.Cells {
-			if !b.Contains(c.Pos) {
+		for id := CellID(0); int(id) < g.NumCells(); id++ {
+			if c := g.Cell(id); !b.Contains(c.Pos) {
 				t.Errorf("%s: cell %d at %v outside bounds %v", g.Name, c.ID, c.Pos, b)
 			}
 		}
@@ -298,21 +273,18 @@ func TestLinearDual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	if g.NumCells() != 5 {
 		t.Errorf("NumCells = %d", g.NumCells())
 	}
 	// Two parallel chains: 2·4 internal edges + 4 host edges.
-	if len(g.Edges) != 12 {
-		t.Errorf("edges = %d, want 12", len(g.Edges))
+	if g.NumEdges() != 12 {
+		t.Errorf("edges = %d, want 12", g.NumEdges())
 	}
 	if len(g.HostEdges()) != 4 {
 		t.Errorf("host edges = %d, want 4", len(g.HostEdges()))
 	}
 	// Still 4 communicating pairs (parallel channels share pairs).
-	if got := len(g.CommunicatingPairs()); got != 4 {
+	if got := g.PairIndex().NumPairs(); got != 4 {
 		t.Errorf("pairs = %d, want 4", got)
 	}
 	if _, err := LinearDual(0); err == nil {
@@ -326,11 +298,8 @@ func TestFoldLinearLayout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := folded.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	// Both ends meet: cells 0 and 9 are one pitch apart.
-	if d := folded.Cells[0].Pos.Dist(folded.Cells[9].Pos); d > 1.01 {
+	if d := folded.Cell(0).Pos.Dist(folded.Cell(9).Pos); d > 1.01 {
 		t.Errorf("folded ends %g apart, want ≤ 1", d)
 	}
 	// Successive cells stay close (the fold itself is the worst hop).
@@ -338,7 +307,7 @@ func TestFoldLinearLayout(t *testing.T) {
 		t.Errorf("folded neighbor distance %g", d)
 	}
 	// Original untouched.
-	if g.Cells[9].Pos.X != 9 {
+	if g.Cell(9).Pos.X != 9 {
 		t.Error("FoldLinear mutated its input")
 	}
 	// Grid index rebuilt.
@@ -355,9 +324,6 @@ func TestCombLinearLayout(t *testing.T) {
 	g, _ := Linear(12)
 	comb, err := CombLinear(g, 3)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := comb.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	// Four teeth of height 3, two pitches apart: successive cells ≤ 2.
@@ -382,10 +348,24 @@ func TestCommunicatingPairsMemoized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := g.CommunicatingPairs()
-	b := g.CommunicatingPairs()
-	if len(a) == 0 || &a[0] != &b[0] {
-		t.Fatal("CommunicatingPairs not memoized: distinct backing arrays")
+	if a, b := g.PairIndex(), g.PairIndex(); a.NumPairs() == 0 || a != b {
+		t.Fatal("PairIndex not memoized: distinct indexes")
+	}
+}
+
+func TestCommunicatingPairsRepeatedCallsStable(t *testing.T) {
+	g, err := Mesh(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := indexPairs(g.PairIndex()), indexPairs(g.PairIndex())
+	if len(first) == 0 || len(first) != len(second) {
+		t.Fatalf("repeated enumerations differ: %d vs %d pairs", len(first), len(second))
+	}
+	for i := range first {
+		if first[i] != second[i] {
+			t.Fatalf("pair %d: %v then %v", i, first[i], second[i])
+		}
 	}
 }
 
@@ -394,60 +374,59 @@ func TestCommunicatingPairsMemoizedConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(g.communicatingPairsUncached())
-	done := make(chan int, 8)
+	want := int64(len(referencePairs(g)))
+	done := make(chan *PairIndex, 8)
 	for i := 0; i < 8; i++ {
-		go func() { done <- len(g.CommunicatingPairs()) }()
+		go func() { done <- g.PairIndex() }()
 	}
-	for i := 0; i < 8; i++ {
-		if got := <-done; got != want {
-			t.Fatalf("concurrent CommunicatingPairs len = %d, want %d", got, want)
+	first := <-done
+	for i := 1; i < 8; i++ {
+		if ix := <-done; ix != first {
+			t.Fatal("concurrent PairIndex calls built distinct indexes")
 		}
+	}
+	if got := first.NumPairs(); got != want {
+		t.Fatalf("concurrent PairIndex NumPairs = %d, want %d", got, want)
 	}
 }
 
-func TestCommunicatingPairsMutationPanics(t *testing.T) {
-	g, err := Linear(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.CommunicatingPairs()
-	g.Edges = append(g.Edges, Edge{From: 0, To: 3, Label: "late"})
-	defer func() {
-		if recover() == nil {
-			t.Error("mutation after first CommunicatingPairs call did not panic")
-		}
-	}()
-	g.CommunicatingPairs()
-}
-
-// Builders mutate the edge set after construction (MeshWithBoundaryIO
-// rewrites Mesh's host edges); that must stay legal as long as it
-// happens before the first CommunicatingPairs call.
+// Callers assemble cells and edges freely and then construct: New copies
+// both slices, so editing them afterwards cannot reach the graph or its
+// pair index.
 func TestMutationBeforeFirstPairsCallAllowed(t *testing.T) {
-	g, err := MeshWithBoundaryIO(3, 3)
+	base, err := Linear(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.CommunicatingPairs()) == 0 {
-		t.Fatal("no pairs")
+	cells := append([]Cell(nil), base.cells...)
+	edges := append(append([]Edge(nil), base.edges...), Edge{From: 0, To: 3, Label: "late"})
+	g, err := New(KindLinear, "edited", 1, 4, cells, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := g.PairIndex().NumPairs(); got != 4 {
+		t.Fatalf("pairs = %d, want 4 (chain plus the added edge)", got)
+	}
+	edges[len(edges)-1].To = 2
+	cells[0].Pos.X = 99
+	if got := indexPairs(g.PairIndex()); got[1] != [2]CellID{0, 3} {
+		t.Fatalf("edge edited after New reached the graph: %v", got)
+	}
+	if g.Cell(0).Pos.X != 0 {
+		t.Fatal("cell edited after New reached the graph")
 	}
 }
 
-// A Graph built as a bare literal (no constructor, nil memo) must still
-// answer pair queries, just without caching.
+// A graph assembled by hand through New, not a topology builder, answers
+// pair queries; parallel and reversed edges collapse to one pair.
 func TestCommunicatingPairsLiteralGraph(t *testing.T) {
-	g := &Graph{
-		Name:  "literal",
-		Cells: []Cell{{ID: 0}, {ID: 1}},
-		Edges: []Edge{{From: 0, To: 1}},
+	g, err := New("", "literal", 0, 0,
+		[]Cell{{ID: 0}, {ID: 1, Pos: geom.Pt(1, 0)}},
+		[]Edge{{From: 0, To: 1}, {From: 1, To: 0}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Cells need distinct positions only for Validate; pairs don't care.
-	if got := g.CommunicatingPairs(); len(got) != 1 || got[0] != [2]CellID{0, 1} {
+	if got := indexPairs(g.PairIndex()); len(got) != 1 || got[0] != [2]CellID{0, 1} {
 		t.Fatalf("literal graph pairs = %v", got)
-	}
-	g.Edges = append(g.Edges, Edge{From: 1, To: 0})
-	if got := g.CommunicatingPairs(); len(got) != 1 {
-		t.Fatalf("uncached path must recompute: %v", got)
 	}
 }

@@ -62,9 +62,9 @@ func FuzzGraphJSONRoundTrip(f *testing.F) {
 		if err := g3.UnmarshalJSON(data); err != nil {
 			t.Fatalf("ReadJSON accepted input that UnmarshalJSON rejects: %v", err)
 		}
-		if g3.NumCells() != g.NumCells() || len(g3.Edges) != len(g.Edges) {
+		if g3.NumCells() != g.NumCells() || g3.NumEdges() != g.NumEdges() {
 			t.Fatalf("UnmarshalJSON decoded %d cells/%d edges, ReadJSON %d/%d",
-				g3.NumCells(), len(g3.Edges), g.NumCells(), len(g.Edges))
+				g3.NumCells(), g3.NumEdges(), g.NumCells(), g.NumEdges())
 		}
 	})
 }

@@ -35,14 +35,14 @@ type edgeJSON struct {
 // toJSON converts g to the interchange representation.
 func (g *Graph) toJSON() graphJSON {
 	out := graphJSON{
-		Kind: g.Kind, Name: g.Name, Rows: g.Rows, Cols: g.Cols,
-		Cells: make([]cellJSON, len(g.Cells)),
-		Edges: make([]edgeJSON, len(g.Edges)),
+		Kind: g.kind, Name: g.Name, Rows: g.rows, Cols: g.cols,
+		Cells: make([]cellJSON, len(g.cells)),
+		Edges: make([]edgeJSON, len(g.edges)),
 	}
-	for i, c := range g.Cells {
+	for i, c := range g.cells {
 		out.Cells[i] = cellJSON{ID: c.ID, X: c.Pos.X, Y: c.Pos.Y, Row: c.Row, Col: c.Col}
 	}
-	for i, e := range g.Edges {
+	for i, e := range g.edges {
 		out.Edges[i] = edgeJSON{From: e.From, To: e.To, Label: e.Label}
 	}
 	return out
@@ -51,17 +51,19 @@ func (g *Graph) toJSON() graphJSON {
 // fromJSON rebuilds and validates a graph from the interchange
 // representation.
 func fromJSON(in graphJSON) (*Graph, error) {
-	g := newGraph(in.Kind, in.Name, in.Rows, in.Cols)
+	cells := make([]Cell, len(in.Cells))
 	for i, c := range in.Cells {
 		if int(c.ID) != i {
 			return nil, fmt.Errorf("comm: cell %d has ID %d; IDs must be dense and ordered", i, c.ID)
 		}
-		g.addCell(c.Row, c.Col, geom.Pt(c.X, c.Y))
+		cells[i] = Cell{ID: c.ID, Pos: geom.Pt(c.X, c.Y), Row: c.Row, Col: c.Col}
 	}
-	for _, e := range in.Edges {
-		g.Edges = append(g.Edges, Edge{From: e.From, To: e.To, Label: e.Label})
+	edges := make([]Edge, len(in.Edges))
+	for i, e := range in.Edges {
+		edges[i] = Edge{From: e.From, To: e.To, Label: e.Label}
 	}
-	if err := g.Validate(); err != nil {
+	g, err := newGraph(in.Kind, in.Name, in.Rows, in.Cols, cells, edges)
+	if err != nil {
 		return nil, fmt.Errorf("comm: decoded graph invalid: %w", err)
 	}
 	return g, nil
@@ -100,8 +102,8 @@ func (g *Graph) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes and validates a graph in the interchange format
-// — ReadJSON for embedded use. A graph that fails Validate is rejected,
-// so no malformed graph ever enters the analysis engines.
+// — ReadJSON for embedded use. A graph that fails New's checks is
+// rejected, so no malformed graph ever enters the analysis engines.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var in graphJSON
 	if err := json.Unmarshal(data, &in); err != nil {

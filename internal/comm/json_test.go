@@ -28,25 +28,25 @@ func TestJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", orig.Name, err)
 		}
-		if got.Name != orig.Name || got.Kind != orig.Kind ||
-			got.Rows != orig.Rows || got.Cols != orig.Cols {
+		if got.Name != orig.Name || got.Kind() != orig.Kind() ||
+			got.Rows() != orig.Rows() || got.Cols() != orig.Cols() {
 			t.Errorf("%s: metadata changed", orig.Name)
 		}
-		if got.NumCells() != orig.NumCells() || len(got.Edges) != len(orig.Edges) {
+		if got.NumCells() != orig.NumCells() || got.NumEdges() != orig.NumEdges() {
 			t.Fatalf("%s: size changed", orig.Name)
 		}
-		for i, c := range orig.Cells {
-			if got.Cells[i] != c {
-				t.Fatalf("%s: cell %d changed: %+v vs %+v", orig.Name, i, got.Cells[i], c)
+		for i := CellID(0); int(i) < orig.NumCells(); i++ {
+			if c := orig.Cell(i); got.Cell(i) != c {
+				t.Fatalf("%s: cell %d changed: %+v vs %+v", orig.Name, i, got.Cell(i), c)
 			}
 		}
-		for i, e := range orig.Edges {
-			if got.Edges[i] != e {
+		for i := 0; i < orig.NumEdges(); i++ {
+			if got.Edge(i) != orig.Edge(i) {
 				t.Fatalf("%s: edge %d changed", orig.Name, i)
 			}
 		}
 		// Grid index must survive the round trip.
-		if orig.Kind == KindMesh {
+		if orig.Kind() == KindMesh {
 			a, okA := orig.CellAt(1, 2)
 			b, okB := got.CellAt(1, 2)
 			if okA != okB || a.ID != b.ID {
@@ -74,5 +74,23 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	bad3 := `{"kind":"linear","name":"x","cells":[{"id":0,"x":0,"y":0},{"id":1,"x":0,"y":0}],"edges":[]}`
 	if _, err := ReadJSON(strings.NewReader(bad3)); err == nil {
 		t.Error("duplicate positions accepted")
+	}
+}
+
+// TestCellAtHugeDeclaredGrid decodes a graph whose declared grid is far
+// larger than its cells (large enough to overflow rows·cols): CellAt
+// must answer from the cells without allocating or indexing that grid.
+func TestCellAtHugeDeclaredGrid(t *testing.T) {
+	in := `{"kind":"mesh","name":"sparse","rows":4294967296,"cols":4294967296,` +
+		`"cells":[{"id":0,"x":0,"y":0},{"id":1,"x":1,"y":0,"col":1}],"edges":[{"from":0,"to":1}]}`
+	g, err := ReadJSON(strings.NewReader(in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := g.CellAt(0, 1); !ok || c.ID != 1 {
+		t.Fatalf("CellAt(0,1) = %v %v, want cell 1", c, ok)
+	}
+	if _, ok := g.CellAt(5, 5); ok {
+		t.Fatal("CellAt(5,5) found a cell in an empty slot")
 	}
 }

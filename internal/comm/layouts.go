@@ -12,25 +12,22 @@ import (
 // topological position in the chain; successive cells remain at distance
 // ≤ √2, and cells 0 and n−1 end up one pitch apart.
 func FoldLinear(g *Graph) (*Graph, error) {
-	if g.Kind != KindLinear {
-		return nil, fmt.Errorf("comm: FoldLinear needs a linear array, got %q", g.Kind)
+	if g.kind != KindLinear {
+		return nil, fmt.Errorf("comm: FoldLinear needs a linear array, got %q", g.kind)
 	}
-	n := len(g.Cells)
-	out := cloneGraph(g)
-	out.Name = "folded-" + g.Name
+	n := len(g.cells)
 	half := (n + 1) / 2
-	for i := range out.Cells {
+	cells := make([]Cell, n)
+	for i := range cells {
 		if i < half {
-			out.Cells[i].Pos = geom.Pt(float64(i), 0)
-			out.Cells[i].Row, out.Cells[i].Col = 0, i
+			cells[i] = Cell{ID: CellID(i), Pos: geom.Pt(float64(i), 0), Row: 0, Col: i}
 		} else {
-			out.Cells[i].Pos = geom.Pt(float64(n-1-i), 1)
-			out.Cells[i].Row, out.Cells[i].Col = 1, n-1-i
+			cells[i] = Cell{ID: CellID(i), Pos: geom.Pt(float64(n-1-i), 1), Row: 1, Col: n - 1 - i}
 		}
 	}
-	out.Rows, out.Cols = 2, half
-	out.rebuildPosIndex()
-	return out, nil
+	// The edges are shared with g rather than copied: both graphs are
+	// immutable.
+	return newGraph(g.kind, "folded-"+g.Name, 2, half, cells, g.edges)
 }
 
 // CombLinear returns a copy of a linear array with its cells repositioned
@@ -38,15 +35,14 @@ func FoldLinear(g *Graph) (*Graph, error) {
 // of the given height, letting a one-dimensional array fill a layout of
 // any desired aspect ratio. Successive cells remain at distance ≤ 2.
 func CombLinear(g *Graph, toothHeight int) (*Graph, error) {
-	if g.Kind != KindLinear {
-		return nil, fmt.Errorf("comm: CombLinear needs a linear array, got %q", g.Kind)
+	if g.kind != KindLinear {
+		return nil, fmt.Errorf("comm: CombLinear needs a linear array, got %q", g.kind)
 	}
 	if toothHeight < 1 {
 		return nil, fmt.Errorf("comm: CombLinear toothHeight must be ≥ 1, got %d", toothHeight)
 	}
-	out := cloneGraph(g)
-	out.Name = fmt.Sprintf("comb%d-%s", toothHeight, g.Name)
-	for i := range out.Cells {
+	cells := make([]Cell, len(g.cells))
+	for i := range cells {
 		tooth := i / toothHeight
 		within := i % toothHeight
 		y := within
@@ -55,33 +51,8 @@ func CombLinear(g *Graph, toothHeight int) (*Graph, error) {
 		}
 		// Teeth are two pitches apart so the comb's gaps are visible in
 		// the layout (and wires between teeth have length 2).
-		out.Cells[i].Pos = geom.Pt(float64(2*tooth), float64(y))
-		out.Cells[i].Row, out.Cells[i].Col = y, 2*tooth
+		cells[i] = Cell{ID: CellID(i), Pos: geom.Pt(float64(2*tooth), float64(y)), Row: y, Col: 2 * tooth}
 	}
-	out.Rows = toothHeight
-	out.Cols = (len(g.Cells)+toothHeight-1)/toothHeight*2 - 1
-	out.rebuildPosIndex()
-	return out, nil
-}
-
-// cloneGraph deep-copies a graph's cells and edges.
-func cloneGraph(g *Graph) *Graph {
-	out := &Graph{
-		Kind:  g.Kind,
-		Name:  g.Name,
-		Cells: append([]Cell(nil), g.Cells...),
-		Edges: append([]Edge(nil), g.Edges...),
-		Rows:  g.Rows,
-		Cols:  g.Cols,
-	}
-	out.rebuildPosIndex()
-	return out
-}
-
-// rebuildPosIndex refreshes the (row, col) → cell index after a re-layout.
-func (g *Graph) rebuildPosIndex() {
-	g.byPos = make(map[[2]int]CellID, len(g.Cells))
-	for _, c := range g.Cells {
-		g.byPos[[2]int{c.Row, c.Col}] = c.ID
-	}
+	cols := (len(g.cells)+toothHeight-1)/toothHeight*2 - 1
+	return newGraph(g.kind, fmt.Sprintf("comb%d-%s", toothHeight, g.Name), toothHeight, cols, cells, g.edges)
 }

@@ -3,19 +3,15 @@ package comm
 import (
 	"fmt"
 	"sort"
-
-	"slices"
 )
 
 // PairIndex is a compressed-sparse-row view of a graph's communicating
 // pairs: for each cell a, the ascending list of partners b > a such that
-// {a, b} share at least one communication edge (host edges and self-loops
-// excluded). Enumerating rows in order visits exactly the pairs
-// CommunicatingPairs returns, in the same order — a-major, b-ascending,
-// each unordered pair once — but at ~8 bytes per pair instead of the 16
-// bytes of the flat slice, and without the map-backed dedup transient.
-// It exists so the streamed analysis path can iterate arbitrary pair
-// ranges (shards) with a cursor, never holding all pairs as values.
+// {a, b} share at least one communication edge (host edges excluded).
+// Enumerating rows in order visits each unordered pair once, a-major and
+// b-ascending, at 4 bytes per pair plus 8 per cell. A cursor walks any
+// contiguous range of that order, so the streamed analysis path can
+// iterate shards without holding all pairs as values.
 type PairIndex struct {
 	rowStart []int64 // per-cell offsets into adj; len NumCells+1
 	adj      []int32 // partner b of each pair (a, b); b ascending within a row
@@ -78,89 +74,85 @@ func (c *PairCursor) Next() (a, b CellID, ok bool) {
 	return a, b, true
 }
 
-// PairIndex returns the graph's CSR communicating-pair index, built once
-// and memoized under the same freeze-on-first-use contract as
-// CommunicatingPairs: after the first call, mutating the edge set panics
-// on the next call rather than silently indexing a stale pair set. The
-// index memoizes independently of the flat pair slice, so calling
-// PairIndex never materializes CommunicatingPairs (and vice versa) —
-// that separation is what lets oversize graphs stream without paying the
-// 16-byte-per-pair slice. Graphs built as bare literals (nil memo)
-// recompute uncached.
+// PairIndex returns the graph's CSR communicating-pair index: every
+// unordered pair of distinct cells joined by at least one communication
+// edge (host edges excluded), each pair once, a-major and b-ascending.
+// These are exactly the pairs whose clock skew matters (A5), and the
+// index is the one enumeration every analysis engine iterates. It is
+// built on first use and shared; the graph is immutable, so it never
+// goes stale.
 func (g *Graph) PairIndex() *PairIndex {
-	if g.memo == nil {
-		return g.pairIndexUncached()
+	if g.lazy == nil {
+		return buildPairIndex(0, nil) // the zero Graph: no cells, no pairs
 	}
-	g.memo.idxOnce.Do(func() {
-		g.memo.idx = g.pairIndexUncached()
-		g.memo.idxNumEdges = len(g.Edges)
-		g.memo.idxFingerprint = g.edgeFingerprint()
-	})
-	if len(g.Edges) != g.memo.idxNumEdges {
-		panic(fmt.Sprintf("comm: graph %q mutated after first PairIndex call (%d edges then, %d now)",
-			g.Name, g.memo.idxNumEdges, len(g.Edges)))
-	}
-	if fp := g.edgeFingerprint(); fp != g.memo.idxFingerprint {
-		panic(fmt.Sprintf("comm: graph %q edges rewritten after first PairIndex call (content fingerprint %x then, %x now)",
-			g.Name, g.memo.idxFingerprint, fp))
-	}
-	return g.memo.idx
+	g.lazy.pairsOnce.Do(func() { g.lazy.pairs = buildPairIndex(len(g.cells), g.edges) })
+	return g.lazy.pairs
 }
 
-// pairIndexUncached builds the CSR index in O(edges + pairs log degree)
-// time with no per-pair map: count per row, prefix-sum, scatter, then
-// sort-and-dedup each row in place with a single compaction pass.
-func (g *Graph) pairIndexUncached() *PairIndex {
-	n := len(g.Cells)
-	rowStart := make([]int64, n+1)
-	for _, e := range g.Edges {
-		if e.From == Host || e.To == Host || e.From == e.To {
-			continue
+// buildPairIndex builds the CSR index over n cells in O(cells + edges)
+// with neither a map nor a sort. Pass one buckets each edge's smaller
+// endpoint a under its larger endpoint b. Pass two walks the buckets in
+// ascending b, so each row a receives its partners already in ascending
+// order, and a duplicate (a parallel or reversed edge) is always the
+// entry just written to its row; a per-row stamp of the last b seen
+// skips it, once while counting row sizes and once while filling.
+func buildPairIndex(n int, edges []Edge) *PairIndex {
+	// byHigh is a counting-sort offset table: after the scatter, bucket b
+	// is lows[byHigh[b]:byHigh[b+1]].
+	byHigh := make([]int64, n+2)
+	for _, e := range edges {
+		if _, b, ok := pairOf(e); ok {
+			byHigh[b+2]++
 		}
-		a := e.From
-		if e.To < a {
-			a = e.To
-		}
-		rowStart[a+1]++
 	}
-	for r := 0; r < n; r++ {
-		rowStart[r+1] += rowStart[r]
+	for i := 2; i < len(byHigh); i++ {
+		byHigh[i] += byHigh[i-1]
 	}
-	adj := make([]int32, rowStart[n])
-	fill := make([]int64, n)
-	copy(fill, rowStart[:n])
-	for _, e := range g.Edges {
-		if e.From == Host || e.To == Host || e.From == e.To {
-			continue
+	lows := make([]int32, byHigh[n+1])
+	for _, e := range edges {
+		if a, b, ok := pairOf(e); ok {
+			lows[byHigh[b+1]] = int32(a)
+			byHigh[b+1]++
 		}
-		a, b := e.From, e.To
-		if a > b {
-			a, b = b, a
-		}
-		adj[fill[a]] = int32(b)
-		fill[a]++
 	}
-	// Sort each row and compact duplicates. Writes trail reads: the write
-	// offset w never exceeds the row's original start, so the in-place
-	// compaction is safe.
-	var w int64
-	for r := 0; r < n; r++ {
-		lo, hi := rowStart[r], fill[r]
-		rowStart[r] = w
-		row := adj[lo:hi]
-		slices.Sort(row)
-		for k := range row {
-			if k > 0 && row[k] == row[k-1] {
-				continue
+
+	// rowStart uses the same offset trick: count row a's distinct
+	// partners into rowStart[a+2], and fill through rowStart[a+1], which
+	// leaves row a at adj[rowStart[a]:rowStart[a+1]].
+	rowStart := make([]int64, n+2)
+	last := make([]int32, n) // b+1 while counting, -(b+1) while filling
+	for b := 0; b < n; b++ {
+		for _, a := range lows[byHigh[b]:byHigh[b+1]] {
+			if last[a] != int32(b+1) {
+				last[a] = int32(b + 1)
+				rowStart[a+2]++
 			}
-			adj[w] = row[k]
-			w++
 		}
 	}
-	rowStart[n] = w
-	// Copy into an exact-size backing array so the duplicate slack from
-	// bidirectional edge sets is not held for the graph's lifetime.
-	final := make([]int32, w)
-	copy(final, adj[:w])
-	return &PairIndex{rowStart: rowStart, adj: final}
+	for i := 2; i < len(rowStart); i++ {
+		rowStart[i] += rowStart[i-1]
+	}
+	adj := make([]int32, rowStart[n+1])
+	for b := 0; b < n; b++ {
+		for _, a := range lows[byHigh[b]:byHigh[b+1]] {
+			if last[a] != -int32(b+1) {
+				last[a] = -int32(b + 1)
+				adj[rowStart[a+1]] = int32(b)
+				rowStart[a+1]++
+			}
+		}
+	}
+	return &PairIndex{rowStart: rowStart[:n+1], adj: adj}
+}
+
+// pairOf returns e's endpoints as a < b, or ok=false for host edges.
+// Self-loops never reach here: validation rejects them.
+func pairOf(e Edge) (a, b CellID, ok bool) {
+	if e.From == Host || e.To == Host {
+		return 0, 0, false
+	}
+	if e.From < e.To {
+		return e.From, e.To, true
+	}
+	return e.To, e.From, true
 }

@@ -5,9 +5,9 @@ package comm
 // and walks each with a PairIndex cursor, so an off-by-one at any shard
 // boundary (a row edge, an empty row run, the final partial shard)
 // would silently corrupt exact-max results. The fuzzer builds arbitrary
-// small graphs — host edges, self-loops, duplicate and reversed edges
-// included — and checks that sharded cursor walks reproduce
-// CommunicatingPairs exactly for an arbitrary shard size. Seed corpus
+// small graphs — host edges, duplicate and reversed edges included — and
+// checks that sharded cursor walks reproduce the reference enumeration
+// exactly for an arbitrary shard size. Seed corpus
 // lives in testdata/fuzz/; CI runs the target briefly as a smoke test.
 
 import (
@@ -19,19 +19,26 @@ import (
 // fuzzGraph decodes a byte string into a small graph: the first byte
 // picks the cell count, each following byte pair is one directed edge
 // whose endpoints may also be the host pseudo-cell.
-func fuzzGraph(data []byte) *Graph {
+func fuzzGraph(t *testing.T, data []byte) *Graph {
 	n := 1 + int(data[0]%16)
-	g := newGraph(KindMesh, "fuzz", 0, 0)
+	var cells []Cell
 	for i := 0; i < n; i++ {
-		g.addCell(0, i, geom.Pt(float64(i), 0))
+		cells = append(cells, Cell{ID: CellID(i), Pos: geom.Pt(float64(i), 0), Col: i})
 	}
+	var edges []Edge
 	rest := data[1:]
 	for i := 0; i+1 < len(rest); i += 2 {
-		// Map bytes into [-1, n): -1 is Host, equal endpoints exercise
-		// the self-loop filter.
+		// Map bytes into [-1, n): -1 is Host. Equal endpoints are
+		// dropped, since graphs reject self-loops.
 		from := CellID(int(rest[i])%(n+1)) - 1
 		to := CellID(int(rest[i+1])%(n+1)) - 1
-		g.Edges = append(g.Edges, Edge{From: from, To: to, Label: "f"})
+		if from != to {
+			edges = append(edges, Edge{From: from, To: to, Label: "f"})
+		}
+	}
+	g, err := New(KindMesh, "fuzz", 0, 0, cells, edges)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return g
 }
@@ -49,11 +56,11 @@ func FuzzPairIndexShards(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		g := fuzzGraph(data)
-		pairs := g.CommunicatingPairs()
+		g := fuzzGraph(t, data)
+		pairs := referencePairs(g)
 		ix := g.PairIndex()
 		if ix.NumPairs() != int64(len(pairs)) {
-			t.Fatalf("NumPairs = %d, CommunicatingPairs has %d", ix.NumPairs(), len(pairs))
+			t.Fatalf("NumPairs = %d, the reference has %d", ix.NumPairs(), len(pairs))
 		}
 		shard := int64(shardSize%64) + 1
 		var idx int64

@@ -1,16 +1,25 @@
 package comm
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
-
-	"repro/internal/geom"
 )
 
 // pairIndexGraphs is the constructor matrix shared by the PairIndex
 // equivalence tests: every topology family, including ones with host
-// edges, duplicate parallel channels, and wrap-around (b < a) edges.
+// edges, duplicate parallel channels, and wrap-around (b < a) edges, the
+// folded and comb re-layouts, and every graph in the JSON fuzz corpus
+// that decodes.
 func pairIndexGraphs(t *testing.T) []*Graph {
 	t.Helper()
+	line, err := Linear(9)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var out []*Graph
 	for _, build := range []func() (*Graph, error){
 		func() (*Graph, error) { return Linear(1) },
@@ -24,6 +33,8 @@ func pairIndexGraphs(t *testing.T) []*Graph {
 		func() (*Graph, error) { return HexWithBandIO(3) },
 		func() (*Graph, error) { return Torus(3, 4) },
 		func() (*Graph, error) { return CompleteBinaryTree(4) },
+		func() (*Graph, error) { return FoldLinear(line) },
+		func() (*Graph, error) { return CombLinear(line, 2) },
 	} {
 		g, err := build()
 		if err != nil {
@@ -31,12 +42,43 @@ func pairIndexGraphs(t *testing.T) []*Graph {
 		}
 		out = append(out, g)
 	}
+	return append(out, decodedCorpus(t)...)
+}
+
+// decodedCorpus decodes each FuzzGraphJSONRoundTrip corpus entry that is
+// a valid graph.
+func decodedCorpus(t *testing.T) []*Graph {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzGraphJSONRoundTrip", "*"))
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no JSON fuzz corpus: %v", err)
+	}
+	var out []*Graph
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Corpus files hold a version line and one []byte("...") value.
+		lines := strings.SplitN(string(raw), "\n", 2)
+		quoted := strings.TrimSuffix(strings.TrimPrefix(strings.TrimSpace(lines[1]), "[]byte("), ")")
+		data, err := strconv.Unquote(quoted)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if g, err := ReadJSON(bytes.NewReader([]byte(data))); err == nil {
+			out = append(out, g)
+		}
+	}
 	return out
 }
 
+// TestPairIndexMatchesCommunicatingPairs checks the CSR index against
+// the map-and-sort reference enumeration: the same pairs in the same
+// order on every topology.
 func TestPairIndexMatchesCommunicatingPairs(t *testing.T) {
 	for _, g := range pairIndexGraphs(t) {
-		pairs := g.CommunicatingPairs()
+		pairs := referencePairs(g)
 		ix := g.PairIndex()
 		if got, want := ix.NumPairs(), int64(len(pairs)); got != want {
 			t.Fatalf("%s: NumPairs = %d, want %d", g.Name, got, want)
@@ -71,7 +113,7 @@ func TestPairIndexMatchesCommunicatingPairs(t *testing.T) {
 // concatenation reproduces the canonical order exactly.
 func TestPairIndexShardedCursor(t *testing.T) {
 	for _, g := range pairIndexGraphs(t) {
-		pairs := g.CommunicatingPairs()
+		pairs := referencePairs(g)
 		ix := g.PairIndex()
 		for _, shard := range []int64{1, 2, 3, 7, 13, ix.NumPairs() + 1} {
 			if shard <= 0 {
@@ -123,56 +165,48 @@ func TestPairIndexEmptyAndUncached(t *testing.T) {
 		t.Fatal("empty index cursor yields a pair")
 	}
 
-	// Bare literal (nil memo) degrades to uncached recomputation.
-	bare := &Graph{
-		Cells: []Cell{{ID: 0, Pos: geom.Pt(0, 0)}, {ID: 1, Pos: geom.Pt(1, 0)}},
-		Edges: []Edge{{From: 1, To: 0, Label: "x"}, {From: 0, To: 1, Label: "y"}},
-	}
-	ix1 := bare.PairIndex()
-	ix2 := bare.PairIndex()
+	// The zero Graph has no lazy state: each call builds a fresh empty
+	// index rather than panicking.
+	var zero Graph
+	ix1, ix2 := zero.PairIndex(), zero.PairIndex()
 	if ix1 == ix2 {
-		t.Fatal("nil-memo graph unexpectedly memoized its PairIndex")
+		t.Fatal("zero Graph unexpectedly memoized its PairIndex")
 	}
-	if ix1.NumPairs() != 1 {
-		t.Fatalf("bare graph NumPairs = %d, want 1", ix1.NumPairs())
-	}
-	if a, b := ix1.Pair(0); a != 0 || b != 1 {
-		t.Fatalf("bare graph Pair(0) = (%d,%d), want (0,1)", a, b)
+	if ix1.NumPairs() != 0 || ix1.NumCells() != 0 {
+		t.Fatalf("zero Graph index has %d pairs over %d cells, want none", ix1.NumPairs(), ix1.NumCells())
 	}
 }
 
+// TestPairIndexMemoizedAndFrozen checks the index is built once and that
+// the graph it indexes cannot change under it: Edge and Cell hand out
+// copies, so editing them leaves the graph and its index as they were.
 func TestPairIndexMemoizedAndFrozen(t *testing.T) {
 	g, err := Mesh(3, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.PairIndex() != g.PairIndex() {
+	ix := g.PairIndex()
+	if ix != g.PairIndex() {
 		t.Fatal("PairIndex not memoized for constructor-built graph")
 	}
-	// Appending an edge after first use must panic on the next call.
-	g.Edges = append(g.Edges, Edge{From: 0, To: 8, Label: "late"})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PairIndex did not panic after edge-set mutation")
+	want := referencePairs(g)
+	e := g.Edge(0)
+	e.From, e.To = 0, 8
+	c := g.Cell(0)
+	c.Pos.X = 42
+	if got := g.Edge(0); got == e {
+		t.Fatal("editing a copy from Edge changed the graph")
+	}
+	if g.Cell(0).Pos.X == 42 {
+		t.Fatal("editing a copy from Cell changed the graph")
+	}
+	got := indexPairs(g.PairIndex())
+	if len(got) != len(want) {
+		t.Fatalf("index changed: %d pairs, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("index changed at pair %d: %v, want %v", i, got[i], want[i])
 		}
-	}()
-	g.PairIndex()
-}
-
-// TestPairIndexIndependentOfPairsSlice checks the two memo caches are
-// truly independent: building the index must not populate (or require)
-// the flat pair slice, which is the whole point for oversize graphs.
-func TestPairIndexIndependentOfPairsSlice(t *testing.T) {
-	g, err := Mesh(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = g.PairIndex()
-	if g.memo.pairs != nil {
-		t.Fatal("PairIndex materialized the CommunicatingPairs slice")
-	}
-	_ = g.CommunicatingPairs()
-	if g.memo.pairs == nil {
-		t.Fatal("CommunicatingPairs no longer memoizes after PairIndex")
 	}
 }

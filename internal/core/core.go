@@ -188,7 +188,7 @@ func (p *Plan) Summary() PlanSummary {
 // oneDimensional reports whether g's communication structure is a chain
 // or ring — the shapes Theorem 3 clocks with a spine.
 func oneDimensional(g *comm.Graph) bool {
-	return g.Kind == comm.KindLinear || g.Kind == comm.KindRing
+	return g.Kind() == comm.KindLinear || g.Kind() == comm.KindRing
 }
 
 // NewPlan selects and constructs the synchronization scheme for g under
@@ -259,7 +259,7 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 			buffered, err := layoutSpan(ctx, "spine", func() (*clocktree.Tree, error) {
 				var tree *clocktree.Tree
 				var err error
-				if g.Kind == comm.KindRing {
+				if g.Kind() == comm.KindRing {
 					// A chain spine would leave the ring's wrap-around pair
 					// a full chain apart on the tree; the ladder keeps
 					// every ring pair local.
@@ -298,8 +298,8 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 		if err != nil {
 			return nil, err
 		}
-		if g.Kind == comm.KindMesh && g.Rows >= 2 && g.Cols >= 2 {
-			_, cspan := obs.Start(ctx, "core.certify", obs.Int("rows", int64(g.Rows)), obs.Int("cols", int64(g.Cols)))
+		if g.Kind() == comm.KindMesh && g.Rows() >= 2 && g.Cols() >= 2 {
+			_, cspan := obs.Start(ctx, "core.certify", obs.Int("rows", int64(g.Rows())), obs.Int("cols", int64(g.Cols())))
 			tree, err := clocktree.HTree(g)
 			if err != nil {
 				cspan.End()

@@ -97,7 +97,8 @@ func New(g *comm.Graph, cfg Config) (*System, error) {
 	// Compact tile ids to dense element indices.
 	tileToElem := make(map[int]int)
 	s := &System{g: g, cfg: cfg, elementOf: make([]int, g.NumCells())}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		tile := tileOf(c)
 		e, ok := tileToElem[tile]
 		if !ok {
@@ -110,8 +111,9 @@ func New(g *comm.Graph, cfg Config) (*System, error) {
 	}
 	s.adj = make([][]int, len(s.elements))
 	adjSet := make(map[[2]int]bool)
-	for _, p := range g.CommunicatingPairs() {
-		a, b := s.elementOf[p[0]], s.elementOf[p[1]]
+	c := g.PairIndex().Cursor(0)
+	for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
+		a, b := s.elementOf[pa], s.elementOf[pb]
 		if a == b {
 			continue
 		}

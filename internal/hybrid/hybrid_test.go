@@ -42,7 +42,8 @@ func TestPartitionBounded(t *testing.T) {
 	}
 	// Every cell assigned, neighbors in same or adjacent element.
 	g := s.g
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		if e := s.ElementOf(c.ID); e < 0 || e >= s.NumElements() {
 			t.Fatalf("cell %d in bad element %d", c.ID, e)
 		}

@@ -159,7 +159,8 @@ func AffineMachine(rng *stats.RNG, g *comm.Graph) (*array.Machine, error) {
 		})
 	}
 	inputs := make(map[array.HostIn]array.Stream)
-	for _, e := range g.Edges {
+	for ei := 0; ei < g.NumEdges(); ei++ {
+		e := g.Edge(ei)
 		if e.From == comm.Host {
 			phase := rng.Uniform(0, 1)
 			inputs[array.HostIn{To: e.To, Label: e.Label}] = func(k int) array.Value {

@@ -356,20 +356,19 @@ func checkClocksimKernelMatchesReference(rng *stats.RNG) error {
 		return fmt.Errorf("%s on %s fault seed=%d: kernel fault tallies %+v != reference %+v",
 			g.Name, tree.Name, faultSeed, injK.Counts(), injR.Counts())
 	}
-	pairs := g.CommunicatingPairs()
-	if len(pairs) > 0 {
-		pair := pairs[rng.Intn(len(pairs))]
-		ka, err := k.AdversarialSkew(p, pair[0], pair[1])
+	if ix := g.PairIndex(); ix.NumPairs() > 0 {
+		a, b := ix.Pair(int64(rng.Intn(int(ix.NumPairs()))))
+		ka, err := k.AdversarialSkew(p, a, b)
 		if err != nil {
 			return err
 		}
-		ra, err := refSkew(clocksim.ReferenceAdversarial(tree, p, pair[0], pair[1]))
+		ra, err := refSkew(clocksim.ReferenceAdversarial(tree, p, a, b))
 		if err != nil {
 			return err
 		}
 		if ka != ra {
 			return fmt.Errorf("%s on %s pair (%d,%d): kernel adversarial skew %g != reference %g",
-				g.Name, tree.Name, pair[0], pair[1], ka, ra)
+				g.Name, tree.Name, a, b, ka, ra)
 		}
 	}
 	if kd, rd := k.MaxEventDrift(p), clocksim.ReferenceMaxEventDrift(tree, p); kd != rd {
@@ -614,34 +613,34 @@ func checkAdversarialAchievesLowerBound(rng *stats.RNG) error {
 	if err != nil {
 		return err
 	}
-	pairs := g.CommunicatingPairs()
-	if len(pairs) == 0 {
+	ix := g.PairIndex()
+	if ix.NumPairs() == 0 {
 		return fmt.Errorf("%s has no communicating pairs", g.Name)
 	}
-	pair := pairs[rng.Intn(len(pairs))]
+	pa, pb := ix.Pair(int64(rng.Intn(int(ix.NumPairs()))))
 	m := LinearModel(rng)
-	arr, err := clocksim.Adversarial(tree, clocksim.Params{M: m.M, Eps: m.Eps}, pair[0], pair[1])
+	arr, err := clocksim.Adversarial(tree, clocksim.Params{M: m.M, Eps: m.Eps}, pa, pb)
 	if err != nil {
 		return err
 	}
-	ta, err := arr.CellArrival(pair[0])
+	ta, err := arr.CellArrival(pa)
 	if err != nil {
 		return err
 	}
-	tb, err := arr.CellArrival(pair[1])
+	tb, err := arr.CellArrival(pb)
 	if err != nil {
 		return err
 	}
 	// Slow wires toward a, fast toward b: the arrival gap is exactly
 	// M·(da−db) + Eps·(da+db) = M·d_signed + Eps·s, which for equidistant
 	// cells (the Theorem 2 regime) is A11's Eps·s.
-	na, _ := tree.CellNode(pair[0])
-	nb, _ := tree.CellNode(pair[1])
+	na, _ := tree.CellNode(pa)
+	nb, _ := tree.CellNode(pb)
 	got := ta - tb
-	want := m.M*(tree.RootDist(na)-tree.RootDist(nb)) + m.Eps*tree.CellPathLen(pair[0], pair[1])
+	want := m.M*(tree.RootDist(na)-tree.RootDist(nb)) + m.Eps*tree.CellPathLen(pa, pb)
 	if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
 		return fmt.Errorf("%s on %s pair (%d,%d): adversarial arrival gap %g, want M·d+Eps·s = %g",
-			g.Name, tree.Name, pair[0], pair[1], got, want)
+			g.Name, tree.Name, pa, pb, got, want)
 	}
 	an, err := skew.Analyze(g, tree, m)
 	if err != nil {
@@ -841,13 +840,10 @@ func checkFoldCombPreserveGraph(rng *stats.RNG) error {
 		if err := sameCommGraph(g, tc.layout); err != nil {
 			return err
 		}
-		if err := tc.layout.Validate(); err != nil {
-			return fmt.Errorf("%s: %w", tc.layout.Name, err)
-		}
 		// The layouts' point: successive cells stay within a constant
 		// pitch, so Theorem 3 spine clocking still applies.
-		for i := 1; i < len(tc.layout.Cells); i++ {
-			d := tc.layout.Cells[i].Pos.Dist(tc.layout.Cells[i-1].Pos)
+		for i := 1; i < tc.layout.NumCells(); i++ {
+			d := tc.layout.Cell(comm.CellID(i)).Pos.Dist(tc.layout.Cell(comm.CellID(i - 1)).Pos)
 			if d > tc.maxStep+1e-9 {
 				return fmt.Errorf("%s: cells %d,%d at distance %g > %g",
 					tc.layout.Name, i-1, i, d, tc.maxStep)
@@ -860,17 +856,18 @@ func checkFoldCombPreserveGraph(rng *stats.RNG) error {
 // sameCommGraph verifies b has exactly a's cells and edges (layout
 // transforms may only move positions — communication is untouched).
 func sameCommGraph(a, b *comm.Graph) error {
-	if len(a.Cells) != len(b.Cells) || len(a.Edges) != len(b.Edges) {
+	if a.NumCells() != b.NumCells() || a.NumEdges() != b.NumEdges() {
 		return fmt.Errorf("%s vs %s: %d/%d cells, %d/%d edges",
-			a.Name, b.Name, len(a.Cells), len(b.Cells), len(a.Edges), len(b.Edges))
+			a.Name, b.Name, a.NumCells(), b.NumCells(), a.NumEdges(), b.NumEdges())
 	}
-	for i, c := range a.Cells {
-		if b.Cells[i].ID != c.ID {
-			return fmt.Errorf("%s: cell %d renumbered to %d", b.Name, c.ID, b.Cells[i].ID)
+	for id := comm.CellID(0); int(id) < a.NumCells(); id++ {
+		if c, o := a.Cell(id), b.Cell(id); o.ID != c.ID {
+			return fmt.Errorf("%s: cell %d renumbered to %d", b.Name, c.ID, o.ID)
 		}
 	}
-	for i, e := range a.Edges {
-		o := b.Edges[i]
+	for i := 0; i < a.NumEdges(); i++ {
+		e := a.Edge(i)
+		o := b.Edge(i)
 		if o.From != e.From || o.To != e.To || o.Label != e.Label {
 			return fmt.Errorf("%s: edge %d changed from %+v to %+v", b.Name, i, e, o)
 		}

@@ -65,10 +65,11 @@ func errNeedRNG() error {
 // NewKernel builds the flat dataflow adjacency of g. O(cells + edges).
 func NewKernel(g *comm.Graph) *Kernel {
 	n := g.NumCells()
-	k := &Kernel{g: g, n: n, numEdges: uint64(len(g.Edges))}
+	k := &Kernel{g: g, n: n, numEdges: uint64(g.NumEdges())}
 	inCount := make([]int32, n)
 	outCount := make([]int32, n)
-	for _, e := range g.Edges {
+	for ei := 0; ei < g.NumEdges(); ei++ {
+		e := g.Edge(ei)
 		if e.From == comm.Host || e.To == comm.Host {
 			continue
 		}
@@ -86,7 +87,8 @@ func NewKernel(g *comm.Graph) *Kernel {
 	k.outsTo = make([]int32, k.outsStart[n])
 	inAt := make([]int32, n)
 	outAt := make([]int32, n)
-	for idx, e := range g.Edges {
+	for idx := 0; idx < g.NumEdges(); idx++ {
+		e := g.Edge(idx)
 		if e.From == comm.Host || e.To == comm.Host {
 			continue
 		}

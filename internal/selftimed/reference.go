@@ -50,10 +50,11 @@ func ReferenceRunElasticFaulty(g *comm.Graph, waves int, d Delays, depth int, rn
 		from comm.CellID
 		edge int
 	}
-	numEdges := uint64(len(g.Edges))
+	numEdges := uint64(g.NumEdges())
 	ins := make([][]inEdge, n)
 	outs := make([][]comm.CellID, n)
-	for idx, e := range g.Edges {
+	for idx := 0; idx < g.NumEdges(); idx++ {
+		e := g.Edge(idx)
 		if e.From == comm.Host || e.To == comm.Host {
 			continue
 		}

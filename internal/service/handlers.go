@@ -445,7 +445,7 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 			}
 			out.MonteCarloMaxSkew = mc
 		}
-		if req.CertifiedLowerBound && g.Kind == comm.KindMesh {
+		if req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
 			cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
 			if err != nil {
 				out.Error = err.Error()
@@ -819,11 +819,11 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, g *comm.G
 	}
 	var pair [2]comm.CellID
 	if cfg.Regime == "adversarial" {
-		pairs := g.CommunicatingPairs()
-		if len(pairs) == 0 {
+		ix := g.PairIndex()
+		if ix.NumPairs() == 0 {
 			return unprocessable(fmt.Errorf("service: graph %q has no communicating pairs", g.Name))
 		}
-		pair = pairs[0]
+		pair[0], pair[1] = ix.Pair(0)
 		if cfg.Pair != nil {
 			pair = [2]comm.CellID{comm.CellID(cfg.Pair[0]), comm.CellID(cfg.Pair[1])}
 		}

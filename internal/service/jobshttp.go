@@ -418,7 +418,7 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 				}
 				out.MonteCarloMaxSkew = stats.Max(samples)
 			}
-			if req.CertifiedLowerBound && g.Kind == comm.KindMesh {
+			if req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
 				cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
 				if err != nil {
 					out.Error = err.Error()

@@ -158,7 +158,7 @@ type Server struct {
 	// counts, and batch sweeps, each built once per engineIdentity:
 	// skew kernels; the streamed path's streamers (the CSR pair index
 	// plus the tree, 4 B/pair + 8 B/cell against the kernel's
-	// ~40 B/pair); clocksim kernels; and hybrid systems.
+	// 24 B/pair); clocksim kernels; and hybrid systems.
 	kernels       *engineCache[*skew.Kernel]
 	streamers     *engineCache[*skew.Streamer]
 	simKernels    *engineCache[*clocksim.Kernel]

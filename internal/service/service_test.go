@@ -456,19 +456,30 @@ func TestKernelCacheSharedAcrossSeedsAndEndpoints(t *testing.T) {
 func TestKernelCacheDistinguishesRecipes(t *testing.T) {
 	// Inline graphs are keyed by their full content: the 4x4 mesh
 	// itself, and copies differing in one edge or one cell coordinate.
-	inline := func(edit func(*comm.Graph)) string {
-		g, err := comm.Mesh(4, 4)
+	inline := func(edit func([]comm.Cell, []comm.Edge) []comm.Edge) string {
+		m, err := comm.Mesh(4, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
-		edit(g)
+		cells := make([]comm.Cell, m.NumCells())
+		for i := range cells {
+			cells[i] = m.Cell(comm.CellID(i))
+		}
+		edges := make([]comm.Edge, m.NumEdges())
+		for i := range edges {
+			edges[i] = m.Edge(i)
+		}
+		g, err := comm.New(m.Kind(), m.Name, m.Rows(), m.Cols(), cells, edit(cells, edges))
+		if err != nil {
+			t.Fatal(err)
+		}
 		b, err := json.Marshal(g)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return `{"graph":` + string(b) + `,"trees":["htree"]}`
 	}
-	mesh := inline(func(*comm.Graph) {})
+	mesh := inline(func(_ []comm.Cell, e []comm.Edge) []comm.Edge { return e })
 	s, ts := newTestServer(t, Config{})
 	bodies := map[string][]byte{}
 	for _, req := range []string{
@@ -477,8 +488,8 @@ func TestKernelCacheDistinguishesRecipes(t *testing.T) {
 		`{"topology":{"kind":"mesh","n":4},"trees":["htree"],"buffer_spacing":2}`,
 		`{"topology":{"kind":"mesh","n":4},"trees":["spine"]}`,
 		mesh,
-		inline(func(g *comm.Graph) { g.Edges = g.Edges[:len(g.Edges)-1] }),
-		inline(func(g *comm.Graph) { g.Cells[len(g.Cells)-1].Pos.X += 0.5 }),
+		inline(func(_ []comm.Cell, e []comm.Edge) []comm.Edge { return e[:len(e)-1] }),
+		inline(func(c []comm.Cell, e []comm.Edge) []comm.Edge { c[len(c)-1].Pos.X += 0.5; return e }),
 	} {
 		resp, body := postJSON(t, ts.URL+"/v1/analyze", req)
 		if resp.StatusCode != 200 {

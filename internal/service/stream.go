@@ -92,7 +92,7 @@ func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, treeNa
 	out.SkewP50, out.SkewP90, out.SkewP99 = res.P50, res.P90, res.P99
 	out.QuantileRelError = res.QuantileRelError
 	out.Sampled = res.Sampled
-	if req.CertifiedLowerBound && g.Kind == comm.KindMesh {
+	if req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
 		cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
 		if err != nil {
 			out.Error = err.Error()
@@ -191,8 +191,11 @@ func (s *Server) peerShardFn(treeName string, req *AnalyzeRequest) func(ctx cont
 		if owner == s.cluster.self || !s.cluster.health.Alive(owner) {
 			return skew.ShardStats{}, false
 		}
-		body.Lo, body.Hi = lo, hi
-		raw, err := json.Marshal(body)
+		// Shard workers call this concurrently: each marshals its own
+		// copy of the request body.
+		shard := body
+		shard.Lo, shard.Hi = lo, hi
+		raw, err := json.Marshal(shard)
 		if err != nil {
 			return skew.ShardStats{}, false
 		}
@@ -225,7 +228,7 @@ func (s *Server) peerShardFn(treeName string, req *AnalyzeRequest) func(ctx cont
 }
 
 // kernelBytesInUse estimates the resident bytes of every cached engine
-// precomputation on the skew path — kernels (40 B/pair class) and
+// precomputation on the skew path — kernels (24 B/pair class) and
 // streamers (4 B/pair + 8 B/cell), each with the clock tree it retains
 // — the gauge operators watch against the configured kernel byte budget.
 func (s *Server) kernelBytesInUse() int64 {

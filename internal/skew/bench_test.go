@@ -78,13 +78,17 @@ func BenchmarkMonteCarloParallel32x64(b *testing.B) {
 
 func BenchmarkCellPathLen32(b *testing.B) {
 	g, tree := benchMeshHTree(b, 32)
-	pairs := g.CommunicatingPairs()
+	var as, bs []comm.CellID
+	c := g.PairIndex().Cursor(0)
+	for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
+		as, bs = append(as, pa), append(bs, pb)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var sum float64
-		for _, p := range pairs {
-			sum += tree.CellPathLen(p[0], p[1])
+		for j := range as {
+			sum += tree.CellPathLen(as[j], bs[j])
 		}
 		_ = sum
 	}

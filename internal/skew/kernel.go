@@ -15,7 +15,8 @@ import (
 // resolved in one offline pass over the tree, O(nodes + pairs) — it
 // caches:
 //
-//   - the communicating-pair list resolved to flat tree-node indices,
+//   - the graph's communicating pairs, in PairIndex order, resolved to
+//     flat tree-node indices,
 //   - each pair's difference distance d and tree-path length s
 //     (Section III's two geometries, computed once instead of per query),
 //   - a parent-before-child edge schedule (the tree's DFS preorder)
@@ -32,9 +33,8 @@ type Kernel struct {
 	graph *comm.Graph
 	tree  *clocktree.Tree
 
-	pairs        [][2]comm.CellID // shared with graph's memoized list
-	pairA, pairB []int32          // tree-node index of each pair's endpoints
-	d, s         []float64        // per-pair difference / tree-path distances
+	pairA, pairB []int32   // tree-node index of each pair's endpoints
+	d, s         []float64 // per-pair difference / tree-path distances
 	maxD, maxS   float64
 
 	// Edge schedule in DFS preorder (root excluded): node order[i] has
@@ -76,30 +76,22 @@ func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kern
 	if !tree.Covers(g) {
 		return nil, fmt.Errorf("skew: tree %q does not clock every cell of %q", tree.Name, g.Name)
 	}
-	// Size-check against the CSR pair index (~8 B/pair) before
-	// materializing the flat pair slice (16 B/pair plus a map-backed
-	// dedup transient): an oversize graph must be rejected — and handed
-	// to the streamed path — without ever paying the allocation the
-	// limit exists to prevent.
-	if err := checkKernelSize(g.Name, tree.Name, tree.NumNodes(), int(g.PairIndex().NumPairs()), lim); err != nil {
+	// The size check reads the pair count off the CSR index, so an
+	// oversize graph is refused — and handed to the streamed path —
+	// before any per-pair array is allocated.
+	ix := g.PairIndex()
+	if err := checkKernelSize(g.Name, tree.Name, tree.NumNodes(), int(ix.NumPairs()), lim); err != nil {
 		return nil, err
 	}
-	pairs := g.CommunicatingPairs()
+	pairA, pairB := tree.PairNodes(ix)
 	k := &Kernel{
-		graph: g, tree: tree, pairs: pairs,
-		pairA: make([]int32, len(pairs)),
-		pairB: make([]int32, len(pairs)),
-		d:     make([]float64, len(pairs)),
-		s:     make([]float64, len(pairs)),
-		root:  int32(tree.Root()),
-	}
-	for i, p := range pairs {
-		na, _ := tree.CellNode(p[0])
-		nb, _ := tree.CellNode(p[1])
-		k.pairA[i], k.pairB[i] = int32(na), int32(nb)
+		graph: g, tree: tree, pairA: pairA, pairB: pairB,
+		d:    make([]float64, len(pairA)),
+		s:    make([]float64, len(pairA)),
+		root: int32(tree.Root()),
 	}
 	tree.PathLens(k.pairA, k.pairB, k.s)
-	for i := range pairs {
+	for i := range k.pairA {
 		k.d[i] = tree.DiffDist(clocktree.NodeID(k.pairA[i]), clocktree.NodeID(k.pairB[i]))
 		if k.d[i] > k.maxD {
 			k.maxD = k.d[i]
@@ -145,13 +137,13 @@ func (k *Kernel) Graph() *comm.Graph { return k.graph }
 func (k *Kernel) Tree() *clocktree.Tree { return k.tree }
 
 // Pairs returns the number of communicating pairs.
-func (k *Kernel) Pairs() int { return len(k.pairs) }
+func (k *Kernel) Pairs() int { return len(k.pairA) }
 
 // FootprintBytes returns the kernel's estimated resident size: the
 // KernelBytes estimate for its node and pair counts plus the clock tree
 // it retains.
 func (k *Kernel) FootprintBytes() int64 {
-	return KernelBytes(k.tree.NumNodes(), len(k.pairs)) + k.tree.FootprintBytes()
+	return KernelBytes(k.tree.NumNodes(), len(k.pairA)) + k.tree.FootprintBytes()
 }
 
 // Analyze evaluates model over every communicating pair using the
@@ -159,13 +151,14 @@ func (k *Kernel) FootprintBytes() int64 {
 func (k *Kernel) Analyze(model Model) Analysis {
 	out := Analysis{
 		Model: model.Name(), Tree: k.tree.Name,
-		MaxD: k.maxD, MaxS: k.maxS, Pairs: len(k.pairs),
+		MaxD: k.maxD, MaxS: k.maxS, Pairs: len(k.pairA),
 	}
-	for i := range k.pairs {
+	for i := range k.pairA {
 		d, s := k.d[i], k.s[i]
 		if sk := model.Bound(d, s); sk > out.MaxSkew {
 			out.MaxSkew = sk
-			out.WorstPair = PairSkew{A: k.pairs[i][0], B: k.pairs[i][1], D: d, S: s, Skew: sk}
+			a, b := k.tree.Node(clocktree.NodeID(k.pairA[i])), k.tree.Node(clocktree.NodeID(k.pairB[i]))
+			out.WorstPair = PairSkew{A: a.Cell, B: b.Cell, D: d, S: s, Skew: sk}
 		}
 	}
 	return out

@@ -93,13 +93,14 @@ func (e *SizeError) tripped() int64 {
 
 // KernelBytes estimates the resident size of a kernel built over a
 // tree with the given node count and a pair list of the given length:
-// the per-pair arrays (pair list, int32 endpoints, float64 d and s),
-// the per-node edge schedule (order, parent, length), and one
-// Monte-Carlo arena (units, arrival). The scale sweep records the same
+// the per-pair arrays (int32 endpoint nodes, float64 d and s), the
+// per-node edge schedule (order, parent, length), and one Monte-Carlo
+// arena (units, arrival). The pairs themselves live in the graph's
+// PairIndex, which the graph owns. The scale sweep records the same
 // number as each size's kernel-resident bytes.
 func KernelBytes(nodes, pairs int) int64 {
-	const perPair = 16 + 4 + 4 + 8 + 8 // pairs entry + pairA/pairB + d + s
-	const perNode = 4 + 4 + 8 + 8 + 8  // order + parent + length + units + arrival
+	const perPair = 4 + 4 + 8 + 8     // pairA/pairB + d + s
+	const perNode = 4 + 4 + 8 + 8 + 8 // order + parent + length + units + arrival
 	return int64(pairs)*perPair + int64(nodes)*perNode
 }
 

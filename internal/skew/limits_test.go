@@ -120,3 +120,17 @@ func TestCheckKernelSizePrecedence(t *testing.T) {
 		t.Fatalf("want bytes third, got %v", err)
 	}
 }
+
+// TestKernelBytesMatchesKernelArrays pins KernelBytes' per-pair term to
+// the arrays a kernel actually holds per pair: pairA, pairB, d and s.
+// The pairs themselves live in the graph's PairIndex, not the kernel.
+func TestKernelBytesMatchesKernelArrays(t *testing.T) {
+	k, se := buildOrSizeError(t, Limits{})
+	if se != nil {
+		t.Fatal(se)
+	}
+	held := int64(4*cap(k.pairA) + 4*cap(k.pairB) + 8*cap(k.d) + 8*cap(k.s))
+	if want := KernelBytes(0, k.Pairs()); held != want {
+		t.Fatalf("kernel holds %d B of per-pair arrays, KernelBytes counts %d", held, want)
+	}
+}

@@ -51,7 +51,7 @@ type CertifiedResult struct {
 // The returned bound is the largest σ that is contradicted, found by
 // bisection; the true worst-case skew must exceed it. It is Ω(n).
 func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) (CertifiedResult, error) {
-	if g.Kind != comm.KindMesh || g.Rows < 1 || g.Cols < 1 {
+	if g.Kind() != comm.KindMesh || g.Rows() < 1 || g.Cols() < 1 {
 		return CertifiedResult{}, fmt.Errorf("skew: certified bound needs a mesh, got %q", g.Name)
 	}
 	if beta <= 0 {
@@ -60,15 +60,15 @@ func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) 
 	if !tree.Covers(g) {
 		return CertifiedResult{}, fmt.Errorf("skew: tree %q does not clock every cell of %q", tree.Name, g.Name)
 	}
-	width := g.Rows // the cut bound is governed by the shorter side
-	if g.Cols < width {
-		width = g.Cols
+	width := g.Rows() // the cut bound is governed by the shorter side
+	if g.Cols() < width {
+		width = g.Cols()
 	}
-	long := g.Rows
-	if g.Cols > long {
-		long = g.Cols
+	long := g.Rows()
+	if g.Cols() > long {
+		long = g.Cols()
 	}
-	total := g.Rows * g.Cols
+	total := g.Rows() * g.Cols()
 
 	sep, err := graph.TreeEdgeSeparator(tree.ParentArray(), tree.CellMask())
 	if err != nil {
@@ -86,8 +86,8 @@ func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) 
 
 	// Distances of all cells from u, and which side they start on.
 	dist := make([]float64, total)
-	for i, c := range g.Cells {
-		dist[i] = c.Pos.Dist(u)
+	for i := range dist {
+		dist[i] = g.Cell(comm.CellID(i)).Pos.Dist(u)
 	}
 	sortedDist := append([]float64(nil), dist...)
 	sort.Float64s(sortedDist)
@@ -215,7 +215,7 @@ func MinSkewOverTrees(g *comm.Graph, model Summation, factories []TreeFactory) (
 			bestTree = tr
 		}
 	}
-	if g.Kind == comm.KindMesh && model.Beta > 0 {
+	if g.Kind() == comm.KindMesh && model.Beta > 0 {
 		cert, err := MeshCertifiedLowerBound(g, bestTree, model.Beta)
 		if err != nil {
 			return BestTreeResult{}, err

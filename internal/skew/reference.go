@@ -23,11 +23,12 @@ import (
 // separate Uniform call.
 
 // referencePairs re-enumerates the communicating pairs of g from its raw
-// edge list, replicating comm.Graph.CommunicatingPairs before memoization:
-// canonical order, no duplicates, no self-pairs.
+// edge list with a set and a sort, independently of comm's PairIndex:
+// the same canonical order, no duplicates, no self-pairs.
 func referencePairs(g *comm.Graph) [][2]comm.CellID {
 	seen := make(map[[2]comm.CellID]bool)
-	for _, e := range g.Edges {
+	for ei := 0; ei < g.NumEdges(); ei++ {
+		e := g.Edge(ei)
 		if e.From == comm.Host || e.To == comm.Host || e.From == e.To {
 			continue
 		}

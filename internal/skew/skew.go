@@ -166,8 +166,9 @@ func GuaranteedMinSkew(g *comm.Graph, tree *clocktree.Tree, model Model) float64
 		// Preserve the pre-kernel contract: a non-covering tree panics in
 		// CellPathLen rather than returning an error from this helper.
 		var worst float64
-		for _, p := range g.CommunicatingPairs() {
-			if v := lb.LowerBound(tree.CellPathLen(p[0], p[1])); v > worst {
+		c := g.PairIndex().Cursor(0)
+		for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+			if v := lb.LowerBound(tree.CellPathLen(a, b)); v > worst {
 				worst = v
 			}
 		}

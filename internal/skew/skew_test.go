@@ -78,7 +78,7 @@ func TestHTreeDifferenceModelConstantSkew(t *testing.T) {
 		if a.MaxSkew > 1e-9 {
 			t.Errorf("n=%d: H-tree difference skew = %g, want 0", n, a.MaxSkew)
 		}
-		if a.Pairs != len(g.CommunicatingPairs()) {
+		if int64(a.Pairs) != g.PairIndex().NumPairs() {
 			t.Errorf("pair count mismatch")
 		}
 	}

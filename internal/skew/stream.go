@@ -26,10 +26,10 @@ const DefaultMCSampleCap = 1 << 16
 
 // Streamer is the streamed counterpart of Kernel: a reusable context
 // over one (graph, tree) pair that never materializes per-pair arrays.
-// It holds the graph's CSR pair index (~8 B per pair), the clock tree
-// (whose cell→node slice resolves each pair's endpoints), and a pool of
-// per-worker shard arenas, so the
-// resident cost is O(cells), not O(pairs)·40 B like the kernel — this
+// It holds the graph's CSR pair index (4 B per pair plus 8 per cell),
+// the clock tree (whose cell→node slice resolves each pair's
+// endpoints), and a pool of per-worker shard arenas, so the
+// resident cost is O(cells), not O(pairs)·24 B like the kernel — this
 // is the path that breaks the kernel byte ceiling. Safe for concurrent
 // use; the serving stack caches Streamers content-addressed exactly as
 // it caches Kernels.

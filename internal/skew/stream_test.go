@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/clocktree"
@@ -95,9 +96,10 @@ func TestStreamedQuantiles(t *testing.T) {
 	}
 	m := Linear{M: 1, Eps: 0.1}
 	var bounds []float64
-	for _, p := range g.CommunicatingPairs() {
-		a, _ := tree.CellNode(p[0])
-		b, _ := tree.CellNode(p[1])
+	c := g.PairIndex().Cursor(0)
+	for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
+		a, _ := tree.CellNode(pa)
+		b, _ := tree.CellNode(pb)
 		bounds = append(bounds, m.Bound(tree.DiffDist(a, b), tree.PathLen(a, b)))
 	}
 	sort.Float64s(bounds)
@@ -189,7 +191,7 @@ func TestStreamedShardFn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var remoteShards int
+	var remoteShards atomic.Int64 // both shard workers call ShardFn
 	spilled, err := st.Analyze(context.Background(), m, StreamOptions{
 		ShardSize: 17,
 		Workers:   2,
@@ -211,15 +213,15 @@ func TestStreamedShardFn(t *testing.T) {
 				return ShardStats{}, false
 			}
 			ss.Sketch = &back
-			remoteShards++
+			remoteShards.Add(1)
 			return ss, true
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if remoteShards != local.Shards {
-		t.Fatalf("ShardFn served %d shards, want %d", remoteShards, local.Shards)
+	if got := remoteShards.Load(); got != int64(local.Shards) {
+		t.Fatalf("ShardFn served %d shards, want %d", got, local.Shards)
 	}
 	if spilled.Analysis != local.Analysis {
 		t.Fatalf("spilled analysis differs:\n got %+v\nwant %+v", spilled.Analysis, local.Analysis)

@@ -99,7 +99,7 @@ func New(cfg Config) (*Machine, error) {
 		// first child).
 		parent := (1 << l) - 1 // leftmost node at level l
 		child := 2*parent + 1  // its left child
-		length := layout.Cells[parent].Pos.Dist(layout.Cells[child].Pos)
+		length := layout.Cell(comm.CellID(parent)).Pos.Dist(layout.Cell(comm.CellID(child)).Pos)
 		regs := int(math.Ceil(length/cfg.BufferSpacing)) - 1
 		if regs < 0 {
 			regs = 0

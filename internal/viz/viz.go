@@ -69,7 +69,8 @@ func (d *Drawing) y(v float64) float64 { return d.style.Margin + (d.bounds.Max.Y
 // Graph draws a communication graph: unit squares at cell centers and
 // thin lines for communication edges (host edges are dashed stubs).
 func (d *Drawing) Graph(g *comm.Graph) {
-	for _, e := range g.Edges {
+	for ei := 0; ei < g.NumEdges(); ei++ {
+		e := g.Edge(ei)
 		if e.From == comm.Host || e.To == comm.Host {
 			continue
 		}
@@ -79,7 +80,8 @@ func (d *Drawing) Graph(g *comm.Graph) {
 			d.x(a.X), d.y(a.Y), d.x(b.X), d.y(b.Y), d.style.CommStroke)
 	}
 	half := 0.35 * d.style.Scale
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		fmt.Fprintf(&d.body,
 			`<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="%s" stroke="#5b6775" stroke-width="1" rx="2"/>`+"\n",
 			d.x(c.Pos.X)-half, d.y(c.Pos.Y)-half, 2*half, 2*half, d.style.CellFill)
@@ -127,7 +129,8 @@ func (d *Drawing) HybridElements(g *comm.Graph, sys *hybrid.System) {
 	for i := range boxes {
 		boxes[i] = geom.EmptyRect()
 	}
-	for _, c := range g.Cells {
+	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
+		c := g.Cell(id)
 		e := sys.ElementOf(c.ID)
 		centers[e] = centers[e].Add(c.Pos)
 		counts[e]++
@@ -145,8 +148,9 @@ func (d *Drawing) HybridElements(g *comm.Graph, sys *hybrid.System) {
 	}
 	// Handshake links between adjacent elements (deduplicated pairs).
 	seen := map[[2]int]bool{}
-	for _, p := range g.CommunicatingPairs() {
-		a, b := sys.ElementOf(p[0]), sys.ElementOf(p[1])
+	c := g.PairIndex().Cursor(0)
+	for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
+		a, b := sys.ElementOf(pa), sys.ElementOf(pb)
 		if a == b {
 			continue
 		}
