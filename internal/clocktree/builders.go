@@ -3,6 +3,7 @@ package clocktree
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/comm"
@@ -153,191 +154,12 @@ func Serpentine(g *comm.Graph) (*Tree, error) {
 // tune all cell root distances exactly equal (the difference-model
 // regime of Theorem 2).
 func HTree(g *comm.Graph) (*Tree, error) {
-	n := g.NumCells()
-	if n == 0 {
+	if g.NumCells() == 0 {
 		return nil, fmt.Errorf("clocktree: HTree on empty graph")
 	}
-	b := newBuilder("htree/"+g.Name, 2*n-1, n)
-	cells := graphCells(g)
-	if n == 1 {
-		b.Root(cells[0].Pos, cells[0].ID)
-		return b.Finalize()
-	}
-	box := cellBox(cells)
-	root := b.Root(boxCenter(box), comm.Host)
-	buildHTree(b, root, cells, box)
-	return b.Finalize()
-}
-
-// graphCells returns a copy of g's cells for a builder to partition in
-// place.
-func graphCells(g *comm.Graph) []comm.Cell {
-	cells := make([]comm.Cell, g.NumCells())
-	for i := range cells {
-		cells[i] = g.Cell(comm.CellID(i))
-	}
-	return cells
-}
-
-// buildHTree attaches the H-tree over cells, whose bounding box is box,
-// below the given parent node. Each region's box is computed once and
-// serves both its center node and its split.
-func buildHTree(b *Builder, parent NodeID, cells []comm.Cell, box geom.Rect) {
-	if len(cells) == 1 {
-		b.Child(parent, cells[0].Pos, cells[0].ID)
-		return
-	}
-	lo, hi := splitCells(cells, box)
-	for _, half := range [][]comm.Cell{lo, hi} {
-		if len(half) == 1 {
-			b.Child(parent, half[0].Pos, half[0].ID)
-			continue
-		}
-		halfBox := cellBox(half)
-		mid := b.Child(parent, boxCenter(halfBox), comm.Host)
-		buildHTree(b, mid, half, halfBox)
-	}
-}
-
-// splitCells halves the cell set at the median along the longer axis of
-// box, the cells' bounding box, partitioning in place: on return, cells[:m] holds
-// the m = len/2 smallest cells under the axis order and cells[m:] the
-// rest. The halves are the same *sets* a full sort would produce (cell
-// positions are distinct, so the axis comparator is a total order and
-// the median cut is unique), but selection runs in O(n) expected time
-// instead of O(n log n) and allocates nothing — at 8192² the old
-// sort-per-recursion-level construction spent minutes and tens of
-// gigabytes of allocation churn here. Tree construction only consumes
-// the halves as sets (bounding-box centers and further splits), so the
-// built tree is identical node for node.
-func splitCells(cells []comm.Cell, box geom.Rect) (lo, hi []comm.Cell) {
-	byX := box.Width() >= box.Height()
-	m := len(cells) / 2
-	selectCells(cells, m, byX)
-	return cells[:m], cells[m:]
-}
-
-// cellLess is the axis total order splitCells cuts on: primary axis
-// coordinate, tie-broken by the other coordinate. With distinct cell
-// positions no two cells compare equal.
-func cellLess(a, b comm.Cell, byX bool) bool {
-	if byX {
-		if a.Pos.X != b.Pos.X {
-			return a.Pos.X < b.Pos.X
-		}
-		return a.Pos.Y < b.Pos.Y
-	}
-	if a.Pos.Y != b.Pos.Y {
-		return a.Pos.Y < b.Pos.Y
-	}
-	return a.Pos.X < b.Pos.X
-}
-
-// selectCells partially orders cells in place so cells[:k] are the k
-// smallest under cellLess. Deterministic quickselect: median-of-three
-// pivots with a three-way (Dutch-flag) partition, falling back to a full
-// sort of the remaining range if the recursion budget is exhausted, so
-// the worst case stays O(n log n) without randomness.
-func selectCells(cells []comm.Cell, k int, byX bool) {
-	if k <= 0 || k >= len(cells) {
-		return
-	}
-	less := func(i, j int) bool { return cellLess(cells[i], cells[j], byX) }
-	lo, hi := 0, len(cells)
-	budget := 2 * bitsLen(len(cells))
-	for hi-lo > 16 {
-		if budget == 0 {
-			sort.Slice(cells[lo:hi], func(i, j int) bool { return less(lo+i, lo+j) })
-			return
-		}
-		budget--
-		pivot := medianOfThreeCells(cells[lo], cells[lo+(hi-lo)/2], cells[hi-1], byX)
-		// Three-way partition: [lo,lt) < pivot, [lt,gt) == pivot,
-		// [gt,hi) > pivot. The middle block is non-empty (the pivot is an
-		// element), so the range always shrinks.
-		lt, gt, i := lo, hi, lo
-		for i < gt {
-			switch {
-			case cellLess(cells[i], pivot, byX):
-				cells[i], cells[lt] = cells[lt], cells[i]
-				lt++
-				i++
-			case cellLess(pivot, cells[i], byX):
-				gt--
-				cells[i], cells[gt] = cells[gt], cells[i]
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return // the cut lands inside the ==-pivot block: done
-		}
-	}
-	// Small ranges: insertion sort finishes the job.
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && less(j, j-1); j-- {
-			cells[j], cells[j-1] = cells[j-1], cells[j]
-		}
-	}
-}
-
-// medianOfThreeCells returns the median of a, b, c under cellLess.
-func medianOfThreeCells(a, b, c comm.Cell, byX bool) comm.Cell {
-	if cellLess(b, a, byX) {
-		a, b = b, a
-	}
-	if cellLess(c, b, byX) {
-		b = c
-		if cellLess(b, a, byX) {
-			b = a
-		}
-	}
-	return b
-}
-
-// bitsLen returns the bit length of n (floor(log2 n) + 1 for n > 0).
-func bitsLen(n int) int {
-	l := 0
-	for n > 0 {
-		l++
-		n >>= 1
-	}
-	return l
-}
-
-func bboxCenter(cells []comm.Cell) geom.Point { return boxCenter(cellBox(cells)) }
-
-func boxCenter(r geom.Rect) geom.Point {
-	return geom.Pt((r.Min.X+r.Max.X)/2, (r.Min.Y+r.Max.Y)/2)
-}
-
-// cellBox returns the bounding box of a non-empty cell set with plain
-// comparisons. On finite positions it equals the geom.Rect.Union fold
-// bit for bit, signed zeros included: math.Min prefers −0 and math.Max
-// +0 on a tie between zeros, and so do the tie rules here.
-func cellBox(cells []comm.Cell) geom.Rect {
-	r := geom.Rect{Min: cells[0].Pos, Max: cells[0].Pos}
-	for _, c := range cells[1:] {
-		p := c.Pos
-		if p.X < r.Min.X || p.X == r.Min.X && math.Signbit(p.X) {
-			r.Min.X = p.X
-		}
-		if p.X > r.Max.X || p.X == r.Max.X && !math.Signbit(p.X) {
-			r.Max.X = p.X
-		}
-		if p.Y < r.Min.Y || p.Y == r.Min.Y && math.Signbit(p.Y) {
-			r.Min.Y = p.Y
-		}
-		if p.Y > r.Max.Y || p.Y == r.Max.Y && !math.Signbit(p.Y) {
-			r.Max.Y = p.Y
-		}
-	}
-	return r
+	return newCellSplit(g).build("htree/"+g.Name, func(s *cellSplit, lo, hi int) (int, bool) {
+		return (hi - lo) / 2, s.wider(lo, hi)
+	})
 }
 
 // RandomBinary builds a random recursive binary clock tree over the cells
@@ -349,56 +171,165 @@ func RandomBinary(g *comm.Graph, rng *stats.RNG) (*Tree, error) {
 	if g.NumCells() == 0 {
 		return nil, fmt.Errorf("clocktree: RandomBinary on empty graph")
 	}
-	b := newBuilder(fmt.Sprintf("random%d/%s", rng.Seed(), g.Name), 2*g.NumCells()-1, g.NumCells())
-	cells := graphCells(g)
-	if len(cells) == 1 {
-		b.Root(cells[0].Pos, cells[0].ID)
+	name := fmt.Sprintf("random%d/%s", rng.Seed(), g.Name)
+	return newCellSplit(g).build(name, func(_ *cellSplit, lo, hi int) (int, bool) {
+		alongX := rng.Bernoulli(0.5)
+		// Split somewhere in the middle half so both sides stay non-empty
+		// and the tree depth stays O(log n) with high probability.
+		n := hi - lo
+		l := max(n/4, 1)
+		h := max(n-l, l+1)
+		return l + rng.Intn(h-l), alongX
+	})
+}
+
+// cellSplit is a graph's cell set presorted on both axes, for recursive
+// bisection without re-sorting. byX holds the cell IDs in (X, Y) order
+// and byY in (Y, X) order; cell positions are distinct, so both orders
+// are strict. Every region of the recursion is one range [lo, hi) that
+// holds the same cells in both arrays, so its bounding box is read off
+// the ranges' ends, and cutting it keeps both halves sorted.
+type cellSplit struct {
+	pos      []geom.Point // by cell ID
+	byX, byY []int32
+	low      []bool  // scratch: marks a region's low half during a cut
+	high     []int32 // scratch: the high half during a stable partition
+}
+
+func newCellSplit(g *comm.Graph) *cellSplit {
+	n := g.NumCells()
+	ids := make([]int32, 3*n)
+	s := &cellSplit{
+		pos: make([]geom.Point, n),
+		byX: ids[:n:n], byY: ids[n : 2*n : 2*n], high: ids[2*n:],
+		low: make([]bool, n),
+	}
+	for i := range s.pos {
+		s.pos[i] = g.Cell(comm.CellID(i)).Pos
+		s.byY[i] = int32(i)
+	}
+	// Lattice builders emit cells row-major, so the ID order already is
+	// (Y, X) order and, for a rows×cols grid, its transpose is (X, Y)
+	// order. Each candidate is checked in O(n); other layouts are sorted.
+	if rows, cols := g.Rows(), g.Cols(); rows > 0 && n%rows == 0 && cols == n/rows {
+		for c, k := 0, 0; c < cols; c++ {
+			for r := 0; r < rows; r++ {
+				s.byX[k] = int32(r*cols + c)
+				k++
+			}
+		}
+	} else {
+		copy(s.byX, s.byY)
+	}
+	s.presort(s.byX, func(p geom.Point) (float64, float64) { return p.X, p.Y })
+	s.presort(s.byY, func(p geom.Point) (float64, float64) { return p.Y, p.X })
+	return s
+}
+
+// presort sorts ids by the lexicographic (major, minor) coordinate order
+// of their cells, unless they already are.
+func (s *cellSplit) presort(ids []int32, key func(geom.Point) (major, minor float64)) {
+	cmp := func(a, b int32) int {
+		a1, a2 := key(s.pos[a])
+		b1, b2 := key(s.pos[b])
+		switch {
+		case a1 < b1 || a1 == b1 && a2 < b2:
+			return -1
+		case a1 == b1 && a2 == b2:
+			return 0
+		}
+		return 1
+	}
+	if !slices.IsSortedFunc(ids, cmp) {
+		slices.SortFunc(ids, cmp)
+	}
+}
+
+// build attaches the recursive bisection of every cell below a root at
+// the cells' bounding-box center, in depth-first order: each region's
+// low half, with its whole subtree, precedes its high half. cut picks a
+// region's low-half size and axis; it is called once per region of two
+// or more cells, parents before children.
+func (s *cellSplit) build(name string, cut func(s *cellSplit, lo, hi int) (m int, alongX bool)) (*Tree, error) {
+	n := len(s.pos)
+	b := newBuilder(name, 2*n-1, n)
+	if n == 1 {
+		b.Root(s.pos[0], 0)
 		return b.Finalize()
 	}
-	root := b.Root(bboxCenter(cells), comm.Host)
-	buildRandom(b, root, cells, rng)
+	var bisect func(parent NodeID, lo, hi int)
+	bisect = func(parent NodeID, lo, hi int) {
+		m, alongX := cut(s, lo, hi)
+		s.split(lo, hi, lo+m, alongX)
+		for _, r := range [2][2]int{{lo, lo + m}, {lo + m, hi}} {
+			if r[1]-r[0] == 1 {
+				id := s.byX[r[0]]
+				b.Child(parent, s.pos[id], comm.CellID(id))
+				continue
+			}
+			bisect(b.Child(parent, s.center(r[0], r[1]), comm.Host), r[0], r[1])
+		}
+	}
+	bisect(b.Root(s.center(0, n), comm.Host), 0, n)
 	return b.Finalize()
 }
 
-func buildRandom(b *Builder, parent NodeID, cells []comm.Cell, rng *stats.RNG) {
-	if len(cells) == 1 {
-		b.Child(parent, cells[0].Pos, cells[0].ID)
-		return
+// wider reports whether region [lo, hi)'s bounding box is at least as
+// wide as it is tall: the H-tree cuts such a region along X.
+func (s *cellSplit) wider(lo, hi int) bool {
+	w := s.pos[s.byX[hi-1]].X - s.pos[s.byX[lo]].X
+	h := s.pos[s.byY[hi-1]].Y - s.pos[s.byY[lo]].Y
+	return w >= h
+}
+
+// split cuts region [lo, hi) at mid along one axis: the cells before mid
+// in that axis's array form the low half, and the other array is
+// stable-partitioned so that they come first there too.
+func (s *cellSplit) split(lo, hi, mid int, alongX bool) {
+	first, other := s.byX, s.byY
+	if !alongX {
+		first, other = s.byY, s.byX
 	}
-	byX := rng.Bernoulli(0.5)
-	sorted := append([]comm.Cell(nil), cells...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if byX {
-			if sorted[i].Pos.X != sorted[j].Pos.X {
-				return sorted[i].Pos.X < sorted[j].Pos.X
+	for _, id := range first[lo:mid] {
+		s.low[id] = true
+	}
+	high := s.high[:0]
+	w := lo
+	for _, id := range other[lo:hi] {
+		if s.low[id] {
+			s.low[id] = false
+			other[w] = id
+			w++
+		} else {
+			high = append(high, id)
+		}
+	}
+	copy(other[w:hi], high)
+}
+
+// center returns the center of region [lo, hi)'s bounding box, bit for
+// bit the center of the geom.Rect.Union fold of its cells.
+func (s *cellSplit) center(lo, hi int) geom.Point {
+	return geom.Pt(
+		s.mid(s.byX[lo:hi], func(p geom.Point) float64 { return p.X }),
+		s.mid(s.byY[lo:hi], func(p geom.Point) float64 { return p.Y }))
+}
+
+// mid returns (min+max)/2 of a region's coordinates on one axis, given
+// the region's cells sorted on that axis. The ends hold the minimum and
+// maximum, and the sum of the ends differs from that of math.Min and
+// math.Max folds in one case only: both ends at −0 (so every cell is at
+// zero), where math.Max prefers +0 if any cell is at +0.
+func (s *cellSplit) mid(ids []int32, coord func(geom.Point) float64) float64 {
+	a, b := coord(s.pos[ids[0]]), coord(s.pos[ids[len(ids)-1]])
+	if a == 0 && b == 0 && math.Signbit(a) && math.Signbit(b) {
+		for _, id := range ids {
+			if !math.Signbit(coord(s.pos[id])) {
+				return 0
 			}
-			return sorted[i].Pos.Y < sorted[j].Pos.Y
 		}
-		if sorted[i].Pos.Y != sorted[j].Pos.Y {
-			return sorted[i].Pos.Y < sorted[j].Pos.Y
-		}
-		return sorted[i].Pos.X < sorted[j].Pos.X
-	})
-	// Split somewhere in the middle half so both sides stay non-empty and
-	// the tree depth stays O(log n) with high probability.
-	n := len(sorted)
-	lo := n / 4
-	if lo < 1 {
-		lo = 1
 	}
-	hi := n - lo
-	if hi <= lo {
-		hi = lo + 1
-	}
-	m := lo + rng.Intn(hi-lo)
-	for _, half := range [][]comm.Cell{sorted[:m], sorted[m:]} {
-		if len(half) == 1 {
-			b.Child(parent, half[0].Pos, half[0].ID)
-			continue
-		}
-		mid := b.Child(parent, bboxCenter(half), comm.Host)
-		buildRandom(b, mid, half, rng)
-	}
+	return (a + b) / 2
 }
 
 // AlongCommTree builds the clocking scheme of the paper's concluding
@@ -438,9 +369,9 @@ func AlongCommTree(g *comm.Graph) (*Tree, error) {
 // constant distance apart make the per-segment distribution time τ a
 // constant independent of array size). Each edge is cut into as many
 // equal segments as its electrical length (wire plus Equalize's slack)
-// needs; the wire is split with geom.Path.Split and the slack shared
-// evenly, so every root distance is preserved. Nodes are emitted in one
-// depth-first pass, each followed by its subtree.
+// needs; the wire is cut as geom.Path.Split would cut it and the slack
+// shared evenly, so every root distance is preserved. Nodes are emitted
+// in one depth-first pass, each followed by its subtree.
 func Buffered(t *Tree, spacing float64) (*Tree, error) {
 	if spacing <= 0 {
 		return nil, fmt.Errorf("clocktree: Buffered spacing must be positive, got %g", spacing)
@@ -453,42 +384,64 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 		}
 		return max(nseg, 1)
 	}
+	// newID[v] is the segment count of the edge into v until v is
+	// emitted, and then v's ID in the buffered tree.
+	newID := make([]int32, t.NumNodes())
 	n := 1
-	for v := int32(1); int(v) < t.NumNodes(); v++ {
-		n += segments(v)
+	for v := int32(1); int(v) < len(newID); v++ {
+		nseg := segments(v)
+		if n += nseg; n > math.MaxInt32 {
+			return nil, fmt.Errorf("clocktree: Buffered spacing %g needs over 2^31 nodes", spacing)
+		}
+		newID[v] = int32(nseg)
 	}
 	out := newTree(fmt.Sprintf("buffered%.3g/%s", spacing, t.Name), n, len(t.cellNode))
+	out.pos, out.cell, out.buffer = out.pos[:n], out.cell[:n], out.buffer[:n]
+	out.parent, out.edgeLen = out.parent[:n], out.edgeLen[:n]
 	if t.extra != nil {
-		out.extra = make([]float64, 0, n)
+		out.extra = make([]float64, n)
 	}
+	k := int32(0)
 	emit := func(pos geom.Point, cell int32, buffer bool, parent int32, length, slack float64) int32 {
+		out.pos[k], out.cell[k], out.buffer[k] = pos, cell, buffer
+		out.parent[k], out.edgeLen[k] = parent, length
 		if out.extra != nil {
-			out.extra = append(out.extra, slack)
+			out.extra[k] = slack
 		}
-		return int32(out.add(pos, comm.CellID(cell), buffer, parent, length))
+		if cell >= 0 {
+			out.cellNode[cell] = k
+		}
+		k++
+		return k - 1
 	}
-	newID := make([]int32, t.NumNodes())
 	emit(t.pos[0], t.cell[0], t.buffer[0], -1, 0, 0)
-	stack := []int32{0}
+	stack := make([]int32, 1, 64)
+	var w wire
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 		if v != 0 {
 			p := newID[t.parent[v]]
-			nseg := segments(v)
+			nseg := int(newID[v])
 			length := t.edgeLen[v]
 			var slack float64
 			if t.extra != nil {
 				slack = t.extra[v] / float64(nseg)
 			}
-			// Insert nseg−1 buffers splitting the wire into nseg pieces.
-			remaining := t.Wire(NodeID(v))
-			for i := 1; i < nseg; i++ {
-				var piece geom.Path
-				piece, remaining = remaining.Split(length / float64(nseg))
-				p = emit(piece.End(), int32(comm.Host), true, p, piece.Length(), slack)
+			// Insert nseg−1 buffers splitting the wire into nseg pieces. An
+			// uncut wire's length is its ends' Manhattan distance, as in
+			// Builder.Child.
+			a, b := t.pos[t.parent[v]], t.pos[v]
+			last := a.ManhattanDist(b)
+			if nseg > 1 {
+				w.route(a, b)
+				for i := 1; i < nseg; i++ {
+					end, l := w.cut(length / float64(nseg))
+					p = emit(end, int32(comm.Host), true, p, l, slack)
+				}
+				last = w.length(w.n)
 			}
-			newID[v] = emit(t.pos[v], t.cell[v], t.buffer[v], p, remaining.Length(), slack)
+			newID[v] = emit(b, t.cell[v], t.buffer[v], p, last, slack)
 		}
 		kids := t.Children(NodeID(v))
 		for i := len(kids) - 1; i >= 0; i-- {
@@ -500,6 +453,88 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// wire is the unconsumed rest of a geom.Rectilinear route, at most three
+// points, held by value so that cutting pieces off it allocates nothing.
+type wire struct {
+	pts [3]geom.Point
+	n   int
+}
+
+// route sets w to the points of geom.Rectilinear(a, b) without
+// allocating them.
+func (w *wire) route(a, b geom.Point) {
+	w.pts[0], w.n = a, 1
+	if a.Eq(b, 0) {
+		return
+	}
+	corner := geom.Pt(b.X, a.Y)
+	if !corner.Eq(a, 0) && !corner.Eq(b, 0) {
+		w.pts[1], w.n = corner, 2
+	}
+	w.pts[w.n] = b
+	w.n++
+}
+
+// segLen is the length of a wire segment. Every segment of a rectilinear
+// route, and of its pieces, is axis-parallel, where math.Hypot — and so
+// geom.Point.Dist — returns the absolute difference of the one changing
+// coordinate exactly; this sum is that value without the Hypot call.
+func segLen(p, q geom.Point) float64 { return p.ManhattanDist(q) }
+
+// length returns the length of the wire's first k points, summed in
+// order as geom.Path.Length sums them.
+func (w *wire) length(k int) float64 {
+	var sum float64
+	for i := 1; i < k; i++ {
+		sum += segLen(w.pts[i], w.pts[i-1])
+	}
+	return sum
+}
+
+// at returns the point at arc length d along the wire, with
+// geom.Path.At's arithmetic.
+func (w *wire) at(d float64) geom.Point {
+	p := w.pts[:w.n]
+	if d <= 0 {
+		return p[0]
+	}
+	for i := 1; i < len(p); i++ {
+		seg := segLen(p[i], p[i-1])
+		if d <= seg && seg > 0 {
+			t := d / seg
+			return geom.Pt(p[i-1].X+t*(p[i].X-p[i-1].X), p[i-1].Y+t*(p[i].Y-p[i-1].Y))
+		}
+		d -= seg
+	}
+	return p[len(p)-1]
+}
+
+// cut removes the first d of arc length from w and returns the cut point
+// and the removed piece's length. It is geom.Path.Split(d) step for step,
+// so both are bit-identical to the first half's End and Length.
+func (w *wire) cut(d float64) (geom.Point, float64) {
+	p := w.pts[:w.n]
+	if d <= 0 {
+		return p[0], 0
+	}
+	for i := 1; i < len(p); i++ {
+		seg := segLen(p[i], p[i-1])
+		if d < seg {
+			c := w.at(w.length(i+1) - seg + d)
+			l := w.length(i) + segLen(c, p[i-1])
+			rest := wire{n: 1 + len(p) - i}
+			rest.pts[0] = c
+			copy(rest.pts[1:], p[i:])
+			*w = rest
+			return c, l
+		}
+		d -= seg
+	}
+	end, l := p[len(p)-1], w.length(len(p))
+	*w = wire{pts: [3]geom.Point{end}, n: 1}
+	return end, l
 }
 
 // BufferCount returns the number of buffer nodes in the tree.

@@ -118,10 +118,11 @@ func FuzzSpine(f *testing.F) {
 	})
 }
 
-// FuzzHTree checks the recursive builder on arbitrary layouts and then
-// the Theorem 2 mechanism on each: every cell node of an H-tree is a
-// leaf, so Equalize must drive every cell's root distance to the common
-// maximum, leaving a tree with zero difference skew.
+// FuzzHTree checks the recursive builder on arbitrary layouts, node for
+// node against the sort-per-region reference, and then the Theorem 2
+// mechanism on each: every cell node of an H-tree is a leaf, so Equalize
+// must drive every cell's root distance to the common maximum, leaving a
+// tree with zero difference skew.
 func FuzzHTree(f *testing.F) {
 	addLayoutSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -134,6 +135,13 @@ func FuzzHTree(f *testing.F) {
 			t.Fatalf("HTree rejected a valid layout: %v", err)
 		}
 		checkTreeMetrics(t, g, tree)
+		ref, err := htreeRef(g)
+		if err != nil {
+			t.Fatalf("reference H-tree: %v", err)
+		}
+		if fingerprint(tree) != fingerprint(ref) {
+			t.Fatalf("HTree differs from the sort-per-region reference")
+		}
 		added, err := tree.Equalize()
 		if err != nil {
 			t.Fatalf("Equalize rejected an H-tree: %v", err)

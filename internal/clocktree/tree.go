@@ -291,26 +291,45 @@ func (t *Tree) FootprintBytes() int64 {
 		8*int64(cap(t.edgeLen)+cap(t.extra)+cap(t.rootDist)+cap(t.kids))
 }
 
-// ParentArray returns the tree as a parent array (parent[root] = -1), the
-// representation used by graph.TreeEdgeSeparator (Lemma 5).
-func (t *Tree) ParentArray() []int {
-	out := make([]int, len(t.parent))
-	for v, p := range t.parent {
-		out[v] = int(p)
-	}
-	return out
-}
-
-// CellMask returns a boolean mask over tree nodes marking the nodes that
-// clock cells, for use with the Lemma-5 separator.
-func (t *Tree) CellMask() []bool {
-	mask := make([]bool, len(t.pos))
-	for _, id := range t.cellNode {
-		if id >= 0 {
-			mask[id] = true
+// Separator is Lemma 5 on the tree with its cell-clocking nodes marked:
+// it returns the child endpoint of a tree edge whose removal leaves at
+// most about 2/3 of the marks on either side (the proof's cell sets A
+// and B of Section V-B). It descends from the root into the first child
+// holding more than 2/3 of the marks while there is one, then cuts the
+// edge to that node's first heaviest child. Parents precede children, so
+// one reverse sweep counts every subtree's marks.
+func (t *Tree) Separator() (NodeID, error) {
+	count := make([]int32, len(t.parent))
+	for v := len(count) - 1; v >= 0; v-- {
+		if t.cell[v] != int32(comm.Host) {
+			count[v]++
+		}
+		if v > 0 {
+			count[t.parent[v]] += count[v]
 		}
 	}
-	return mask
+	total := int(count[0])
+	if total < 2 {
+		return 0, fmt.Errorf("clocktree %q: separator needs at least 2 cells, have %d", t.Name, total)
+	}
+	v := t.Root()
+	for descend := true; descend; {
+		descend = false
+		for _, c := range t.Children(v) {
+			if 3*int(count[c]) > 2*total {
+				v, descend = c, true
+				break
+			}
+		}
+	}
+	// v's subtree holds more than 2/3·total ≥ 4/3 marks, so v is no leaf.
+	heaviest := NodeID(-1)
+	for _, c := range t.Children(v) {
+		if heaviest < 0 || count[c] > count[heaviest] {
+			heaviest = c
+		}
+	}
+	return heaviest, nil
 }
 
 // Covers reports whether every cell of g is clocked by some node of t
@@ -379,14 +398,13 @@ func (t *Tree) index() {
 	t.kidStart = make([]int32, n+1)
 	t.kids = make([]NodeID, n-1)
 	t.recomputeDistances()
-	for v := 1; v < n; v++ {
-		t.depth[v] = t.depth[t.parent[v]] + 1
-	}
 	// Count children per parent, turn the counts into block ends, then
 	// fill each block from its end in descending child order so that
 	// kidStart ends at the block starts and each block ascends.
 	for v := 1; v < n; v++ {
-		t.kidStart[t.parent[v]]++
+		p := t.parent[v]
+		t.depth[v] = t.depth[p] + 1
+		t.kidStart[p]++
 	}
 	var sum int32
 	for v := 0; v < n; v++ {

@@ -429,31 +429,6 @@ func TestCombSpineBoundedNeighborWire(t *testing.T) {
 	}
 }
 
-func TestParentArrayAndCellMask(t *testing.T) {
-	g := mustMesh(t, 3, 3)
-	tr, _ := HTree(g)
-	pa := tr.ParentArray()
-	roots := 0
-	for _, p := range pa {
-		if p == -1 {
-			roots++
-		}
-	}
-	if roots != 1 {
-		t.Errorf("parent array has %d roots", roots)
-	}
-	mask := tr.CellMask()
-	marked := 0
-	for _, m := range mask {
-		if m {
-			marked++
-		}
-	}
-	if marked != 9 {
-		t.Errorf("cell mask marks %d nodes, want 9", marked)
-	}
-}
-
 func TestLadderRingConstantSkew(t *testing.T) {
 	for _, n := range []int{4, 9, 40, 101} {
 		g, err := comm.Ring(n)

@@ -202,7 +202,9 @@ func NewPlan(g *comm.Graph, a Assumptions) (*Plan, error) {
 // stage — clock-tree construction ("core.layout"), skew analysis
 // ("skew.analyze"), lower-bound certification ("core.certify"), and
 // hybrid partitioning ("core.hybrid") — so a trace shows where planning
-// time goes for a given regime.
+// time goes for a given regime. The H-tree layout splits into
+// "clocktree.htree", "clocktree.equalize" and "clocktree.buffered", and
+// certification into "clocktree.htree" and "skew.certify".
 func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, err error) {
 	ctx, root := obs.Start(ctx, "core.plan",
 		obs.String("graph", g.Name), obs.String("model", string(a.Model)),
@@ -223,15 +225,22 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 
 	switch a.Model {
 	case DifferenceModel:
-		buffered, err := layoutSpan(ctx, "htree", func() (*clocktree.Tree, error) {
-			tree, err := clocktree.HTree(g)
+		buffered, err := layoutSpan(ctx, "htree", func(ctx context.Context) (*clocktree.Tree, error) {
+			tree, err := treeStep(ctx, "clocktree.htree", g, func() (*clocktree.Tree, error) {
+				return clocktree.HTree(g)
+			})
 			if err != nil {
 				return nil, err
 			}
-			if _, err := tree.Equalize(); err != nil {
+			if _, err := treeStep(ctx, "clocktree.equalize", g, func() (*clocktree.Tree, error) {
+				_, err := tree.Equalize()
+				return tree, err
+			}); err != nil {
 				return nil, err
 			}
-			return clocktree.Buffered(tree, a.BufferSpacing)
+			return treeStep(ctx, "clocktree.buffered", g, func() (*clocktree.Tree, error) {
+				return clocktree.Buffered(tree, a.BufferSpacing)
+			})
 		})
 		if err != nil {
 			return nil, err
@@ -256,7 +265,7 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 	case SummationModel:
 		model := skew.Summation{G: func(s float64) float64 { return a.Eps * s }, Beta: a.Eps}
 		if oneDimensional(g) {
-			buffered, err := layoutSpan(ctx, "spine", func() (*clocktree.Tree, error) {
+			buffered, err := layoutSpan(ctx, "spine", func(context.Context) (*clocktree.Tree, error) {
 				var tree *clocktree.Tree
 				var err error
 				if g.Kind() == comm.KindRing {
@@ -299,13 +308,18 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 			return nil, err
 		}
 		if g.Kind() == comm.KindMesh && g.Rows() >= 2 && g.Cols() >= 2 {
-			_, cspan := obs.Start(ctx, "core.certify", obs.Int("rows", int64(g.Rows())), obs.Int("cols", int64(g.Cols())))
-			tree, err := clocktree.HTree(g)
-			if err != nil {
-				cspan.End()
-				return nil, err
+			cctx, cspan := obs.Start(ctx, "core.certify", obs.Int("rows", int64(g.Rows())), obs.Int("cols", int64(g.Cols())))
+			tree, err := treeStep(cctx, "clocktree.htree", g, func() (*clocktree.Tree, error) {
+				return clocktree.HTree(g)
+			})
+			var cert skew.CertifiedResult
+			if err == nil {
+				_, err = treeStep(cctx, "skew.certify", g, func() (*clocktree.Tree, error) {
+					var err error
+					cert, err = skew.MeshCertifiedLowerBound(g, tree, a.Eps)
+					return tree, err
+				})
 			}
-			cert, err := skew.MeshCertifiedLowerBound(g, tree, a.Eps)
 			cspan.End()
 			if err != nil {
 				return nil, err
@@ -326,7 +340,7 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 		if err != nil {
 			return nil, err
 		}
-		tree, err := layoutSpan(ctx, "htree-equipotential", func() (*clocktree.Tree, error) {
+		tree, err := layoutSpan(ctx, "htree-equipotential", func(context.Context) (*clocktree.Tree, error) {
 			return clocktree.HTree(g)
 		})
 		if err != nil {
@@ -347,10 +361,23 @@ func NewPlanCtx(ctx context.Context, g *comm.Graph, a Assumptions) (plan *Plan, 
 }
 
 // layoutSpan times one clock-tree construction under a "core.layout"
-// span tagged with the layout kind.
-func layoutSpan(ctx context.Context, kind string, build func() (*clocktree.Tree, error)) (*clocktree.Tree, error) {
-	_, span := obs.Start(ctx, "core.layout", obs.String("kind", kind))
-	tree, err := build()
+// span tagged with the layout kind; build's steps may add child spans
+// to the context it is given.
+func layoutSpan(ctx context.Context, kind string, build func(context.Context) (*clocktree.Tree, error)) (*clocktree.Tree, error) {
+	ctx, span := obs.Start(ctx, "core.layout", obs.String("kind", kind))
+	tree, err := build(ctx)
+	if tree != nil {
+		span.Annotate(obs.Int("nodes", int64(tree.NumNodes())))
+	}
+	span.End()
+	return tree, err
+}
+
+// treeStep times one step of a clock-tree layer under a child span
+// tagged with the graph's cell count and the resulting tree's node count.
+func treeStep(ctx context.Context, name string, g *comm.Graph, step func() (*clocktree.Tree, error)) (*clocktree.Tree, error) {
+	_, span := obs.Start(ctx, name, obs.Int("cells", int64(g.NumCells())))
+	tree, err := step()
 	if tree != nil {
 		span.Annotate(obs.Int("nodes", int64(tree.NumNodes())))
 	}

@@ -229,8 +229,9 @@ func (s *Server) peerShardFn(treeName string, req *AnalyzeRequest) func(ctx cont
 
 // kernelBytesInUse estimates the resident bytes of every cached engine
 // precomputation on the skew path — kernels (24 B/pair class) and
-// streamers (4 B/pair + 8 B/cell), each with the clock tree it retains
-// — the gauge operators watch against the configured kernel byte budget.
+// streamers, each with the clock tree it retains; the graphs and their
+// shared pair indexes are not charged — the gauge operators watch
+// against the configured kernel byte budget.
 func (s *Server) kernelBytesInUse() int64 {
 	var total int64
 	for _, e := range s.kernels.Entries() {

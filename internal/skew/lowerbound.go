@@ -3,6 +3,7 @@ package skew
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/clocktree"
@@ -70,46 +71,53 @@ func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) 
 	}
 	total := g.Rows() * g.Cols()
 
-	sep, err := graph.TreeEdgeSeparator(tree.ParentArray(), tree.CellMask())
+	sep, err := tree.Separator()
 	if err != nil {
 		return CertifiedResult{}, fmt.Errorf("skew: separator: %w", err)
 	}
-	sepID := clocktree.NodeID(sep)
-	inA := subtreeCells(tree, sepID, total)
-	sizeA := 0
-	for _, a := range inA {
-		if a {
+	u := tree.Node(sep).Pos
+
+	// Side A is the cells clocked in sep's subtree. Parents precede
+	// children, so one forward sweep from sep marks the subtree.
+	inSub := make([]bool, tree.NumNodes())
+	inSub[sep] = true
+	for v := sep + 1; int(v) < len(inSub); v++ {
+		inSub[v] = inSub[tree.Parent(v)]
+	}
+	// Distances from u of A's cells (filled from the front) and of the
+	// other cells (from the back), each sorted, so that counting either
+	// side's cells in a circle is a binary search.
+	dist := make([]float64, total)
+	sizeA, b := 0, total
+	for i := 0; i < total; i++ {
+		id := comm.CellID(i)
+		node, _ := tree.CellNode(id)
+		if d := g.Cell(id).Pos.Dist(u); inSub[node] {
+			dist[sizeA] = d
 			sizeA++
+		} else {
+			b--
+			dist[b] = d
 		}
 	}
-	u := tree.Node(sepID).Pos
-
-	// Distances of all cells from u, and which side they start on.
-	dist := make([]float64, total)
-	for i := range dist {
-		dist[i] = g.Cell(comm.CellID(i)).Pos.Dist(u)
-	}
-	sortedDist := append([]float64(nil), dist...)
-	sort.Float64s(sortedDist)
+	distA, distB := dist[:sizeA], dist[sizeA:]
+	slices.Sort(distA)
+	slices.Sort(distB)
 
 	threshold := (total + 9) / 10 // ⌈n²/10⌉
 
 	contradicted := func(sigma float64) bool {
 		r := sigma / beta
-		// Cells strictly inside or on the circle.
-		inCircle := sort.SearchFloat64s(sortedDist, r+1e-12)
+		edge := r + 1e-12
+		// Cells strictly inside the circle.
+		inCircle := sort.SearchFloat64s(distA, edge) + sort.SearchFloat64s(distB, edge)
 		if inCircle >= threshold {
 			// Case 1 of the proof applies: the area argument bounds σ
 			// from below but does not contradict this σ.
 			return false
 		}
-		// Build Ā = A ∪ circle cells.
-		abar := sizeA
-		for i := range dist {
-			if !inA[i] && dist[i] <= r+1e-12 {
-				abar++
-			}
-		}
+		// Ā = A ∪ the other cells inside or on the circle.
+		abar := sizeA + sort.Search(len(distB), func(i int) bool { return distB[i] > edge })
 		minSide := abar
 		if total-abar < minSide {
 			minSide = total - abar
@@ -127,7 +135,7 @@ func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) 
 	lo, hi := 0.0, beta*float64(3*long)
 	if !contradicted(lo + 1e-12) {
 		// Degenerate tiny meshes may admit no contradiction at all.
-		return CertifiedResult{SeparatorChild: sepID, SideA: sizeA, SideB: total - sizeA}, nil
+		return CertifiedResult{SeparatorChild: sep, SideA: sizeA, SideB: total - sizeA}, nil
 	}
 	for hi-lo > 1e-9*(1+hi) {
 		mid := (lo + hi) / 2
@@ -137,23 +145,7 @@ func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) 
 			hi = mid
 		}
 	}
-	return CertifiedResult{Bound: lo, SeparatorChild: sepID, SideA: sizeA, SideB: total - sizeA}, nil
-}
-
-// subtreeCells returns a mask over cell IDs marking cells clocked inside
-// the subtree rooted at sub.
-func subtreeCells(tree *clocktree.Tree, sub clocktree.NodeID, numCells int) []bool {
-	mask := make([]bool, numCells)
-	stack := []clocktree.NodeID{sub}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if c := tree.Node(v).Cell; c != comm.Host && int(c) < numCells {
-			mask[c] = true
-		}
-		stack = append(stack, tree.Children(v)...)
-	}
-	return mask
+	return CertifiedResult{Bound: lo, SeparatorChild: sep, SideA: sizeA, SideB: total - sizeA}, nil
 }
 
 // TreeFactory builds a candidate clock tree for a graph.

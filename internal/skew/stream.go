@@ -464,12 +464,14 @@ func AnalyzeStreamed(ctx context.Context, g *comm.Graph, tree *clocktree.Tree, m
 	return st.Analyze(ctx, model, opt)
 }
 
-// FootprintBytes estimates the streamer's resident size: the CSR index
-// and the clock tree it retains. Unlike KernelBytes it carries no
-// per-pair float arrays — the gap between the two is exactly what the
-// streamed path saves.
+// FootprintBytes estimates the streamer's resident size: the clock tree
+// it retains. As with Kernel.FootprintBytes, the graph's CSR pair index
+// is not charged: the graph owns it, and every engine built over the
+// graph shares it. Unlike a kernel the streamer holds no per-pair
+// arrays — the gap between the two is exactly what the streamed path
+// saves.
 func (st *Streamer) FootprintBytes() int64 {
-	return st.ix.NumPairs()*4 + int64(st.graph.NumCells())*8 + st.tree.FootprintBytes()
+	return st.tree.FootprintBytes()
 }
 
 func boolInt(b bool) int64 {

@@ -463,6 +463,37 @@ func TestStreamerFootprint(t *testing.T) {
 	}
 }
 
+// TestEnginesChargeNothingForPairIndex checks that engines built over one
+// graph charge none of its CSR pair index: the graph owns the index and
+// every engine shares it, so a kernel charges its own arrays and tree,
+// and a streamer only its tree, however many of them there are.
+func TestEnginesChargeNothingForPairIndex(t *testing.T) {
+	g, err := comm.Mesh(16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := clocktree.HTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, err := NewKernel(g, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := k.FootprintBytes(), KernelBytes(tree.NumNodes(), k.Pairs())+tree.FootprintBytes(); got != want {
+		t.Errorf("kernel FootprintBytes = %d, want %d", got, want)
+	}
+	for i := 0; i < 2; i++ {
+		st, err := NewStreamer(g, tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := st.FootprintBytes(), tree.FootprintBytes(); got != want {
+			t.Errorf("streamer %d FootprintBytes = %d, want %d (the tree alone)", i, got, want)
+		}
+	}
+}
+
 // BenchmarkStreamedShardSteadyState is the streamed hot loop the CI
 // bench-smoke job gates on: one warm-arena shard pass must report
 // 0 allocs/op.
