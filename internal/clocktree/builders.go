@@ -398,15 +398,25 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 	out := newTree(fmt.Sprintf("buffered%.3g/%s", spacing, t.Name), n, len(t.cellNode))
 	out.pos, out.cell, out.buffer = out.pos[:n], out.cell[:n], out.buffer[:n]
 	out.parent, out.edgeLen = out.parent[:n], out.edgeLen[:n]
+	out.rootDist, out.depth = make([]float64, n), make([]int32, n)
 	if t.extra != nil {
 		out.extra = make([]float64, n)
 	}
+	// Every parent is emitted before its children, so each node's root
+	// distance and depth are final as it is emitted; only the child
+	// lists are left for afterwards.
 	k := int32(0)
 	emit := func(pos geom.Point, cell int32, buffer bool, parent int32, length, slack float64) int32 {
 		out.pos[k], out.cell[k], out.buffer[k] = pos, cell, buffer
 		out.parent[k], out.edgeLen[k] = parent, length
-		if out.extra != nil {
-			out.extra[k] = slack
+		if parent >= 0 {
+			edge := length
+			if out.extra != nil {
+				out.extra[k] = slack
+				edge += slack // EdgeLen's sum
+			}
+			out.rootDist[k] = out.rootDist[parent] + edge
+			out.depth[k] = out.depth[parent] + 1
 		}
 		if cell >= 0 {
 			out.cellNode[cell] = k
@@ -448,7 +458,7 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 			stack = append(stack, int32(kids[i]))
 		}
 	}
-	out.index()
+	out.indexChildren()
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

@@ -395,16 +395,23 @@ func (t *Tree) index() {
 	n := len(t.pos)
 	t.rootDist = make([]float64, n)
 	t.depth = make([]int32, n)
+	t.recomputeDistances()
+	for v := 1; v < n; v++ {
+		t.depth[v] = t.depth[t.parent[v]] + 1
+	}
+	t.indexChildren()
+}
+
+// indexChildren builds the CSR child lists from the parent array.
+func (t *Tree) indexChildren() {
+	n := len(t.pos)
 	t.kidStart = make([]int32, n+1)
 	t.kids = make([]NodeID, n-1)
-	t.recomputeDistances()
 	// Count children per parent, turn the counts into block ends, then
 	// fill each block from its end in descending child order so that
 	// kidStart ends at the block starts and each block ascends.
 	for v := 1; v < n; v++ {
-		p := t.parent[v]
-		t.depth[v] = t.depth[p] + 1
-		t.kidStart[p]++
+		t.kidStart[t.parent[v]]++
 	}
 	var sum int32
 	for v := 0; v < n; v++ {

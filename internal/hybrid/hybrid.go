@@ -162,6 +162,9 @@ func (s *System) WithConfig(cfg Config) (*System, error) {
 	return &c, nil
 }
 
+// Graph returns the communication graph the system partitions.
+func (s *System) Graph() *comm.Graph { return s.g }
+
 // NumElements returns the number of elements in the partition.
 func (s *System) NumElements() int { return len(s.elements) }
 

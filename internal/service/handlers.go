@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/clocksim"
@@ -88,6 +89,40 @@ func (in GraphInput) build() (*comm.Graph, error) {
 	return nil, badRequest("request needs a topology or a graph")
 }
 
+// lazyGraph is one request's graph, built from its input at most once
+// and only when something needs it: an engine-cache miss (inside the
+// cache's build closure), the streamed fallback, or an answer no engine
+// supplied. An engine hit adopts the engine's own graph instead —
+// engines are keyed by the same input, so it is the graph the input
+// describes — which keeps a warm request free of O(cells) work.
+type lazyGraph struct {
+	in   GraphInput
+	once sync.Once
+	g    *comm.Graph
+	err  error
+}
+
+// get returns the request's graph, building it on first use.
+func (l *lazyGraph) get() (*comm.Graph, error) {
+	l.once.Do(func() { l.g, l.err = l.in.build() })
+	return l.g, l.err
+}
+
+// adopt makes g, an engine's graph, the request's graph unless one has
+// been built already.
+func (l *lazyGraph) adopt(g *comm.Graph) { l.once.Do(func() { l.g = g }) }
+
+// failWith returns the error a request that fails with err answers: the
+// graph's own error if the graph cannot be built — a bad graph fails a
+// request before any other check, as it always has — and err otherwise.
+// Only error paths call it, so a warm hit never builds the graph here.
+func (l *lazyGraph) failWith(err error) error {
+	if _, gerr := l.get(); gerr != nil {
+		return gerr
+	}
+	return err
+}
+
 // treeBuilders maps builder names accepted by the API to constructions.
 var treeBuilders = map[string]func(*comm.Graph) (*clocktree.Tree, error){
 	"htree":      clocktree.HTree,
@@ -131,10 +166,15 @@ func buildTree(name string, g *comm.Graph, equalize bool, spacing float64) (*clo
 	return t, nil
 }
 
-// kernelFor returns the cached skew kernel for id's tree recipe over g,
-// building tree and kernel on a miss.
-func (s *Server) kernelFor(id engineIdentity, g *comm.Graph) (*skew.Kernel, error) {
-	return s.kernels.get(id, func() (*skew.Kernel, error) {
+// kernelFor returns the cached skew kernel for id's tree recipe over the
+// request's graph, building graph, tree and kernel on a miss. A hit
+// builds nothing and adopts the kernel's graph as the request's.
+func (s *Server) kernelFor(id engineIdentity, lg *lazyGraph) (*skew.Kernel, error) {
+	k, err := s.kernels.get(id, func() (*skew.Kernel, error) {
+		g, err := lg.get()
+		if err != nil {
+			return nil, err
+		}
 		t, err := buildTree(id.Tree, g, id.Equalize, id.Spacing)
 		if err != nil {
 			return nil, err
@@ -149,38 +189,54 @@ func (s *Server) kernelFor(id engineIdentity, g *comm.Graph) (*skew.Kernel, erro
 		}
 		return k, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	lg.adopt(k.Graph())
+	return k, nil
 }
 
 // clockKernelFor returns the cached clocksim kernel for id's tree
-// recipe over g: the flat propagation schedule reused across regimes,
-// seeds, trial counts, and the configs of one batched simulate. It
-// rides on kernelFor so the built tree is shared with analyze and the
-// skew size limits (413 on oversize arrays) apply identically.
-func (s *Server) clockKernelFor(id engineIdentity, g *comm.Graph) (*clocksim.Kernel, error) {
-	return s.simKernels.get(id, func() (*clocksim.Kernel, error) {
-		sk, err := s.kernelFor(id, g)
+// recipe over the request's graph: the flat propagation schedule reused
+// across regimes, seeds, trial counts, and the configs of one batched
+// simulate. It rides on kernelFor so the built tree (and graph) is
+// shared with analyze and the skew size limits (413 on oversize arrays)
+// apply identically. A hit adopts the kernel's graph as the request's.
+func (s *Server) clockKernelFor(id engineIdentity, lg *lazyGraph) (*clocksim.Kernel, error) {
+	k, err := s.simKernels.get(id, func() (*clocksim.Kernel, error) {
+		sk, err := s.kernelFor(id, lg)
 		if err != nil {
 			return nil, err
 		}
-		k, err := clocksim.NewKernel(g, sk.Tree())
+		k, err := clocksim.NewKernel(sk.Graph(), sk.Tree())
 		if err != nil {
 			return nil, unprocessable(err)
 		}
 		return k, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	lg.adopt(k.Graph())
+	return k, nil
 }
 
-// hybridSystemFor returns a hybrid system for (g, cfg) over the cached
-// partition and recurrence kernel for id's element size, the only
-// config field they depend on; WithConfig layers cfg's timing
-// parameters on per request. cfg is validated first, so a build shared
-// with concurrent requests can fail only for reasons of the graph and
-// the element size, never for one request's timing parameters.
-func (s *Server) hybridSystemFor(id engineIdentity, g *comm.Graph, cfg hybrid.Config) (*hybrid.System, error) {
+// hybridSystemFor returns a hybrid system for the request's graph and
+// cfg over the cached partition and recurrence kernel for id's element
+// size, the only config field they depend on; WithConfig layers cfg's
+// timing parameters on per request. cfg is validated first, so a build
+// shared with concurrent requests can fail only for reasons of the
+// graph and the element size, never for one request's timing
+// parameters. Only a miss builds the graph; a hit adopts the system's.
+func (s *Server) hybridSystemFor(id engineIdentity, lg *lazyGraph, cfg hybrid.Config) (*hybrid.System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, unprocessable(err)
 	}
 	base, err := s.hybridSystems.get(id, func() (*hybrid.System, error) {
+		g, err := lg.get()
+		if err != nil {
+			return nil, err
+		}
 		sys, err := hybrid.New(g, cfg)
 		if err != nil {
 			return nil, unprocessable(err)
@@ -190,6 +246,7 @@ func (s *Server) hybridSystemFor(id engineIdentity, g *comm.Graph, cfg hybrid.Co
 	if err != nil {
 		return nil, err
 	}
+	lg.adopt(base.Graph())
 	sys, err := base.WithConfig(cfg)
 	if err != nil {
 		return nil, unprocessable(err)
@@ -390,26 +447,23 @@ type AnalyzeResponse struct {
 }
 
 func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (response, error) {
-	g, err := req.build()
-	if err != nil {
-		return response{}, err
-	}
+	lg := &lazyGraph{in: req.GraphInput}
 	model, err := req.Model.build()
 	if err != nil {
-		return response{}, err
+		return response{}, lg.failWith(err)
 	}
 	if req.MonteCarloTrials < 0 || req.MonteCarloTrials > 1<<20 {
-		return response{}, badRequest("montecarlo_trials must be in [0, %d], got %d", 1<<20, req.MonteCarloTrials)
+		return response{}, lg.failWith(badRequest("montecarlo_trials must be in [0, %d], got %d", 1<<20, req.MonteCarloTrials))
 	}
 
 	// Fan the candidate trees out over the worker pool; each tree's
 	// Monte Carlo trials fan out again inside MonteCarloParallel. The
 	// kernel cache means a repeat of a (graph, tree) recipe — even under
-	// a different model, trial count, or seed — skips the tree build and
-	// pair-geometry precomputation entirely.
+	// a different model, trial count, or seed — skips the graph build,
+	// the tree build and the pair-geometry precomputation entirely.
 	results := runner.Map(ctx, s.cfg.Workers, len(req.Trees), func(ctx context.Context, i int) (TreeAnalysis, error) {
 		out := TreeAnalysis{Tree: req.Trees[i]}
-		k, err := s.kernelFor(req.engineID(req.Trees[i]), g)
+		k, err := s.kernelFor(req.engineID(req.Trees[i]), lg)
 		if err != nil {
 			// An oversize array switches to the streamed path, which
 			// answers exactly in bounded memory; with the fallback
@@ -421,7 +475,7 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 				if s.cfg.NoStreamedFallback {
 					return out, err
 				}
-				return s.streamedTreeAnalysis(ctx, g, req.Trees[i], req, model, nil)
+				return s.streamedTreeAnalysis(ctx, lg, req.Trees[i], req, model, nil)
 			}
 			out.Error = err.Error()
 			return out, nil
@@ -445,7 +499,7 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 			}
 			out.MonteCarloMaxSkew = mc
 		}
-		if req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
+		if g := k.Graph(); req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
 			cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
 			if err != nil {
 				out.Error = err.Error()
@@ -456,7 +510,13 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 		return out, nil
 	})
 	if err := runner.Join(results); err != nil {
-		return response{}, firstTypedError(results, err)
+		return response{}, lg.failWith(firstTypedError(results, err))
+	}
+	// An engine's graph when any tree found one; built here only when
+	// every tree failed, and then a bad graph fails the whole request.
+	g, err := lg.get()
+	if err != nil {
+		return response{}, err
 	}
 	resp := AnalyzeResponse{Graph: g.Name, Cells: g.NumCells(), Model: model.Name()}
 	for _, r := range results {
@@ -695,17 +755,14 @@ type SimulateBatchResponse struct {
 }
 
 func (s *Server) computeSimulate(ctx context.Context, req *SimulateRequest) (response, error) {
-	g, err := req.build()
-	if err != nil {
-		return response{}, err
-	}
+	lg := &lazyGraph{in: req.GraphInput}
 	if len(req.Configs) > 0 {
-		return s.computeSimulateBatch(ctx, g, req)
+		return s.computeSimulateBatch(ctx, lg, req)
 	}
 	cfg := req.config()
-	resp, err := s.simulateOne(ctx, req.GraphInput, g, &cfg)
+	resp, err := s.simulateOne(ctx, req.GraphInput, lg, &cfg)
 	if err != nil {
-		return response{}, err
+		return response{}, lg.failWith(err)
 	}
 	return marshalResponse(resp)
 }
@@ -715,16 +772,15 @@ func (s *Server) computeSimulate(ctx context.Context, req *SimulateRequest) (res
 // recipe or element size reuses one engine, built once however the
 // fan-out races, so a fresh topology costs one build per recipe for the
 // whole sweep.
-func (s *Server) computeSimulateBatch(ctx context.Context, g *comm.Graph, req *SimulateRequest) (response, error) {
+func (s *Server) computeSimulateBatch(ctx context.Context, lg *lazyGraph, req *SimulateRequest) (response, error) {
 	if len(req.Configs) > s.cfg.MaxBatchConfigs {
-		return response{}, badRequest("batch carries %d configs, limit %d", len(req.Configs), s.cfg.MaxBatchConfigs)
+		return response{}, lg.failWith(badRequest("batch carries %d configs, limit %d", len(req.Configs), s.cfg.MaxBatchConfigs))
 	}
-	ctx, span := obs.Start(ctx, "simulate.batch",
-		obs.Int("configs", int64(len(req.Configs))), obs.Int("cells", int64(g.NumCells())))
+	ctx, span := obs.Start(ctx, "simulate.batch", obs.Int("configs", int64(len(req.Configs))))
 	defer span.End()
 	results := runner.Map(ctx, s.cfg.Workers, len(req.Configs), func(ctx context.Context, i int) (SimulateBatchItem, error) {
 		item := SimulateBatchItem{Index: i}
-		r, err := s.simulateOne(ctx, req.GraphInput, g, &req.Configs[i])
+		r, err := s.simulateOne(ctx, req.GraphInput, lg, &req.Configs[i])
 		if err != nil {
 			// Oversize arrays (413) and expired deadlines fail the whole
 			// request with their typed status; anything else is this one
@@ -744,8 +800,13 @@ func (s *Server) computeSimulateBatch(ctx context.Context, g *comm.Graph, req *S
 		return item, nil
 	})
 	if err := runner.Join(results); err != nil {
-		return response{}, firstTypedError(results, err)
+		return response{}, lg.failWith(firstTypedError(results, err))
 	}
+	g, err := lg.get()
+	if err != nil {
+		return response{}, err
+	}
+	span.Annotate(obs.Int("cells", int64(g.NumCells())))
 	resp := SimulateBatchResponse{Graph: g.Name, Cells: g.NumCells(), Configs: len(req.Configs)}
 	for _, r := range results {
 		resp.Results = append(resp.Results, r.Value)
@@ -771,10 +832,10 @@ func (s *Server) logBatchError(ctx context.Context, index int, err error) {
 	s.logger.Println(string(line))
 }
 
-// simulateOne evaluates a single config against the shared graph g,
-// built from in. Both the single form and every batch item funnel
-// through here.
-func (s *Server) simulateOne(ctx context.Context, in GraphInput, g *comm.Graph, cfg *SimulateConfig) (*SimulateResponse, error) {
+// simulateOne evaluates a single config against the request's graph,
+// described by in and built lazily by lg. Both the single form and every
+// batch item funnel through here.
+func (s *Server) simulateOne(ctx context.Context, in GraphInput, lg *lazyGraph, cfg *SimulateConfig) (*SimulateResponse, error) {
 	if cfg.Topology != nil || cfg.Graph != nil {
 		return nil, badRequest("a batch config carries its own topology or graph; every config runs over the request's topology")
 	}
@@ -786,31 +847,37 @@ func (s *Server) simulateOne(ctx context.Context, in GraphInput, g *comm.Graph, 
 			return nil, badRequest("%v", err)
 		}
 	}
-	resp := &SimulateResponse{Graph: g.Name, Cells: g.NumCells(), Mode: cfg.Mode}
+	resp := &SimulateResponse{Mode: cfg.Mode}
 	switch cfg.Mode {
 	case "hybrid":
-		if err := s.simulateHybrid(ctx, cfg.engineID(in), g, cfg, resp); err != nil {
+		if err := s.simulateHybrid(ctx, cfg.engineID(in), lg, cfg, resp); err != nil {
 			return nil, err
 		}
 	case "clock":
-		if err := s.simulateClock(ctx, cfg.engineID(in), g, cfg, resp); err != nil {
+		if err := s.simulateClock(ctx, cfg.engineID(in), lg, cfg, resp); err != nil {
 			return nil, err
 		}
 	default:
 		return nil, badRequest("unknown mode %q (want clock or hybrid)", cfg.Mode)
 	}
+	// The engine's graph, adopted by the lookup: no build here.
+	g, err := lg.get()
+	if err != nil {
+		return nil, err
+	}
+	resp.Graph, resp.Cells = g.Name, g.NumCells()
 	return resp, nil
 }
 
-func (s *Server) simulateClock(ctx context.Context, id engineIdentity, g *comm.Graph, cfg *SimulateConfig, resp *SimulateResponse) error {
+func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyGraph, cfg *SimulateConfig, resp *SimulateResponse) error {
 	// One precomputed clocksim kernel serves every regime, seed, and
 	// trial count over this (graph, tree) recipe — across requests via
 	// the cache, and across the configs of one batch.
-	k, err := s.clockKernelFor(id, g)
+	k, err := s.clockKernelFor(id, lg)
 	if err != nil {
 		return err
 	}
-	tree := k.Tree()
+	g, tree := k.Graph(), k.Tree()
 	p := clocksim.Params{
 		M: cfg.Params.M, Eps: cfg.Params.Eps,
 		BufferDelay:   cfg.Params.BufferDelay,
@@ -892,7 +959,7 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, g *comm.G
 	return nil
 }
 
-func (s *Server) simulateHybrid(ctx context.Context, id engineIdentity, g *comm.Graph, cfg *SimulateConfig, resp *SimulateResponse) error {
+func (s *Server) simulateHybrid(ctx context.Context, id engineIdentity, lg *lazyGraph, cfg *SimulateConfig, resp *SimulateResponse) error {
 	h := cfg.Hybrid
 	if h.Waves < 1 || h.Waves > 1<<12 {
 		return badRequest("hybrid waves must be in [1, %d], got %d", 1<<12, h.Waves)
@@ -904,7 +971,7 @@ func (s *Server) simulateHybrid(ctx context.Context, id engineIdentity, g *comm.
 		CellDelay:         h.CellDelay,
 		HoldDelay:         h.HoldDelay,
 	}
-	sys, err := s.hybridSystemFor(id, g, hcfg)
+	sys, err := s.hybridSystemFor(id, lg, hcfg)
 	if err != nil {
 		return err
 	}

@@ -328,28 +328,28 @@ func streamedPartial(tree string, p skew.StreamPartial) json.RawMessage {
 // partial quantiles stream while the sweep runs.
 func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 	return func(ctx context.Context, job *jobs.Job) (json.RawMessage, string, error) {
-		g, err := req.build()
-		if err != nil {
+		lg := &lazyGraph{in: req.GraphInput}
+		fail := func(err error) (json.RawMessage, string, error) {
+			err = lg.failWith(err)
 			return nil, reasonOf(err), err
 		}
 		model, err := req.Model.build()
 		if err != nil {
-			return nil, reasonOf(err), err
+			return fail(err)
 		}
 		if req.MonteCarloTrials < 0 || req.MonteCarloTrials > 1<<20 {
-			err := badRequest("montecarlo_trials must be in [0, %d], got %d", 1<<20, req.MonteCarloTrials)
-			return nil, reasonOf(err), err
+			return fail(badRequest("montecarlo_trials must be in [0, %d], got %d", 1<<20, req.MonteCarloTrials))
 		}
 		trials := req.MonteCarloTrials
 		totalTrials := trials * len(req.Trees)
 		doneTrials := 0
-		resp := AnalyzeResponse{Graph: g.Name, Cells: g.NumCells(), Model: model.Name()}
+		resp := AnalyzeResponse{Model: model.Name()}
 		for _, treeName := range req.Trees {
 			if err := ctx.Err(); err != nil {
 				return nil, "", err
 			}
 			out := TreeAnalysis{Tree: treeName}
-			k, err := s.kernelFor(req.engineID(treeName), g)
+			k, err := s.kernelFor(req.engineID(treeName), lg)
 			if err != nil {
 				// Mirror computeAnalyze: an oversize array falls back to the
 				// streamed path — publishing shard-level partials as the scan
@@ -361,7 +361,7 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 					if s.cfg.NoStreamedFallback {
 						return nil, ReasonArrayTooLarge, err
 					}
-					sa, err := s.streamedTreeAnalysis(ctx, g, treeName, req, model, func(p skew.StreamPartial) {
+					sa, err := s.streamedTreeAnalysis(ctx, lg, treeName, req, model, func(p skew.StreamPartial) {
 						job.Publish(doneTrials, totalTrials, streamedPartial(treeName, p))
 					})
 					if err != nil {
@@ -391,7 +391,7 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 				if err := m.Validate(); err != nil {
 					return nil, ReasonUnprocessable, unprocessable(err)
 				}
-				rng := stats.NewRNG(req.Seed)
+				rng, fork := stats.NewRNG(req.Seed), stats.NewRNG(0)
 				samples := make([]float64, 0, trials)
 				for start := 0; start < trials; start += chunk {
 					if err := ctx.Err(); err != nil {
@@ -405,9 +405,10 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 						obs.String("tree", treeName), obs.Int("trials", int64(end-start)))
 					chunkStart := time.Now()
 					// Forking the RNG by absolute trial index makes the
-					// chunked sweep reproduce Kernel.MonteCarlo bit for bit.
+					// chunked sweep reproduce Kernel.MonteCarlo bit for bit;
+					// each fork reseeds one generator in place.
 					for i := start; i < end; i++ {
-						samples = append(samples, k.Trial(m, rng.Fork(int64(i))))
+						samples = append(samples, k.Trial(m, rng.ForkInto(int64(i), fork)))
 					}
 					if sec := time.Since(chunkStart).Seconds(); sec > 0 {
 						s.metrics.jobTrials.Observe(float64(end-start)/sec, cs.TraceID())
@@ -418,7 +419,7 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 				}
 				out.MonteCarloMaxSkew = stats.Max(samples)
 			}
-			if req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
+			if g := k.Graph(); req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
 				cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
 				if err != nil {
 					out.Error = err.Error()
@@ -428,6 +429,11 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 			}
 			resp.Results = append(resp.Results, out)
 		}
+		g, err := lg.get()
+		if err != nil {
+			return nil, reasonOf(err), err
+		}
+		resp.Graph, resp.Cells = g.Name, g.NumCells()
 		b, err := json.MarshalIndent(resp, "", "  ")
 		if err != nil {
 			return nil, "", err

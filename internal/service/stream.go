@@ -22,9 +22,14 @@ import (
 )
 
 // streamerFor returns the cached skew.Streamer for id's tree recipe
-// over g, building the tree and streamer on a miss.
-func (s *Server) streamerFor(id engineIdentity, g *comm.Graph) (*skew.Streamer, error) {
-	return s.streamers.get(id, func() (*skew.Streamer, error) {
+// over the request's graph, building graph, tree and streamer on a miss.
+// A hit adopts the streamer's graph as the request's.
+func (s *Server) streamerFor(id engineIdentity, lg *lazyGraph) (*skew.Streamer, error) {
+	st, err := s.streamers.get(id, func() (*skew.Streamer, error) {
+		g, err := lg.get()
+		if err != nil {
+			return nil, err
+		}
 		t, err := buildTree(id.Tree, g, id.Equalize, id.Spacing)
 		if err != nil {
 			return nil, err
@@ -35,6 +40,11 @@ func (s *Server) streamerFor(id engineIdentity, g *comm.Graph) (*skew.Streamer, 
 		}
 		return st, nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	lg.adopt(st.Graph())
+	return st, nil
 }
 
 // streamOptions assembles the server-side StreamOptions for one
@@ -59,9 +69,9 @@ func (s *Server) streamOptions(treeName string, req *AnalyzeRequest, progress fu
 // streamed path and reports it in TreeAnalysis form, marked with the
 // streamed metadata. It is the 413 fallback: callers reach it only
 // after kernelFor rejected the pair count for size.
-func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, treeName string, req *AnalyzeRequest, model skew.Model, progress func(skew.StreamPartial)) (TreeAnalysis, error) {
+func (s *Server) streamedTreeAnalysis(ctx context.Context, lg *lazyGraph, treeName string, req *AnalyzeRequest, model skew.Model, progress func(skew.StreamPartial)) (TreeAnalysis, error) {
 	out := TreeAnalysis{Tree: treeName, Streamed: true}
-	st, err := s.streamerFor(req.engineID(treeName), g)
+	st, err := s.streamerFor(req.engineID(treeName), lg)
 	if err != nil {
 		// Same inline-vs-typed split as the kernel path: a builder that
 		// does not apply reports inline; typed statuses propagate.
@@ -92,7 +102,7 @@ func (s *Server) streamedTreeAnalysis(ctx context.Context, g *comm.Graph, treeNa
 	out.SkewP50, out.SkewP90, out.SkewP99 = res.P50, res.P90, res.P99
 	out.QuantileRelError = res.QuantileRelError
 	out.Sampled = res.Sampled
-	if req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
+	if g := st.Graph(); req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
 		cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
 		if err != nil {
 			out.Error = err.Error()
@@ -137,20 +147,17 @@ func (s *Server) handleClusterShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.Model.applyDefaults()
-	g, err := req.build()
-	if err != nil {
-		writeError(w, statusOf(err), err.Error(), reasonOf(err))
-		return
-	}
+	lg := &lazyGraph{in: req.GraphInput}
 	model, err := req.Model.build()
 	if err != nil {
+		err = lg.failWith(err)
 		writeError(w, statusOf(err), err.Error(), reasonOf(err))
 		return
 	}
 	if req.Tree == "" {
 		req.Tree = "htree"
 	}
-	st, err := s.streamerFor(engineIdentity{Input: req.GraphInput, Tree: req.Tree, Equalize: req.Equalize, Spacing: req.Spacing}, g)
+	st, err := s.streamerFor(engineIdentity{Input: req.GraphInput, Tree: req.Tree, Equalize: req.Equalize, Spacing: req.Spacing}, lg)
 	if err != nil {
 		writeError(w, statusOf(err), err.Error(), reasonOf(err))
 		return

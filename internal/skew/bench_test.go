@@ -10,8 +10,9 @@ import (
 )
 
 // The benchmarks here are the perf suite behind BENCH_skew.json: the
-// first five keep their pre-kernel names and bodies so before/after
-// numbers are apples-to-apples, and the Kernel* group measures the
+// first five keep their pre-kernel names and measure the same work
+// (a kernel build included) so before/after numbers are
+// apples-to-apples, and the Kernel* group measures the
 // amortized regime the serving path lives in, where one Kernel is built
 // once and queried many times.
 
@@ -63,6 +64,8 @@ func BenchmarkMonteCarlo32x4(b *testing.B) {
 	}
 }
 
+// BenchmarkMonteCarloParallel32x64 is a cold parallel Monte Carlo:
+// kernel build plus 64 trials on 4 workers.
 func BenchmarkMonteCarloParallel32x64(b *testing.B) {
 	g, tree := benchMeshHTree(b, 32)
 	m := Linear{M: 1, Eps: 0.1}
@@ -70,7 +73,11 @@ func BenchmarkMonteCarloParallel32x64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := MonteCarloParallel(context.Background(), 4, g, tree, m, 64, rng); err != nil {
+		k, err := NewKernel(g, tree)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := k.MonteCarloParallel(context.Background(), 4, m, 64, rng); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -173,5 +180,29 @@ func BenchmarkKernelTrialSteadyState(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = k.Trial(m, rng)
+	}
+}
+
+// BenchmarkKernelMonteCarloSteadyState is the per-request Monte-Carlo
+// loop the CI bench-smoke job gates on: a 16-trial MonteCarlo on a warm
+// 128² kernel must report 0 allocs/op, so no per-trial allocation (a
+// freshly seeded generator per fork, say) can come back.
+func BenchmarkKernelMonteCarloSteadyState(b *testing.B) {
+	g, tree := benchMeshHTree(b, 128)
+	k, err := NewKernel(g, tree)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := Linear{M: 1, Eps: 0.1}
+	rng := stats.NewRNG(7)
+	if _, err := k.MonteCarlo(m, 16, rng); err != nil { // warm the arena pool
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := k.MonteCarlo(m, 16, rng); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -16,46 +16,49 @@ import (
 // caches:
 //
 //   - the graph's communicating pairs, in PairIndex order, resolved to
-//     flat tree-node indices,
+//     the tree nodes clocking their cells,
 //   - each pair's difference distance d and tree-path length s
 //     (Section III's two geometries, computed once instead of per query),
-//   - a parent-before-child edge schedule (the tree's DFS preorder)
-//     that replaces the recursive closure walk of the Monte-Carlo trial
-//     with two flat loops over preallocated arrays.
+//   - the tree's edges in DFS preorder, which turns the recursive
+//     closure walk of the Monte-Carlo trial into two flat loops over
+//     preallocated arrays.
+//
+// The kernel relabels the tree's nodes by their DFS preorder position
+// (root 0, children in ascending ID order): node v's parent is
+// parent[v-1] < v and its edge has electrical length length[v-1], and
+// pairA/pairB hold preorder labels. Preorder guarantees a parent's
+// arrival time is final before any child reads it, and — critically for
+// determinism — it draws per-edge random delays in exactly the order the
+// pre-kernel recursive walk did, so Monte-Carlo results are
+// bit-identical to the reference.
 //
 // A Kernel is safe for concurrent use: Analyze and GuaranteedMinSkew
-// only read, and Monte-Carlo scratch state lives in a sync.Pool of
-// per-worker arenas, so steady-state trials allocate nothing. The
-// serving stack caches Kernels by content-addressed (graph, tree) hash
-// and reuses them across requests with different models, trials, and
-// seeds.
+// only read, and Monte-Carlo scratch state — a generator reseeded in
+// place per trial included — lives in a sync.Pool of per-worker arenas,
+// so steady-state trials allocate nothing. The serving stack caches
+// Kernels by the request's engine identity and reuses them across
+// requests with different models, trials, and seeds.
 type Kernel struct {
 	graph *comm.Graph
 	tree  *clocktree.Tree
 
-	pairA, pairB []int32   // tree-node index of each pair's endpoints
+	pairA, pairB []int32   // preorder label of each pair's endpoint nodes
 	d, s         []float64 // per-pair difference / tree-path distances
 	maxD, maxS   float64
 
-	// Edge schedule in DFS preorder (root excluded): node order[i] has
-	// parent parent[i] and electrical edge length length[i]. Preorder
-	// guarantees a parent's arrival time is final before any child reads
-	// it, and — critically for determinism — it draws per-edge random
-	// delays in exactly the order the pre-kernel recursive walk did, so
-	// Monte-Carlo results are bit-identical to the reference.
-	order  []int32
-	parent []int32
-	length []float64
-	root   int32
+	parent []int32   // parent[v-1] is the preorder label of node v's parent
+	length []float64 // length[v-1] is the electrical length of node v's edge
 
 	arenas sync.Pool // *mcArena, reused across trials and chunks
 }
 
-// mcArena is one worker's Monte-Carlo scratch: per-edge unit delays and
-// per-node arrival times.
+// mcArena is one worker's Monte-Carlo scratch: per-edge unit delays,
+// per-node arrival times, and the generator each trial's fork is
+// reseeded into.
 type mcArena struct {
 	units   []float64
 	arrival []float64
+	rng     *stats.RNG
 }
 
 // NewKernel validates that tree clocks every cell of g and precomputes
@@ -80,15 +83,17 @@ func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kern
 	// oversize graph is refused — and handed to the streamed path —
 	// before any per-pair array is allocated.
 	ix := g.PairIndex()
-	if err := checkKernelSize(g.Name, tree.Name, tree.NumNodes(), int(ix.NumPairs()), lim); err != nil {
+	n := tree.NumNodes()
+	if err := checkKernelSize(g.Name, tree.Name, n, int(ix.NumPairs()), lim); err != nil {
 		return nil, err
 	}
 	pairA, pairB := tree.PairNodes(ix)
 	k := &Kernel{
 		graph: g, tree: tree, pairA: pairA, pairB: pairB,
-		d:    make([]float64, len(pairA)),
-		s:    make([]float64, len(pairA)),
-		root: int32(tree.Root()),
+		d:      make([]float64, len(pairA)),
+		s:      make([]float64, len(pairA)),
+		parent: make([]int32, n-1),
+		length: make([]float64, n-1),
 	}
 	tree.PathLens(k.pairA, k.pairB, k.s)
 	for i := range k.pairA {
@@ -100,34 +105,46 @@ func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kern
 			k.maxS = k.s[i]
 		}
 	}
-	n := tree.NumNodes()
-	k.order = make([]int32, 0, n-1)
-	k.parent = make([]int32, 0, n-1)
-	k.length = make([]float64, 0, n-1)
-	// DFS preorder via explicit stack; children pushed in reverse so they
-	// are visited (and their delays drawn) in natural order, matching the
-	// pre-kernel recursive walk draw for draw.
-	stack := []clocktree.NodeID{tree.Root()}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if p := tree.Parent(v); p >= 0 {
-			k.order = append(k.order, int32(v))
-			k.parent = append(k.parent, int32(p))
-			k.length = append(k.length, tree.EdgeLen(v))
-		}
-		kids := tree.Children(v)
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, kids[i])
-		}
+	pre := preorder(tree)
+	for v := 1; v < n; v++ {
+		i := pre[v] - 1
+		k.parent[i] = pre[tree.Parent(clocktree.NodeID(v))]
+		k.length[i] = tree.EdgeLen(clocktree.NodeID(v))
+	}
+	for i := range k.pairA {
+		k.pairA[i], k.pairB[i] = pre[k.pairA[i]], pre[k.pairB[i]]
 	}
 	k.arenas.New = func() any {
 		return &mcArena{
-			units:   make([]float64, len(k.order)),
+			units:   make([]float64, n-1),
 			arrival: make([]float64, n),
+			rng:     stats.NewRNG(0),
 		}
 	}
 	return k, nil
+}
+
+// preorder returns each node's position in the tree's DFS preorder with
+// children visited in ascending ID order — the order the pre-kernel
+// recursive walk drew edge delays in. Parents precede children, so one
+// reverse sweep sizes every subtree and one forward sweep places each
+// node's children one after another right behind it. An entry holds its
+// subtree's size until its parent is placed, and its position after.
+func preorder(tree *clocktree.Tree) []int32 {
+	n := tree.NumNodes()
+	pre := make([]int32, n)
+	for v := n - 1; v > 0; v-- {
+		pre[v]++
+		pre[tree.Parent(clocktree.NodeID(v))] += pre[v]
+	}
+	pre[0] = 0
+	for v := 0; v < n; v++ {
+		next := pre[v] + 1
+		for _, c := range tree.Children(clocktree.NodeID(v)) {
+			next, pre[c] = next+pre[c], next
+		}
+	}
+	return pre
 }
 
 // Graph returns the communication graph the kernel was built over.
@@ -147,19 +164,22 @@ func (k *Kernel) FootprintBytes() int64 {
 }
 
 // Analyze evaluates model over every communicating pair using the
-// cached distances. It performs no tree or graph traversal.
+// cached distances. It performs no tree or graph traversal: the worst
+// pair's cells are looked up once, after the scan.
 func (k *Kernel) Analyze(model Model) Analysis {
 	out := Analysis{
 		Model: model.Name(), Tree: k.tree.Name,
 		MaxD: k.maxD, MaxS: k.maxS, Pairs: len(k.pairA),
 	}
-	for i := range k.pairA {
-		d, s := k.d[i], k.s[i]
-		if sk := model.Bound(d, s); sk > out.MaxSkew {
-			out.MaxSkew = sk
-			a, b := k.tree.Node(clocktree.NodeID(k.pairA[i])), k.tree.Node(clocktree.NodeID(k.pairB[i]))
-			out.WorstPair = PairSkew{A: a.Cell, B: b.Cell, D: d, S: s, Skew: sk}
+	worst := -1
+	for i, d := range k.d {
+		if sk := model.Bound(d, k.s[i]); sk > out.MaxSkew {
+			out.MaxSkew, worst = sk, i
 		}
+	}
+	if worst >= 0 {
+		a, b := k.graph.PairIndex().Pair(int64(worst))
+		out.WorstPair = PairSkew{A: a, B: b, D: k.d[worst], S: k.s[worst], Skew: out.MaxSkew}
 	}
 	return out
 }
@@ -180,19 +200,20 @@ func (k *Kernel) GuaranteedMinSkew(model Model) float64 {
 	return worst
 }
 
-// Trial runs one Monte-Carlo trial — draw a random unit delay for every
-// tree edge, accumulate arrival times down the schedule, and return the
-// worst arrival difference over communicating pairs — using scratch from
-// the kernel's arena pool. Steady state allocates nothing.
+// trial runs one Monte-Carlo trial — draw a random unit delay for every
+// tree edge, accumulate arrival times down the preorder schedule, and
+// return the worst arrival difference over communicating pairs — in
+// arena a's scratch. It allocates nothing.
 func (k *Kernel) trial(m Linear, r *stats.RNG, a *mcArena) float64 {
 	r.UniformFill(a.units, m.M-m.Eps, m.M+m.Eps)
-	a.arrival[k.root] = 0
-	for i, v := range k.order {
-		a.arrival[v] = a.arrival[k.parent[i]] + k.length[i]*a.units[i]
+	arr := a.arrival
+	arr[0] = 0
+	for i, p := range k.parent {
+		arr[i+1] = arr[p] + k.length[i]*a.units[i]
 	}
 	var worst float64
-	for i := range k.pairA {
-		if d := math.Abs(a.arrival[k.pairA[i]] - a.arrival[k.pairB[i]]); d > worst {
+	for i, pa := range k.pairA {
+		if d := math.Abs(arr[pa] - arr[k.pairB[i]]); d > worst {
 			worst = d
 		}
 	}
@@ -211,7 +232,8 @@ func (k *Kernel) Trial(m Linear, r *stats.RNG) float64 {
 }
 
 // MonteCarlo runs trials sequential Monte-Carlo trials, forking rng by
-// trial index exactly as the reference implementation does, and returns
+// trial index exactly as the reference implementation does (each fork
+// reseeds the arena's generator in place), and returns
 // the worst skew observed. See MonteCarlo (package function) for the
 // physical interpretation.
 func (k *Kernel) MonteCarlo(m Linear, trials int, rng *stats.RNG) (float64, error) {
@@ -222,7 +244,7 @@ func (k *Kernel) MonteCarlo(m Linear, trials int, rng *stats.RNG) (float64, erro
 	defer k.arenas.Put(a)
 	var worst float64
 	for trial := 0; trial < trials; trial++ {
-		if w := k.trial(m, rng.Fork(int64(trial)), a); w > worst {
+		if w := k.trial(m, rng.ForkInto(int64(trial), a.rng), a); w > worst {
 			worst = w
 		}
 	}

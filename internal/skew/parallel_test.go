@@ -31,8 +31,12 @@ func TestMonteCarloParallelMatchesSequential(t *testing.T) {
 	if want <= 0 {
 		t.Fatalf("sequential Monte Carlo found zero skew on a mesh")
 	}
+	k, err := NewKernel(g, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, workers := range []int{1, 2, 8} {
-		got, err := MonteCarloParallel(context.Background(), workers, g, tree, m, trials, stats.NewRNG(seed))
+		got, err := k.MonteCarloParallel(context.Background(), workers, m, trials, stats.NewRNG(seed))
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -51,9 +55,13 @@ func TestMonteCarloParallelHonorsCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	k, err := NewKernel(g, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err = MonteCarloParallel(ctx, 4, g, tree, Linear{M: 1, Eps: 0.1}, 128, stats.NewRNG(1))
+	_, err = k.MonteCarloParallel(ctx, 4, Linear{M: 1, Eps: 0.1}, 128, stats.NewRNG(1))
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled run returned %v; want context.Canceled", err)
 	}

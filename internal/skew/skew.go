@@ -196,24 +196,14 @@ func MonteCarlo(g *comm.Graph, tree *clocktree.Tree, m Linear, trials int, rng *
 // MonteCarloParallel is MonteCarlo with the trials fanned out over a
 // bounded worker pool and cancellation threaded through ctx — the form
 // the serving path uses so one heavy request neither blocks a core nor
-// outlives its deadline. Each trial forks the caller's generator by its
-// trial index exactly as MonteCarlo does, so for a given seed the result
-// is identical to the sequential run at any worker count. A cancelled
-// ctx aborts the remaining trials and returns ctx's error.
-func MonteCarloParallel(ctx context.Context, workers int, g *comm.Graph, tree *clocktree.Tree, m Linear, trials int, rng *stats.RNG) (float64, error) {
-	k, err := NewKernel(g, tree)
-	if err != nil {
-		return 0, err
-	}
-	return k.MonteCarloParallel(ctx, workers, m, trials, rng)
-}
-
-// MonteCarloParallel is the kernel form of the package function: trials
-// are partitioned into contiguous chunks fanned out over the worker
-// pool, and each chunk borrows one arena from the kernel's pool for all
-// of its trials, so steady-state trials allocate nothing. The worst skew
-// is a max-reduction — order independent — so the result is identical
-// to the sequential run at any worker count and any chunking.
+// outlives its deadline. Trials are partitioned into contiguous chunks,
+// and each chunk borrows one arena from the kernel's pool for all of its
+// trials, so steady-state trials allocate nothing. Each trial forks the
+// caller's generator by its trial index exactly as MonteCarlo does, and
+// the worst skew is a max-reduction — order independent — so the result
+// is identical to the sequential run at any worker count and any
+// chunking. A cancelled ctx aborts the remaining trials and returns
+// ctx's error.
 func (k *Kernel) MonteCarloParallel(ctx context.Context, workers int, m Linear, trials int, rng *stats.RNG) (float64, error) {
 	// Chunk so each worker gets a few chunks (tail-latency smoothing)
 	// without creating so many that scheduling costs return.
@@ -241,7 +231,7 @@ func (k *Kernel) MonteCarloParallel(ctx context.Context, workers int, m Linear, 
 			if err := ctx.Err(); err != nil {
 				return 0, err
 			}
-			if w := k.trial(m, rng.Fork(int64(trial)), a); w > worst {
+			if w := k.trial(m, rng.ForkInto(int64(trial), a.rng), a); w > worst {
 				worst = w
 			}
 		}

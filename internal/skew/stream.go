@@ -407,13 +407,13 @@ func (st *Streamer) SampledMax(ctx context.Context, model Model, trials int, sam
 	_, span := obs.Start(ctx, "skew.stream_sampled",
 		obs.Int("trials", int64(trials)), obs.Int("sample_pairs", sampleCap))
 	defer span.End()
-	rng := stats.NewRNG(seed)
+	rng, fork := stats.NewRNG(seed), stats.NewRNG(0)
 	xs := make([]float64, trials)
 	for trial := 0; trial < trials; trial++ {
 		if err := ctx.Err(); err != nil {
 			return SampledMaxEstimate{}, err
 		}
-		r := rng.Fork(int64(trial))
+		r := rng.ForkInto(int64(trial), fork)
 		idxs := uniformPairSample(r, n, sampleCap)
 		var worst float64
 		for _, i := range idxs {

@@ -97,7 +97,26 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 // generators let concurrent or per-entity streams stay reproducible
 // regardless of consumption order elsewhere.
 func (r *RNG) Fork(id int64) *RNG {
-	return NewRNG(mix64(uint64(r.seed)) ^ mix64(uint64(id)*0x9E3779B97F4A7C15+1))
+	return NewRNG(r.forkSeed(id))
+}
+
+// ForkInto reseeds dst in place to exactly the stream Fork(id) would
+// return and returns dst: every later draw is bit-identical to the
+// fork's, but no new source is allocated. dst must come from NewRNG
+// (or Fork) and must not be in use by another goroutine; hot loops that
+// fork once per trial keep one dst per worker.
+func (r *RNG) ForkInto(id int64, dst *RNG) *RNG {
+	seed := r.forkSeed(id)
+	dst.enter()
+	defer dst.exit()
+	dst.rand.Seed(seed)
+	dst.seed = seed
+	return dst
+}
+
+// forkSeed derives the seed of r's fork keyed by id.
+func (r *RNG) forkSeed(id int64) int64 {
+	return mix64(uint64(r.seed)) ^ mix64(uint64(id)*0x9E3779B97F4A7C15+1)
 }
 
 // mix64 is the SplitMix64 finalizer, used to decorrelate fork seeds.

@@ -84,6 +84,53 @@ func TestRNGForkAcrossGoroutines(t *testing.T) {
 	}
 }
 
+// TestRNGForkIntoMatchesFork pins the reseed-in-place fork to Fork draw
+// for draw over many ids and parent seeds, reusing one destination whose
+// stream is left part-consumed between forks, and checks that it
+// allocates nothing.
+func TestRNGForkIntoMatchesFork(t *testing.T) {
+	dst := NewRNG(99)
+	buf := make([]float64, 37)
+	for _, seed := range []int64{1, 7, -3, 1 << 40} {
+		parent := NewRNG(seed)
+		for id := int64(-5); id < 500; id++ {
+			want := parent.Fork(id)
+			got := parent.ForkInto(id, dst)
+			if got != dst {
+				t.Fatal("ForkInto must return dst")
+			}
+			if got.Seed() != want.Seed() {
+				t.Fatalf("seed %d id %d: ForkInto seed %d, Fork seed %d", seed, id, got.Seed(), want.Seed())
+			}
+			// Mix the sampling methods and leave a different amount of
+			// the stream unread each time.
+			for i := 0; i < int(id&7)+1; i++ {
+				if a, b := got.Float64(), want.Float64(); a != b {
+					t.Fatalf("seed %d id %d: Float64 draw %d: %v != %v", seed, id, i, a, b)
+				}
+				if a, b := got.NormFloat64(), want.NormFloat64(); a != b {
+					t.Fatalf("seed %d id %d: NormFloat64 draw %d: %v != %v", seed, id, i, a, b)
+				}
+				if a, b := got.Intn(1000), want.Intn(1000); a != b {
+					t.Fatalf("seed %d id %d: Intn draw %d: %v != %v", seed, id, i, a, b)
+				}
+			}
+			wantBuf := make([]float64, len(buf))
+			want.UniformFill(wantBuf, 0.9, 1.1)
+			got.UniformFill(buf, 0.9, 1.1)
+			for i := range buf {
+				if buf[i] != wantBuf[i] {
+					t.Fatalf("seed %d id %d: UniformFill[%d]: %v != %v", seed, id, i, buf[i], wantBuf[i])
+				}
+			}
+		}
+	}
+	parent := NewRNG(3)
+	if n := testing.AllocsPerRun(100, func() { parent.ForkInto(11, dst) }); n != 0 {
+		t.Errorf("ForkInto allocates %v times per call, want 0", n)
+	}
+}
+
 // TestRNGConcurrentUsePanics checks the sharing guard deterministically:
 // a generator marked busy (as if another goroutine were mid-call) must
 // refuse to sample.
