@@ -27,8 +27,13 @@
 //	GET  /v1/jobs/{id}/stream  follow a job's progress and partial results
 //	                     as NDJSON (SSE with Accept: text/event-stream)
 //	GET  /healthz        liveness
-//	GET  /metrics        counters, cache stats, latency quantiles
-//	                     (expvar JSON; ?format=prom for Prometheus text)
+//	GET  /metrics        counters, cache stats, latency histograms and
+//	                     quantiles as JSON, or Prometheus text with
+//	                     ?format=prom; both carry the same families
+//	                     (a Prometheus counter gains _total), and the
+//	                     quantiles are interpolated within the fixed
+//	                     0.5 ms-10 s latency buckets over the server's
+//	                     lifetime
 //	GET  /debug/flightrecorder  the always-on flight recorder: recent
 //	                     request span trees plus slow/error captures
 //	                     (?trace_id= and ?attr=k=v filter)

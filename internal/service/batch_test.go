@@ -49,10 +49,10 @@ func TestSimulateBatchEndpoint(t *testing.T) {
 	// One clocksim kernel (all four clock configs share tree/equalize/
 	// spacing) + one hybrid system (both share element_size) = 2 misses,
 	// however the fan-out races; the other per-config lookups hit.
-	if got := s.metrics.simKernelMisses.Value(); got != 2 {
+	if got := s.metrics.simKernelMisses.Load(); got != 2 {
 		t.Fatalf("want 2 sim-kernel misses for one batch, got %d", got)
 	}
-	if got := s.metrics.simKernelHits.Value(); got != 4 {
+	if got := s.metrics.simKernelHits.Load(); got != 4 {
 		t.Fatalf("want 4 sim-kernel hits (one per config after each recipe's build), got %d", got)
 	}
 }

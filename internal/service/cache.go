@@ -3,8 +3,8 @@ package service
 import (
 	"container/list"
 	"context"
-	"expvar"
 	"sync"
+	"sync/atomic"
 )
 
 // lru is a bounded, thread-safe least-recently-used cache from canonical
@@ -144,10 +144,10 @@ type engineCache[V any] struct {
 	*lru[V]
 	name         string
 	flight       *flightGroup[V]
-	hits, misses *expvar.Int
+	hits, misses *atomic.Int64
 }
 
-func newEngineCache[V any](name string, entries int, hits, misses *expvar.Int) *engineCache[V] {
+func newEngineCache[V any](name string, entries int, hits, misses *atomic.Int64) *engineCache[V] {
 	return &engineCache[V]{lru: newLRU[V](entries), name: name, flight: newFlightGroup[V](), hits: hits, misses: misses}
 }
 

@@ -123,7 +123,7 @@ func (s *Server) serveForwarded(ctx context.Context, w http.ResponseWriter, r *h
 			&httpError{status: http.StatusBadGateway, msg: fmt.Sprintf("cluster: %v", err), reason: ReasonPeerUnreachable}, "")
 		return
 	}
-	s.metrics.forwards.Add(fres.Peer, 1)
+	s.metrics.forward(fres.Peer)
 	s.metrics.forwardHist.Observe(float64(fres.Latency.Nanoseconds())/1e6, span.TraceID())
 	if fres.Hedged {
 		s.metrics.hedges.Add(1)

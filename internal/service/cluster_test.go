@@ -110,9 +110,9 @@ func TestClusterSingleKernelBuild(t *testing.T) {
 	}
 	var builds, fills int64
 	for i, s := range tc.servers {
-		builds += s.metrics.kernelMisses.Value()
-		fills += s.metrics.cacheFill.Value()
-		t.Logf("node %d: kernel_misses=%d cache_fill=%d", i, s.metrics.kernelMisses.Value(), s.metrics.cacheFill.Value())
+		builds += s.metrics.kernelMisses.Load()
+		fills += s.metrics.cacheFill.Load()
+		t.Logf("node %d: kernel_misses=%d cache_fill=%d", i, s.metrics.kernelMisses.Load(), s.metrics.cacheFill.Load())
 	}
 	if builds != 1 {
 		t.Fatalf("kernel built %d times cluster-wide, want exactly 1", builds)
@@ -160,7 +160,7 @@ func TestClusterForwardFillsLocalCache(t *testing.T) {
 	if resp2.Header.Get("X-Cache") != "hit" {
 		t.Fatalf("repeat X-Cache %q, want a local hit after cache-fill", resp2.Header.Get("X-Cache"))
 	}
-	if n := tc.servers[entry].metrics.cacheFill.Value(); n != 1 {
+	if n := tc.servers[entry].metrics.cacheFill.Load(); n != 1 {
 		t.Fatalf("cluster_cache_fill_total = %d, want 1", n)
 	}
 }
@@ -195,8 +195,8 @@ func TestClusterPeerUnreachable(t *testing.T) {
 	if eb.Reason != ReasonPeerUnreachable {
 		t.Fatalf("reason %q, want %q", eb.Reason, ReasonPeerUnreachable)
 	}
-	if s.metrics.forwardErrors.Value() != 1 {
-		t.Fatalf("cluster_forward_errors_total = %d, want 1", s.metrics.forwardErrors.Value())
+	if s.metrics.forwardErrors.Load() != 1 {
+		t.Fatalf("cluster_forward_errors_total = %d, want 1", s.metrics.forwardErrors.Load())
 	}
 }
 
@@ -256,7 +256,7 @@ func TestClusterForwardedRequestServesLocally(t *testing.T) {
 	if resp.Header.Get(cluster.ServedByHeader) != "" {
 		t.Fatal("a forwarded request was forwarded again")
 	}
-	if tc.servers[0].metrics.kernelMisses.Value() != 1 {
+	if tc.servers[0].metrics.kernelMisses.Load() != 1 {
 		t.Fatal("forwarded request must compute locally")
 	}
 }
@@ -281,7 +281,7 @@ func TestClusterDrainMigratesCache(t *testing.T) {
 	if migrated == 0 {
 		t.Fatal("drain migrated nothing; expected some keys owned by the peer")
 	}
-	if got := tc.servers[1].metrics.cacheFill.Value(); got != int64(migrated) {
+	if got := tc.servers[1].metrics.cacheFill.Load(); got != int64(migrated) {
 		t.Fatalf("peer accepted %d fills, drain reported %d", got, migrated)
 	}
 }

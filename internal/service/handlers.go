@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -896,7 +897,7 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 		}
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	results := runner.Map(ctx, s.cfg.Workers, cfg.Trials, func(_ context.Context, i int) (float64, error) {
+	trial := func(i int, trng *stats.RNG, inj *faults.Injector) (float64, error) {
 		switch cfg.Regime {
 		case "nominal":
 			v, err := k.NominalSkew(p)
@@ -905,22 +906,15 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 			}
 			return v, nil
 		case "random":
-			v, err := k.RandomSkew(p, rng.Fork(int64(i)))
+			v, err := k.RandomSkew(p, rng.ForkInto(int64(i), trng))
 			if err != nil {
 				return 0, unprocessable(err)
 			}
 			return v, nil
 		case "jittered":
-			// One injector per trial: an Injector is single-goroutine,
-			// and the keyed decisions make every trial's pattern
-			// identical for a given seed anyway.
-			inj, err := faults.New(faultsOrZero(cfg.Faults), cfg.Seed)
+			v, err := k.JitteredSkew(p, rng.ForkInto(int64(i), trng), inj)
 			if err != nil {
-				return 0, badRequest("%v", err)
-			}
-			v, err2 := k.JitteredSkew(p, rng.Fork(int64(i)), inj)
-			if err2 != nil {
-				return 0, unprocessable(err2)
+				return 0, unprocessable(err)
 			}
 			return v, nil
 		case "adversarial":
@@ -932,11 +926,42 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 		default:
 			return 0, badRequest("unknown regime %q (want nominal, random, jittered, or adversarial)", cfg.Regime)
 		}
+	}
+	// Trials run in a few chunks per worker, concatenated back into trial
+	// order. A chunk runs on one goroutine, so one generator and one
+	// injector serve all its trials: ForkInto reseeds the generator to
+	// exactly rng.Fork(i)'s stream without allocating a source, and the
+	// injector's keyed decisions give every trial of a seed one pattern.
+	chunk := (cfg.Trials + 4*s.cfg.Workers - 1) / (4 * s.cfg.Workers)
+	results := runner.MapChunks(ctx, s.cfg.Workers, cfg.Trials, chunk, func(ctx context.Context, lo, hi int) ([]float64, error) {
+		var trng *stats.RNG
+		var inj *faults.Injector
+		if cfg.Regime == "random" || cfg.Regime == "jittered" {
+			trng = stats.NewRNG(0)
+		}
+		if cfg.Regime == "jittered" {
+			var err error
+			if inj, err = faults.New(faultsOrZero(cfg.Faults), cfg.Seed); err != nil {
+				return nil, badRequest("%v", err)
+			}
+		}
+		vals := make([]float64, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			v, err := trial(i, trng, inj)
+			if err != nil {
+				return nil, err
+			}
+			vals = append(vals, v)
+		}
+		return vals, nil
 	})
 	if err := runner.Join(results); err != nil {
 		return firstTypedError(results, err)
 	}
-	summary := stats.Summarize(runner.Values(results))
+	summary := stats.Summarize(slices.Concat(runner.Values(results)...))
 	resp.Tree = tree.Name
 	resp.Regime = cfg.Regime
 	resp.Trials = cfg.Trials

@@ -3,223 +3,321 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"expvar"
-	"fmt"
+	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
 	"repro/internal/obs"
-	"repro/internal/stats"
+	"repro/internal/runner"
 )
 
-// latencySamples bounds each endpoint's latency reservoir; quantiles are
-// computed over the most recent window.
-const latencySamples = 4096
-
-// latencyVar is an expvar-compatible latency histogram: a ring of recent
-// samples whose String() reports count, mean, and p50/p95/p99 computed
-// with stats.Percentiles (one sort for the whole quantile batch).
-type latencyVar struct {
-	mu      sync.Mutex
-	samples []float64 // milliseconds, ring buffer
-	next    int
-	full    bool
-	count   int64
-	sum     float64
-}
-
-// Observe records one request latency.
-func (l *latencyVar) Observe(ms float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.samples == nil {
-		l.samples = make([]float64, latencySamples)
-	}
-	l.samples[l.next] = ms
-	l.next = (l.next + 1) % len(l.samples)
-	if l.next == 0 {
-		l.full = true
-	}
-	l.count++
-	l.sum += ms
-}
-
-// summary returns the histogram's numeric aggregates: lifetime count and
-// sum (ms), and p50/p95/p99 over the recent window. The Prometheus
-// exposition and the expvar String both build on it.
-func (l *latencyVar) summary() (count int64, sum, p50, p95, p99 float64) {
-	l.mu.Lock()
-	window := l.samples[:l.next]
-	if l.full {
-		window = l.samples
-	}
-	window = append([]float64(nil), window...)
-	count, sum = l.count, l.sum
-	l.mu.Unlock()
-	if count == 0 {
-		return 0, 0, 0, 0, 0
-	}
-	qs := stats.Percentiles(window, 50, 95, 99)
-	return count, sum, qs[0], qs[1], qs[2]
-}
-
-// String implements expvar.Var with a JSON object of summary quantiles.
-func (l *latencyVar) String() string {
-	count, sum, p50, p95, p99 := l.summary()
-	if count == 0 {
-		return `{"count":0}`
-	}
-	return fmt.Sprintf(`{"count":%d,"mean_ms":%.4g,"p50_ms":%.4g,"p95_ms":%.4g,"p99_ms":%.4g}`,
-		count, sum/float64(count), p50, p95, p99)
-}
-
-// metrics is the server's observability state: expvar counters and
-// per-endpoint latency histograms, exported as one JSON document at
-// /metrics. The vars live on the server rather than in expvar's global
-// registry so multiple servers (tests, embedded use) never collide.
+// metrics is the server's observability state: counters and fixed-bucket
+// histograms, read into the one family list (Server.metricFamilies) that
+// both /metrics documents are rendered from. The state lives on the
+// server rather than in a global registry so multiple servers (tests,
+// embedded use) never collide.
 type metrics struct {
 	start     time.Time
-	requests  expvar.Int // all requests, any outcome
-	errors    expvar.Int // requests answered with a non-2xx status
-	hits      expvar.Int // responses served from the result cache
-	misses    expvar.Int // responses computed by this request (leader)
-	coalesced expvar.Int // responses shared from another in-flight request
-	computes  expvar.Int // underlying engine executions
-	inFlight  expvar.Int // requests currently being served
+	requests  atomic.Int64 // all requests, any outcome
+	errors    atomic.Int64 // requests answered with a non-2xx status
+	hits      atomic.Int64 // responses served from the result cache
+	misses    atomic.Int64 // responses computed by this request (leader)
+	coalesced atomic.Int64 // responses shared from another in-flight request
+	computes  atomic.Int64 // underlying engine executions
+	inFlight  atomic.Int64 // requests currently being served
 
-	kernelHits   expvar.Int // skew-kernel cache hits (precomputation reused)
-	kernelMisses expvar.Int // skew-kernel cache misses (tree + kernel built)
+	kernelHits   atomic.Int64 // skew-kernel cache hits (precomputation reused)
+	kernelMisses atomic.Int64 // skew-kernel cache misses (tree + kernel built)
 
-	simKernelHits   expvar.Int // simulation-kernel cache hits (clocksim kernel or hybrid system reused)
-	simKernelMisses expvar.Int // simulation-kernel cache misses (engine precomputation built)
+	simKernelHits   atomic.Int64 // simulation-kernel cache hits (clocksim kernel or hybrid system reused)
+	simKernelMisses atomic.Int64 // simulation-kernel cache misses (engine precomputation built)
 
-	streamedFallbacks expvar.Int // analyses served by the streamed path after a 413-size kernel rejection
-	streamedShards    expvar.Int // pair shards processed by the streamed path (local and on behalf of peers)
-	streamedSpills    expvar.Int // shards spilled to a peer over /v1/cluster/shard
+	streamedFallbacks atomic.Int64 // analyses served by the streamed path after a 413-size kernel rejection
+	streamedShards    atomic.Int64 // pair shards processed by the streamed path (local and on behalf of peers)
+	streamedSpills    atomic.Int64 // shards spilled to a peer over /v1/cluster/shard
 
-	forwards      *expvar.Map // requests forwarded to peers, keyed by peer URL
-	forwardErrors expvar.Int  // forwards with no reachable target (served 502)
-	hedges        expvar.Int  // forwards whose hedge copy was sent
-	hedgeWins     expvar.Int  // ... where the hedge copy answered first
-	cacheFill     expvar.Int  // local cache entries filled from a peer
+	forwardErrors atomic.Int64 // forwards with no reachable target (served 502)
+	hedges        atomic.Int64 // forwards whose hedge copy was sent
+	hedgeWins     atomic.Int64 // ... where the hedge copy answered first
+	cacheFill     atomic.Int64 // local cache entries filled from a peer
 
-	jobsCreated expvar.Int // jobs accepted by POST /v1/jobs
+	jobsCreated atomic.Int64 // jobs accepted by POST /v1/jobs
 
-	// Fixed-bucket histograms, the aggregatable complement of the
-	// latencyVar summaries: identical bucket layouts on every node let a
-	// fleet scraper sum them into true cluster-wide percentiles, and
-	// their bucket exemplars carry trace IDs into the exposition.
+	// Fixed-bucket histograms: identical bucket layouts on every node
+	// let a fleet scraper sum them into true cluster-wide percentiles,
+	// and their bucket exemplars carry trace IDs into the exposition.
 	forwardHist *obs.Histogram // cluster forward+hedge latency, ms
 	jobTrials   *obs.Histogram // per-chunk job throughput, trials/s
 
 	mu        sync.Mutex
-	latencies map[string]*latencyVar    // endpoint → summary window
-	histories map[string]*obs.Histogram // endpoint → fixed-bucket histogram
-
-	vars *expvar.Map
+	forwards  map[string]int64          // peer URL → requests forwarded to it
+	latencies map[string]*obs.Histogram // endpoint → request latency (ms), the only latency record
 }
 
 func newMetrics() *metrics {
-	m := &metrics{
+	return &metrics{
 		start:       time.Now(),
-		latencies:   make(map[string]*latencyVar),
-		histories:   make(map[string]*obs.Histogram),
 		forwardHist: obs.NewHistogram(obs.DefaultLatencyBucketsMS),
 		jobTrials:   obs.NewHistogram(obs.DefaultThroughputBuckets),
+		forwards:    make(map[string]int64),
+		latencies:   make(map[string]*obs.Histogram),
 	}
-	m.vars = new(expvar.Map).Init()
-	m.vars.Set("requests", &m.requests)
-	m.vars.Set("errors", &m.errors)
-	m.vars.Set("cache_hits", &m.hits)
-	m.vars.Set("cache_misses", &m.misses)
-	m.vars.Set("coalesced", &m.coalesced)
-	m.vars.Set("computes", &m.computes)
-	m.vars.Set("in_flight", &m.inFlight)
-	m.vars.Set("kernel_cache_hits", &m.kernelHits)
-	m.vars.Set("kernel_cache_misses", &m.kernelMisses)
-	m.vars.Set("sim_kernel_cache_hits", &m.simKernelHits)
-	m.vars.Set("sim_kernel_cache_misses", &m.simKernelMisses)
-	m.vars.Set("streamed_fallback_total", &m.streamedFallbacks)
-	m.vars.Set("streamed_shards_total", &m.streamedShards)
-	m.vars.Set("streamed_spills_total", &m.streamedSpills)
-	m.forwards = new(expvar.Map).Init()
-	m.vars.Set("cluster_forward_total", m.forwards)
-	m.vars.Set("cluster_forward_errors_total", &m.forwardErrors)
-	m.vars.Set("cluster_hedge_total", &m.hedges)
-	m.vars.Set("cluster_hedge_wins_total", &m.hedgeWins)
-	m.vars.Set("cluster_cache_fill_total", &m.cacheFill)
-	m.vars.Set("jobs_created", &m.jobsCreated)
-	m.vars.Set("cache_hit_ratio", expvar.Func(func() any {
-		h, n := m.hits.Value(), m.hits.Value()+m.misses.Value()+m.coalesced.Value()
-		if n == 0 {
-			return 0.0
-		}
-		return float64(h) / float64(n)
-	}))
-	m.vars.Set("uptime_s", expvar.Func(func() any {
-		return time.Since(m.start).Seconds()
-	}))
-	return m
 }
 
-// registerKernelBytes exposes the server's estimate of resident bytes
-// across every cached kernel and streamer as the kernel_bytes_in_use
-// gauge, so operators can watch precomputation footprint against the
-// configured kernel byte budget.
-func (m *metrics) registerKernelBytes(f func() int64) {
-	m.vars.Set("kernel_bytes_in_use", expvar.Func(func() any { return f() }))
-}
-
-// registerJobs exposes the job manager's live state counts under the
-// "jobs" key of the metrics document, plus flat lifecycle gauges and
-// cumulative terminal-state counters that survive retention.
-func (m *metrics) registerJobs(mgr *jobs.Manager) {
-	m.vars.Set("jobs", expvar.Func(func() any { return mgr.Stats() }))
-	m.vars.Set("jobs_pending", expvar.Func(func() any { return mgr.Counts().Pending }))
-	m.vars.Set("jobs_running", expvar.Func(func() any { return mgr.Counts().Running }))
-	m.vars.Set("jobs_done_total", expvar.Func(func() any { return mgr.Counts().DoneTotal }))
-	m.vars.Set("jobs_failed_total", expvar.Func(func() any { return mgr.Counts().FailedTotal }))
-	m.vars.Set("jobs_canceled_total", expvar.Func(func() any { return mgr.Counts().CanceledTotal }))
-}
-
-// latency returns (creating on first use) the summary for endpoint.
-func (m *metrics) latency(endpoint string) *latencyVar {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	l, ok := m.latencies[endpoint]
-	if !ok {
-		l = &latencyVar{}
-		m.latencies[endpoint] = l
-		m.vars.Set("latency_"+endpoint, l)
+// record counts one finished request and observes its latency into the
+// endpoint's histogram, with traceID as the bucket's exemplar.
+func (m *metrics) record(endpoint string, status int, ms float64, traceID string) {
+	m.requests.Add(1)
+	if status >= 400 {
+		m.errors.Add(1)
 	}
-	return l
-}
-
-// requestHist returns (creating on first use) the fixed-bucket latency
-// histogram for endpoint.
-func (m *metrics) requestHist(endpoint string) *obs.Histogram {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	h, ok := m.histories[endpoint]
+	h, ok := m.latencies[endpoint]
 	if !ok {
 		h = obs.NewHistogram(obs.DefaultLatencyBucketsMS)
-		m.histories[endpoint] = h
+		m.latencies[endpoint] = h
 	}
-	return h
+	m.mu.Unlock()
+	h.Observe(ms, traceID)
 }
 
-// snapshot returns the full metrics document as indented JSON.
-// expvar.Map.String already emits JSON with sorted keys; every var it
-// holds (Int, Func, latencyVar) also stringifies to valid JSON, so the
-// composition is a valid, deterministic-shaped document.
-func (m *metrics) snapshot() []byte {
-	s := m.vars.String()
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, []byte(s), "", "  "); err != nil {
-		b, _ := json.Marshal(map[string]string{"error": "invalid metrics document"})
-		return append(b, '\n')
+// forward counts one request forwarded to peer.
+func (m *metrics) forward(peer string) {
+	m.mu.Lock()
+	m.forwards[peer]++
+	m.mu.Unlock()
+}
+
+// metricKind is a family's type: its Prometheus TYPE and its JSON shape.
+type metricKind string
+
+const (
+	counterKind   metricKind = "counter"   // a number; the Prometheus name ends in _total
+	gaugeKind     metricKind = "gauge"     // a number
+	histogramKind metricKind = "histogram" // buckets (with exemplars in Prometheus)
+	summaryKind   metricKind = "summary"   // a latency histogram read as count, mean and p50/p95/p99
+)
+
+// series is one series of a family: the value of the family's label
+// ("" when it has none) and a number or, for histograms and summaries,
+// a snapshot.
+type series struct {
+	label string
+	value float64
+	hist  obs.HistogramSnapshot
+}
+
+// family is one metric family as read at scrape time.
+type family struct {
+	name, help string
+	kind       metricKind
+	label      string // the one label's name; "" when unlabelled
+	series     []series
+}
+
+// promName is the family's Prometheus name: the one naming rule between
+// the two documents is that a counter gains _total when it lacks it.
+func (f family) promName() string {
+	if f.kind == counterKind && !strings.HasSuffix(f.name, "_total") {
+		return f.name + "_total"
 	}
-	buf.WriteByte('\n')
+	return f.name
+}
+
+func counter(name, help string, v int64) family {
+	return family{name: name, help: help, kind: counterKind, series: []series{{value: float64(v)}}}
+}
+
+func gauge(name, help string, v float64) family {
+	return family{name: name, help: help, kind: gaugeKind, series: []series{{value: v}}}
+}
+
+func histogram(name, help string, h *obs.Histogram) family {
+	return family{name: name, help: help, kind: histogramKind, series: []series{{hist: h.Snapshot()}}}
+}
+
+// labelled returns the series of a label → value map, sorted by label.
+func labelled[V any](m map[string]V, read func(V) series) []series {
+	out := make([]series, 0, len(m))
+	for k, v := range m {
+		sr := read(v)
+		sr.label = k
+		out = append(out, sr)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].label < out[j].label })
+	return out
+}
+
+// metricFamilies is the server's metric registry: every family both
+// /metrics documents carry, each declared once, read now. The cluster
+// and job families exist only while those subsystems run.
+func (s *Server) metricFamilies() []family {
+	m := s.metrics
+	hits := m.hits.Load()
+	hitRatio, served := 0.0, hits+m.misses.Load()+m.coalesced.Load()
+	if served > 0 {
+		hitRatio = float64(hits) / float64(served)
+	}
+	ps := runner.Stats()
+	fams := []family{
+		counter("requests", "HTTP requests served, any outcome.", m.requests.Load()),
+		counter("errors", "Requests answered with a non-2xx status.", m.errors.Load()),
+		counter("cache_hits", "Responses served from the result cache.", hits),
+		counter("cache_misses", "Responses computed by their own request (leaders).", m.misses.Load()),
+		counter("cache_evictions", "Cache entries displaced by the capacity bound.", s.cache.Evictions()),
+		gauge("cache_hit_ratio", "Share of cacheable responses served from the result cache.", hitRatio),
+		counter("coalesced", "Responses shared from another in-flight request.", m.coalesced.Load()),
+		counter("computes", "Underlying engine executions.", m.computes.Load()),
+		counter("kernel_cache_hits", "Skew-kernel cache hits (precomputed geometry reused).", m.kernelHits.Load()),
+		counter("kernel_cache_misses", "Skew-kernel cache misses (tree and kernel built).", m.kernelMisses.Load()),
+		counter("kernel_cache_evictions", "Kernel cache entries displaced by the capacity bound.", s.kernels.Evictions()),
+		counter("sim_kernel_cache_hits", "Simulation-kernel cache hits (clocksim kernel or hybrid system reused).", m.simKernelHits.Load()),
+		counter("sim_kernel_cache_misses", "Simulation-kernel cache misses (engine precomputation built).", m.simKernelMisses.Load()),
+		counter("streamed_fallback_total", "Analyses served by the streamed path after a 413-size kernel rejection.", m.streamedFallbacks.Load()),
+		counter("streamed_shards_total", "Pair shards processed by the streamed path (local and on behalf of peers).", m.streamedShards.Load()),
+		counter("streamed_spills_total", "Shards spilled to a ring-owning peer over /v1/cluster/shard.", m.streamedSpills.Load()),
+		gauge("in_flight", "Requests currently being served.", float64(m.inFlight.Load())),
+		gauge("cache_entries", "Entries currently in the result cache.", float64(s.cache.Len())),
+		gauge("kernel_cache_entries", "Entries currently in the skew-kernel cache.", float64(s.kernels.Len())),
+		gauge("kernel_bytes_in_use", "Estimated resident bytes of every cached skew kernel and streamer.", float64(s.kernelBytesInUse())),
+		gauge("streamer_cache_entries", "Entries currently in the streamed-analysis streamer cache.", float64(s.streamers.Len())),
+		gauge("sim_kernel_cache_entries", "Entries currently in the simulation-kernel caches.", float64(s.simKernels.Len()+s.hybridSystems.Len())),
+		gauge("uptime_seconds", "Seconds since the server started.", time.Since(m.start).Seconds()),
+		counter("runner_tasks_started_total", "Worker-pool tasks started, process-wide.", ps.TasksStarted),
+		counter("runner_tasks_done_total", "Worker-pool tasks finished, process-wide.", ps.TasksDone),
+		gauge("runner_busy_workers", "Worker-pool tasks executing right now.", float64(ps.BusyWorkers)),
+		gauge("runner_queue_depth", "Dispatched tasks waiting for a worker.", float64(ps.QueueDepth)),
+	}
+	if s.cluster != nil {
+		m.mu.Lock()
+		forwards := labelled(m.forwards, func(n int64) series { return series{value: float64(n)} })
+		m.mu.Unlock()
+		fams = append(fams,
+			family{name: "cluster_forward_total", help: "Requests forwarded to their owning peer, by peer.",
+				kind: counterKind, label: "peer", series: forwards},
+			counter("cluster_forward_errors_total", "Forwards with no reachable target (answered 502 peer_unreachable).", m.forwardErrors.Load()),
+			counter("cluster_hedge_total", "Forwards whose hedge copy was sent.", m.hedges.Load()),
+			counter("cluster_hedge_wins_total", "Forwards whose hedge copy answered first.", m.hedgeWins.Load()),
+			counter("cluster_cache_fill_total", "Local result-cache entries filled from a peer.", m.cacheFill.Load()),
+			gauge("cluster_peers_down", "Peers currently failing health probes.", float64(len(s.cluster.health.Down()))),
+			histogram("cluster_forward_duration_ms", "Forward (including hedge) round-trip latency in milliseconds; buckets sum across nodes.", m.forwardHist),
+		)
+	}
+	if s.jobs != nil {
+		byState, counts := s.jobs.Stats(), s.jobs.Counts()
+		states := make([]series, 0, 5)
+		for _, st := range []jobs.State{jobs.Pending, jobs.Running, jobs.Done, jobs.Failed, jobs.Canceled} {
+			states = append(states, series{label: string(st), value: float64(byState[st])})
+		}
+		fams = append(fams,
+			family{name: "jobs_by_state", help: "Tracked jobs by lifecycle state.", kind: gaugeKind, label: "state", series: states},
+			counter("jobs_created", "Jobs accepted by POST /v1/jobs.", m.jobsCreated.Load()),
+			gauge("jobs_pending", "Jobs admitted but not yet running.", float64(counts.Pending)),
+			gauge("jobs_running", "Jobs currently executing.", float64(counts.Running)),
+			counter("jobs_done_total", "Jobs that completed successfully (survives retention).", counts.DoneTotal),
+			counter("jobs_failed_total", "Jobs that ended in failure (survives retention).", counts.FailedTotal),
+			counter("jobs_canceled_total", "Jobs canceled before or during execution (survives retention).", counts.CanceledTotal),
+			histogram("job_trials_per_second", "Per-chunk Monte-Carlo throughput of analyze jobs, trials per second.", m.jobTrials),
+		)
+	}
+	// One snapshot per endpoint feeds both latency families.
+	m.mu.Lock()
+	latencies := labelled(m.latencies, func(h *obs.Histogram) series { return series{hist: h.Snapshot()} })
+	m.mu.Unlock()
+	return append(fams,
+		family{name: "request_latency_ms", kind: summaryKind, label: "endpoint", series: latencies,
+			help: "Request latency in milliseconds by endpoint (quantiles interpolated in the fixed buckets, server lifetime)."},
+		family{name: "request_duration_ms", kind: histogramKind, label: "endpoint", series: latencies,
+			help: "Request latency in milliseconds by endpoint (fixed buckets with trace exemplars; sums across nodes)."},
+	)
+}
+
+// latencySummary is a summary series' JSON form; quantiles are
+// interpolated within the histogram's fixed buckets.
+type latencySummary struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean_ms"`
+	P50   float64 `json:"p50_ms"`
+	P95   float64 `json:"p95_ms"`
+	P99   float64 `json:"p99_ms"`
+}
+
+func summarize(h obs.HistogramSnapshot) latencySummary {
+	if h.Count == 0 {
+		return latencySummary{}
+	}
+	return latencySummary{Count: h.Count, Mean: h.Sum / float64(h.Count),
+		P50: h.Quantile(0.5), P95: h.Quantile(0.95), P99: h.Quantile(0.99)}
+}
+
+// jsonValue is one series' value in the JSON document.
+func (k metricKind) jsonValue(sr series) any {
+	switch k {
+	case histogramKind:
+		sr.hist.Exemplars = nil // trace IDs travel in the Prometheus exposition
+		return sr.hist
+	case summaryKind:
+		return summarize(sr.hist)
+	}
+	return sr.value
+}
+
+// renderJSON renders families as the GET /metrics document: one key per
+// family under its registry name; a labelled family is an object keyed
+// by the label's values.
+func renderJSON(fams []family) []byte {
+	doc := make(map[string]any, len(fams))
+	for _, f := range fams {
+		if f.label == "" {
+			doc[f.name] = f.kind.jsonValue(f.series[0])
+			continue
+		}
+		byLabel := make(map[string]any, len(f.series))
+		for _, sr := range f.series {
+			byLabel[sr.label] = f.kind.jsonValue(sr)
+		}
+		doc[f.name] = byLabel
+	}
+	b, err := json.MarshalIndent(doc, "", "  ")
+	if err != nil {
+		b, _ = json.Marshal(map[string]string{"error": "encoding metrics: " + err.Error()})
+	}
+	return append(b, '\n')
+}
+
+// renderProm renders families in the Prometheus text exposition served
+// at GET /metrics?format=prom.
+func renderProm(fams []family) []byte {
+	out := make([]obs.PromMetric, len(fams))
+	for i, f := range fams {
+		pm := obs.PromMetric{Name: f.promName(), Help: f.help, Type: string(f.kind)}
+		for _, sr := range f.series {
+			var labels [][2]string
+			if f.label != "" {
+				labels = obs.Label(f.label, sr.label)
+			}
+			switch f.kind {
+			case histogramKind:
+				pm.Samples = append(pm.Samples, obs.HistogramSamples(labels, sr.hist)...)
+			case summaryKind:
+				q := summarize(sr.hist)
+				pm.Samples = append(pm.Samples, obs.SummarySamples(labels,
+					map[string]float64{"0.5": q.P50, "0.95": q.P95, "0.99": q.P99},
+					sr.hist.Sum, int64(sr.hist.Count))...)
+			default:
+				pm.Samples = append(pm.Samples, obs.PromSample{Labels: labels, Value: sr.value})
+			}
+		}
+		out[i] = pm
+	}
+	var buf bytes.Buffer
+	if err := obs.WriteProm(&buf, out); err != nil {
+		// Family names are compile-time constants, so this is unreachable;
+		// degrade to an exposition comment rather than a broken scrape.
+		return []byte("# metrics rendering failed: " + err.Error() + "\n")
+	}
 	return buf.Bytes()
 }

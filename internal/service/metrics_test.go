@@ -48,64 +48,43 @@ func (s *syncWriter) String() string {
 	return s.w.String()
 }
 
-// The ring must wrap cleanly past its capacity: lifetime count and sum
-// keep growing while the quantile window holds only the most recent
-// latencySamples observations.
-func TestLatencyVarWraparound(t *testing.T) {
-	l := &latencyVar{}
-	total := latencySamples + 1234
-	for i := 0; i < total; i++ {
-		// Old samples are 1ms; the last full window is all 5ms, so the
-		// post-wrap quantiles must see only 5s.
-		v := 1.0
-		if i >= total-latencySamples {
-			v = 5.0
-		}
-		l.Observe(v)
-	}
-	count, sum, p50, p95, p99 := l.summary()
-	if count != int64(total) {
-		t.Fatalf("count = %d, want %d", count, total)
-	}
-	wantSum := float64(total-latencySamples)*1.0 + float64(latencySamples)*5.0
-	if sum != wantSum {
-		t.Fatalf("sum = %g, want %g", sum, wantSum)
-	}
-	for name, q := range map[string]float64{"p50": p50, "p95": p95, "p99": p99} {
-		if q != 5.0 {
-			t.Fatalf("%s = %g after wraparound, want 5 (window must hold only recent samples)", name, q)
-		}
-	}
-}
-
-// Observe and String must be safe to interleave (run under -race).
-func TestLatencyVarConcurrent(t *testing.T) {
-	l := &latencyVar{}
+// Recording and both renderings must be safe to interleave (run under
+// -race), and no observation may be lost to a concurrent scrape.
+func TestMetricsRecordConcurrent(t *testing.T) {
+	s := NewServer(Config{DisableJobs: true})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 2000; i++ {
-				l.Observe(float64(i%17) + 0.5)
-			}
-		}(w)
-		wg.Add(1)
+		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				var doc map[string]any
-				if err := json.Unmarshal([]byte(l.String()), &doc); err != nil {
-					t.Errorf("String not valid JSON: %v", err)
+			for i := 0; i < 2000; i++ {
+				s.metrics.record("plan", http.StatusOK, float64(i%17)+0.5, "")
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				fams := s.metricFamilies()
+				if js := renderJSON(fams); !json.Valid(js) {
+					t.Errorf("JSON document not valid: %s", js)
+					return
+				}
+				if _, err := obs.ParseProm(bytes.NewReader(renderProm(fams))); err != nil {
+					t.Errorf("exposition does not parse: %v", err)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	count, _, _, _, _ := l.summary()
-	if count != 8000 {
-		t.Fatalf("count = %d, want 8000", count)
+	var doc struct {
+		Latency map[string]latencySummary `json:"request_latency_ms"`
+	}
+	if err := json.Unmarshal(renderJSON(s.metricFamilies()), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if got := doc.Latency["plan"].Count; got != 8000 {
+		t.Fatalf("request_latency_ms{plan} count = %d, want 8000", got)
 	}
 }
 
@@ -113,7 +92,7 @@ func TestLatencyVarConcurrent(t *testing.T) {
 // always promised json.Indent) and remain valid JSON.
 func TestMetricsSnapshotIndented(t *testing.T) {
 	s := NewServer(Config{})
-	snap := s.metrics.snapshot()
+	snap := renderJSON(s.metricFamilies())
 	if !json.Valid(snap) {
 		t.Fatalf("snapshot is not valid JSON: %s", snap)
 	}
@@ -295,7 +274,7 @@ func TestMetricsPromHistogramWithExemplars(t *testing.T) {
 }
 
 // The flat job lifecycle gauges and cumulative terminal counters must
-// reach both expositions: the expvar JSON document and the prom text.
+// reach both expositions: the JSON document and the prom text.
 func TestJobGaugesExposed(t *testing.T) {
 	s := NewServer(Config{})
 	ts := httptest.NewServer(s)
@@ -329,11 +308,11 @@ func TestJobGaugesExposed(t *testing.T) {
 	_, js := getURL(t, ts.URL+"/metrics")
 	var doc map[string]any
 	if err := json.Unmarshal(js, &doc); err != nil {
-		t.Fatalf("expvar document: %v", err)
+		t.Fatalf("JSON document: %v", err)
 	}
 	for _, key := range []string{"jobs_pending", "jobs_running", "jobs_done_total", "jobs_failed_total", "jobs_canceled_total"} {
 		if _, ok := doc[key]; !ok {
-			t.Fatalf("expvar document missing %s:\n%s", key, js)
+			t.Fatalf("JSON document missing %s:\n%s", key, js)
 		}
 	}
 	if got := doc["jobs_done_total"]; got != 1.0 {
@@ -411,5 +390,183 @@ func TestRequestIDsAndServeSpans(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("serve.layout spans not recorded: %+v", tr.Summary())
+	}
+}
+
+// metricsServer is one server shape whose two /metrics documents must
+// agree, after it has served three analyzes, one plan and one layout.
+type metricsServer struct {
+	name string
+	s    *Server
+	url  string
+}
+
+// metricsServers builds the three shapes that register different
+// families: a single node with jobs, node 0 of a 3-node cluster (which
+// also forwards some of the requests), and a single node without jobs.
+func metricsServers(t *testing.T) []metricsServer {
+	t.Helper()
+	single, singleTS := newTestServer(t, Config{})
+	noJobs, noJobsTS := newTestServer(t, Config{DisableJobs: true})
+	tc := newTestCluster(t, 3, nil)
+	out := []metricsServer{
+		{"single", single, singleTS.URL},
+		{"cluster", tc.servers[0], tc.urls[0]},
+		{"no-jobs", noJobs, noJobsTS.URL},
+	}
+	for _, ms := range out {
+		for _, body := range []string{analyzeBody(1), analyzeBodyN(7, 1), analyzeBodyN(9, 1)} {
+			if resp, b := postJSON(t, ms.url+"/v1/analyze", body); resp.StatusCode != 200 {
+				t.Fatalf("%s analyze: status %d: %s", ms.name, resp.StatusCode, b)
+			}
+		}
+		if resp, b := postJSON(t, ms.url+"/v1/plan", `{"topology":{"kind":"mesh","n":4}}`); resp.StatusCode != 200 {
+			t.Fatalf("%s plan: status %d: %s", ms.name, resp.StatusCode, b)
+		}
+		if resp, b := getURL(t, ms.url+"/v1/layout.svg?kind=linear&n=3"); resp.StatusCode != 200 {
+			t.Fatalf("%s layout: status %d: %s", ms.name, resp.StatusCode, b)
+		}
+	}
+	return out
+}
+
+// Both /metrics documents carry exactly the registry's families: the
+// JSON document one key per family under its name, the Prometheus
+// exposition one family of the same kind under the one naming rule
+// (a counter gains _total). Every name is declared once.
+func TestMetricsExpositionParity(t *testing.T) {
+	for _, ms := range metricsServers(t) {
+		t.Run(ms.name, func(t *testing.T) {
+			_, js := getURL(t, ms.url+"/metrics")
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(js, &doc); err != nil {
+				t.Fatalf("JSON document: %v\n%s", err, js)
+			}
+			_, text := getURL(t, ms.url+"/metrics?format=prom")
+			prom, err := obs.ParseProm(bytes.NewReader(text))
+			if err != nil {
+				t.Fatalf("exposition does not parse: %v\n%s", err, text)
+			}
+			promKinds := map[string]string{}
+			for _, pm := range prom {
+				promKinds[pm.Name] = pm.Type
+			}
+
+			fams := ms.s.metricFamilies()
+			jsonNames, promNames := map[string]bool{}, map[string]bool{}
+			for _, f := range fams {
+				if jsonNames[f.name] || promNames[f.promName()] {
+					t.Errorf("family %s declared twice", f.name)
+				}
+				jsonNames[f.name], promNames[f.promName()] = true, true
+				if _, ok := doc[f.name]; !ok {
+					t.Errorf("JSON document lacks family %s", f.name)
+				}
+				if got := promKinds[f.promName()]; got != string(f.kind) {
+					t.Errorf("exposition family %s has type %q, want %q", f.promName(), got, f.kind)
+				}
+			}
+			if len(doc) != len(fams) || len(prom) != len(fams) {
+				t.Errorf("JSON document has %d keys and exposition %d families, registry %d",
+					len(doc), len(prom), len(fams))
+			}
+			t.Logf("%d families in both documents", len(fams))
+		})
+	}
+}
+
+// The names the repo's own consumers read must stay put: a renamed
+// JSON key decodes silently as zero, and a renamed family fails a CI
+// step. The JSON keys are those of syncbench's serverCounters, of
+// syncload's scrapeNode and of the CI python asserts; the Prometheus
+// families are the obs-smoke and cluster-smoke -require lists plus the
+// request_duration_ms buckets that syncload -cluster merges.
+func TestMetricsConsumerContract(t *testing.T) {
+	for _, ms := range metricsServers(t) {
+		t.Run(ms.name, func(t *testing.T) {
+			_, js := getURL(t, ms.url+"/metrics")
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(js, &doc); err != nil {
+				t.Fatalf("JSON document: %v\n%s", err, js)
+			}
+			keys := []string{"requests", "cache_hits", "cache_misses", "coalesced",
+				"kernel_cache_hits", "kernel_cache_misses", "sim_kernel_cache_misses"}
+			if ms.s.cluster != nil {
+				keys = append(keys, "cluster_forward_total", "cluster_forward_errors_total",
+					"cluster_hedge_total", "cluster_hedge_wins_total", "cluster_cache_fill_total")
+			}
+			for _, k := range keys {
+				if _, ok := doc[k]; !ok {
+					t.Errorf("JSON document lacks %s", k)
+				}
+			}
+			// The consumers' own decode types: syncbench reads floats,
+			// syncload int64s and a peer → count object.
+			var bench struct {
+				Requests     float64 `json:"requests"`
+				Hits         float64 `json:"cache_hits"`
+				KernelMisses float64 `json:"kernel_cache_misses"`
+			}
+			var load struct {
+				Hits     int64            `json:"kernel_cache_hits"`
+				Misses   int64            `json:"kernel_cache_misses"`
+				Forwards map[string]int64 `json:"cluster_forward_total"`
+				Fills    int64            `json:"cluster_cache_fill_total"`
+			}
+			for _, v := range []any{&bench, &load} {
+				if err := json.Unmarshal(js, v); err != nil {
+					t.Fatalf("consumer decode: %v\n%s", err, js)
+				}
+			}
+			if ms.s.cluster == nil && (load.Misses != 3 || bench.KernelMisses != 3) {
+				t.Errorf("kernel_cache_misses = %d, want 3 (one per analyzed recipe)", load.Misses)
+			}
+			if bench.Requests < 5 {
+				t.Errorf("requests = %g, want at least the 5 served", bench.Requests)
+			}
+			if ms.s.cluster != nil {
+				var forwards int64
+				for _, n := range load.Forwards {
+					forwards += n
+				}
+				if forwards == 0 {
+					t.Errorf("cluster_forward_total holds no forwards: %v", load.Forwards)
+				}
+			}
+
+			_, text := getURL(t, ms.url+"/metrics?format=prom")
+			prom, err := obs.ParseProm(bytes.NewReader(text))
+			if err != nil {
+				t.Fatalf("exposition does not parse: %v\n%s", err, text)
+			}
+			required := []string{"requests_total", "cache_hits_total", "cache_evictions_total", "in_flight",
+				"sim_kernel_cache_misses_total", "request_latency_ms", "request_duration_ms"}
+			if ms.s.jobs != nil {
+				required = append(required, "jobs_pending")
+			}
+			for _, name := range required {
+				if _, ok := obs.FindProm(prom, name); !ok {
+					t.Errorf("exposition lacks a %s sample", name)
+				}
+			}
+			if _, ok := obs.PromHistogram(prom, "request_duration_ms", "endpoint", "plan"); !ok {
+				t.Errorf("request_duration_ms{endpoint=plan} buckets missing")
+			}
+		})
+	}
+}
+
+// BenchmarkRecordRequest times the metric half of finish: the request
+// and error counters plus one observation into the endpoint's latency
+// histogram with a trace-ID exemplar. It must not allocate once the
+// endpoint's histogram exists.
+func BenchmarkRecordRequest(b *testing.B) {
+	m := newMetrics()
+	const traceID = "4bf92f3577b34da6a3ce929d0e0e4736"
+	m.record("analyze", http.StatusOK, 1.5, traceID)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.record("analyze", http.StatusOK+200*(i&1), 1.5, traceID)
 	}
 }

@@ -3,7 +3,7 @@
 // hot path: canonical request hashing feeding a bounded LRU result
 // cache, singleflight coalescing of identical in-flight requests, a
 // bounded worker pool for engine fan-out, per-request deadlines, and
-// expvar-based observability.
+// one metric registry rendered as JSON and Prometheus text at /metrics.
 //
 // Every endpoint's result is a pure function of its canonicalized
 // request — randomness is always seeded from request fields — so the
@@ -208,7 +208,6 @@ func NewServer(cfg Config) *Server {
 	if cfg.LogWriter != nil {
 		s.logger = log.New(cfg.LogWriter, "", 0)
 	}
-	s.metrics.registerKernelBytes(s.kernelBytesInUse)
 	s.tracer = cfg.Tracer
 	if !cfg.DisableFlight {
 		s.recorder = obs.NewFlightRecorder(cfg.FlightSpans, cfg.FlightSlow)
@@ -229,7 +228,6 @@ func NewServer(cfg Config) *Server {
 	s.mux.HandleFunc("/v1/layout.svg", s.handleLayout)
 	if !cfg.DisableJobs {
 		s.jobs = jobs.NewManager(cfg.Jobs)
-		s.metrics.registerJobs(s.jobs)
 		s.mux.HandleFunc("/v1/jobs", s.handleJobs)
 		s.mux.HandleFunc("/v1/jobs/{id}", s.handleJob)
 		s.mux.HandleFunc("/v1/jobs/{id}/stream", s.handleJobStream)
@@ -338,11 +336,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prom" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(s.promSnapshot())
+		w.Write(renderProm(s.metricFamilies()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(s.metrics.snapshot())
+	w.Write(renderJSON(s.metricFamilies()))
 }
 
 func timeoutOfPlan(r *PlanRequest) int64         { return r.TimeoutMS }
@@ -550,24 +548,18 @@ func layoutRequestFromQuery(r *http.Request) (*LayoutRequest, error) {
 	return req, nil
 }
 
-// finish maps a compute result onto the wire, records metrics (summary
-// and histogram, the latter with the span's trace ID as its exemplar),
-// and emits the structured log line. span may be nil (decode-stage
-// failures that never reached the serving flow).
+// finish maps a compute result onto the wire, records metrics (the
+// latency histogram takes the span's trace ID as its exemplar), and
+// emits the structured log line. span may be nil (decode-stage failures
+// that never reached the serving flow).
 func (s *Server) finish(w http.ResponseWriter, r *http.Request, endpoint string, start time.Time, span *obs.Span, res response, err error, cacheState string) {
-	s.metrics.requests.Add(1)
 	status := res.status
 	if err != nil {
 		status = statusOf(err)
 		res = errorResponse(status, err.Error(), reasonOf(err))
 	}
-	if status >= 400 {
-		s.metrics.errors.Add(1)
-	}
 	elapsed := time.Since(start)
-	ms := float64(elapsed.Nanoseconds()) / 1e6
-	s.metrics.latency(endpoint).Observe(ms)
-	s.metrics.requestHist(endpoint).Observe(ms, span.TraceID())
+	s.metrics.record(endpoint, status, float64(elapsed.Nanoseconds())/1e6, span.TraceID())
 	span.Annotate(obs.Int("http_status", int64(status)))
 	if err != nil {
 		// The "error" attr is also the flight recorder's capture trigger:

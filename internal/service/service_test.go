@@ -62,7 +62,7 @@ type metricsDoc struct {
 	Computes   int64   `json:"computes"`
 	InFlight   int64   `json:"in_flight"`
 	HitRatio   float64 `json:"cache_hit_ratio"`
-	UptimeSecs float64 `json:"uptime_s"`
+	UptimeSecs float64 `json:"uptime_seconds"`
 }
 
 func readMetrics(t *testing.T, base string) metricsDoc {
@@ -374,11 +374,13 @@ func TestStructuredLogs(t *testing.T) {
 func TestMetricsLatencyHistogram(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	postJSON(t, ts.URL+"/v1/plan", `{"topology":{"kind":"ring","n":4}}`)
-	var doc map[string]json.RawMessage
+	var doc struct {
+		Latency map[string]json.RawMessage `json:"request_latency_ms"`
+	}
 	getJSON(t, ts.URL+"/metrics", &doc)
-	raw, ok := doc["latency_plan"]
+	raw, ok := doc.Latency["plan"]
 	if !ok {
-		t.Fatalf("metrics missing latency_plan: %v", doc)
+		t.Fatalf("metrics missing request_latency_ms.plan: %v", doc.Latency)
 	}
 	var h struct {
 		Count int     `json:"count"`
@@ -407,10 +409,10 @@ func TestKernelCacheSharedAcrossSeedsAndEndpoints(t *testing.T) {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
 	}
-	if got := s.metrics.kernelMisses.Value(); got != 1 {
+	if got := s.metrics.kernelMisses.Load(); got != 1 {
 		t.Fatalf("kernel misses = %d, want 1 (second analyze should reuse the kernel)", got)
 	}
-	if got := s.metrics.kernelHits.Value(); got != 1 {
+	if got := s.metrics.kernelHits.Load(); got != 1 {
 		t.Fatalf("kernel hits = %d, want 1", got)
 	}
 
@@ -420,10 +422,10 @@ func TestKernelCacheSharedAcrossSeedsAndEndpoints(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("simulate status %d: %s", resp.StatusCode, body)
 	}
-	if got := s.metrics.kernelMisses.Value(); got != 1 {
+	if got := s.metrics.kernelMisses.Load(); got != 1 {
 		t.Fatalf("kernel misses after simulate = %d, want 1", got)
 	}
-	if got := s.metrics.kernelHits.Value(); got != 2 {
+	if got := s.metrics.kernelHits.Load(); got != 2 {
 		t.Fatalf("kernel hits after simulate = %d, want 2", got)
 	}
 
@@ -434,7 +436,7 @@ func TestKernelCacheSharedAcrossSeedsAndEndpoints(t *testing.T) {
 	}
 	getJSON(t, ts.URL+"/metrics", &m)
 	if m.KernelHits != 2 || m.KernelMisses != 1 {
-		t.Fatalf("expvar kernel cache hits/misses = %d/%d, want 2/1", m.KernelHits, m.KernelMisses)
+		t.Fatalf("/metrics kernel cache hits/misses = %d/%d, want 2/1", m.KernelHits, m.KernelMisses)
 	}
 	promResp, err := http.Get(ts.URL + "/metrics?format=prom")
 	if err != nil {
@@ -504,7 +506,7 @@ func TestKernelCacheDistinguishesRecipes(t *testing.T) {
 		}
 		bodies[req] = body
 	}
-	if got := s.metrics.kernelMisses.Value(); got != 7 {
+	if got := s.metrics.kernelMisses.Load(); got != 7 {
 		t.Fatalf("kernel misses = %d, want 7 (every recipe and inline graph differs)", got)
 	}
 	// The inline mesh keys apart from its topology spec but answers
@@ -524,7 +526,7 @@ func TestKernelCacheDistinguishesRecipes(t *testing.T) {
 			t.Fatalf("status %d: %s", resp.StatusCode, body)
 		}
 	}
-	if n, miss, hit := s.hybridSystems.Len(), s.metrics.simKernelMisses.Value(), s.metrics.simKernelHits.Value(); n != 1 || miss != 1 || hit != 1 {
+	if n, miss, hit := s.hybridSystems.Len(), s.metrics.simKernelMisses.Load(), s.metrics.simKernelHits.Load(); n != 1 || miss != 1 || hit != 1 {
 		t.Fatalf("hybrid systems = %d, sim-kernel misses/hits = %d/%d, want 1 entry and 1/1", n, miss, hit)
 	}
 }
@@ -557,10 +559,10 @@ func TestConcurrentKernelBuildsCoalesce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := s.metrics.computes.Value(); got != n {
+	if got := s.metrics.computes.Load(); got != n {
 		t.Fatalf("computes = %d, want %d distinct result-cache misses", got, n)
 	}
-	if miss, hit := s.metrics.kernelMisses.Value(), s.metrics.kernelHits.Value(); miss != 1 || hit != n-1 {
+	if miss, hit := s.metrics.kernelMisses.Load(), s.metrics.kernelHits.Load(); miss != 1 || hit != n-1 {
 		t.Fatalf("kernel_cache_misses/hits = %d/%d, want 1/%d", miss, hit, n-1)
 	}
 	// Every request saw the same kernel, so the seed-free fields agree.

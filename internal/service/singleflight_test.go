@@ -144,22 +144,22 @@ func TestConcurrentIdenticalRequestsComputeOnce(t *testing.T) {
 	// Wait until all n requests are in flight (leader at the gate,
 	// followers parked on its call), then open the gate.
 	deadline := time.Now().Add(5 * time.Second)
-	for s.metrics.inFlight.Value() < n {
+	for s.metrics.inFlight.Load() < n {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d requests in flight", s.metrics.inFlight.Value(), n)
+			t.Fatalf("only %d/%d requests in flight", s.metrics.inFlight.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
 	wg.Wait()
 
-	if got := s.metrics.computes.Value(); got != 1 {
+	if got := s.metrics.computes.Load(); got != 1 {
 		t.Fatalf("computes = %d, want exactly 1 for %d identical concurrent requests", got, n)
 	}
-	if got := s.metrics.coalesced.Value(); got != n-1 {
+	if got := s.metrics.coalesced.Load(); got != n-1 {
 		t.Fatalf("coalesced = %d, want %d", got, n-1)
 	}
-	if got := s.metrics.misses.Value(); got != 1 {
+	if got := s.metrics.misses.Load(); got != 1 {
 		t.Fatalf("cache_misses = %d, want 1", got)
 	}
 	for i := 1; i < n; i++ {

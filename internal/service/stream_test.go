@@ -94,7 +94,7 @@ func TestStreamedFallbackMatchesKernel(t *testing.T) {
 }
 
 // TestStreamedFallbackMetrics: the fallback shows up in both metric
-// expositions — streamed counters in the expvar document, counters and
+// expositions — streamed counters in the JSON document, counters and
 // the kernel_bytes_in_use gauge in the Prometheus text.
 func TestStreamedFallbackMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{KernelLimits: skew.Limits{MaxPairs: 4}})
@@ -339,7 +339,7 @@ func TestStreamedPeerShardSpill(t *testing.T) {
 	}
 	var spills int64
 	for _, s := range tc.servers {
-		spills += s.metrics.streamedSpills.Value()
+		spills += s.metrics.streamedSpills.Load()
 	}
 	if spills != expected {
 		t.Errorf("streamed_spills_total = %d across the cluster, ring assigns %d shards to peers", spills, expected)

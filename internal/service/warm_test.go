@@ -260,3 +260,43 @@ func TestLazyGraphFanOutMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+// perSourceBytes is well under the ~5 kB a math/rand source costs: a
+// random-regime trial that forked a fresh generator would exceed it on
+// its own, while a trial's own share (its value in the chunk slice, the
+// summary's copy) is a few words.
+const perSourceBytes = 1 << 10
+
+// A random or jittered clock simulation reseeds one generator per chunk
+// of trials with RNG.ForkInto and shares one fault injector per chunk:
+// its allocations must not grow by a generator (RNG.Fork) per trial.
+func TestClockSimulateAllocsIndependentOfTrials(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	for _, regime := range []string{"random", "jittered"} {
+		s := NewServer(Config{Workers: 1})
+		at := map[int]uint64{}
+		for _, trials := range []int{16, 272} {
+			at[trials] = warmBytesPerRequest(t, func(i int) error {
+				req := &SimulateRequest{
+					GraphInput: GraphInput{Topology: &TopologySpec{Kind: "mesh", N: 8}},
+					Mode:       "clock", Regime: regime, Trials: trials, Seed: int64(i),
+					Params: ClockParamsSpec{M: 1, Eps: 0.1},
+				}
+				req.applyDefaults()
+				res, err := s.computeSimulate(context.Background(), req)
+				if err == nil && res.status != http.StatusOK {
+					t.Fatalf("status %d: %s", res.status, res.body)
+				}
+				return err
+			})
+		}
+		perTrial := (int64(at[272]) - int64(at[16])) / 256
+		t.Logf("%s: %d B at 16 trials, %d B at 272 trials, %d B per extra trial", regime, at[16], at[272], perTrial)
+		if perTrial > perSourceBytes {
+			t.Errorf("%s simulate allocates %d B per trial, more than %d B: a generator per trial is back",
+				regime, perTrial, perSourceBytes)
+		}
+	}
+}
