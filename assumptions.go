@@ -58,7 +58,7 @@ var paperAssumptions = map[string]PaperAssumption{
 		Statement: "Equipotential distribution time τ is at least α·P, P the longest " +
 			"root-to-leaf path of CLK: large equipotentially clocked arrays have " +
 			"periods growing with their diameter.",
-		Implementation: "internal/clocksim (EquipotentialTau); internal/wiresim (RCWire); internal/core",
+		Implementation: "internal/clocktree (Tree.MaxRootDist); internal/wiresim (RCWire); internal/core",
 		Experiments:    []string{"E6", "E15"},
 	},
 	"A7": {

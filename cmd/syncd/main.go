@@ -6,7 +6,7 @@
 //
 //	syncd [-addr 127.0.0.1:8080] [-cache 1024] [-kernel-cache 256]
 //	      [-max-kernel-pairs 0] [-max-kernel-bytes 0] [-max-batch-configs 64]
-//	      [-no-streamed-fallback] [-stream-shard-size 0] [-stream-peer-shards]
+//	      [-stream-shard-size 0] [-stream-peer-shards]
 //	      [-workers 0] [-deadline 30s] [-max-deadline 2m] [-quiet] [-pprof]
 //	      [-peers http://h2:8080,http://h3:8080] [-self http://h1:8080]
 //	      [-replicas 128] [-hedge-after 0] [-health-interval 1s]
@@ -63,11 +63,11 @@
 // Without -peers the daemon behaves exactly as a standalone server.
 //
 // Size ceiling: a kernel whose pair count or byte estimate exceeds
-// -max-kernel-pairs / -max-kernel-bytes is never built. By default the
-// analysis falls back to the streamed path — exact max skew and worst
-// pair in bounded memory, sketch quantiles, sampled Monte Carlo — and
-// the response carries "streamed": true. -no-streamed-fallback restores
-// the bare 413 array_too_large answer. -stream-shard-size tunes the
+// -max-kernel-pairs / -max-kernel-bytes is never built. The analysis
+// falls back to the streamed path — exact max skew and worst pair in
+// bounded memory, sketch quantiles, sampled Monte Carlo — and the
+// response carries "streamed": true; a simulation over such an array
+// answers 413 array_too_large. -stream-shard-size tunes the
 // streamed path's pair-block granularity; -stream-peer-shards lets a
 // clustered node spill shards to their ring owners.
 //
@@ -112,7 +112,6 @@ func main() {
 	maxKernelPairs := flag.Int64("max-kernel-pairs", 0, "largest communicating-pair count a request may ask a kernel for (0 = skew.DefaultLimits; oversize requests get 413 array_too_large)")
 	maxKernelBytes := flag.Int64("max-kernel-bytes", 0, "kernel memory budget in bytes per request (0 = skew.DefaultLimits; oversize requests get 413 array_too_large)")
 	maxBatchConfigs := flag.Int("max-batch-configs", 64, "largest configs array a batched /v1/simulate request may carry")
-	noStreamedFallback := flag.Bool("no-streamed-fallback", false, "answer oversize analyze requests with 413 instead of the bounded-memory streamed path")
 	streamShardSize := flag.Int64("stream-shard-size", 0, "streamed-analysis pair-shard size (0 = skew.DefaultShardSize)")
 	streamPeerShards := flag.Bool("stream-peer-shards", false, "in cluster mode, spill streamed-analysis shards to their ring-owning peers")
 	workers := flag.Int("workers", 0, "engine fan-out workers per request (0 = GOMAXPROCS)")
@@ -144,7 +143,6 @@ func main() {
 		KernelCacheEntries: *kernelCache,
 		KernelLimits:       skew.Limits{MaxPairs: *maxKernelPairs, MaxBytes: *maxKernelBytes},
 		MaxBatchConfigs:    *maxBatchConfigs,
-		NoStreamedFallback: *noStreamedFallback,
 		StreamShardSize:    *streamShardSize,
 		StreamPeerShards:   *streamPeerShards,
 		Workers:            *workers,

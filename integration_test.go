@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/clocksim"
+	"repro/internal/clocktree"
 
 	"repro/internal/core"
 	"repro/internal/hybrid"
@@ -42,8 +43,10 @@ func TestPlanThenRunLinearArray(t *testing.T) {
 	}
 	// A7: no unbuffered segment of the planned tree may exceed the
 	// buffer spacing (spine hops of one pitch need no inserted buffers).
-	if seg := plan.Tree.MaxSegmentLength(); seg > 1+1e-9 {
-		t.Errorf("planned tree has unbuffered segment %g > spacing 1", seg)
+	for v := 0; v < plan.Tree.NumNodes(); v++ {
+		if seg := plan.Tree.EdgeLen(clocktree.NodeID(v)); seg > 1+1e-9 {
+			t.Errorf("planned tree has unbuffered segment %g > spacing 1", seg)
+		}
 	}
 
 	arr, err := clocksim.Random(plan.Tree, clocksim.Params{M: 1, Eps: 0.2, BufferDelay: 0.05},

@@ -196,10 +196,3 @@ func MaxEventDrift(tree *clocktree.Tree, p Params) float64 {
 func MinPipelinedPeriod(tree *clocktree.Tree, p Params) float64 {
 	return 2 * (p.MinSeparation + MaxEventDrift(tree, p))
 }
-
-// EquipotentialTau returns A6's distribution time for conventional
-// (non-pipelined) clocking: alpha times the longest root-to-leaf
-// electrical length. It grows with the layout diameter.
-func EquipotentialTau(tree *clocktree.Tree, alpha float64) float64 {
-	return alpha * tree.MaxRootDist()
-}

@@ -109,7 +109,9 @@ func TestRandomSkewWithinSummationBound(t *testing.T) {
 		var bound float64
 		c := g.PairIndex().Cursor(0)
 		for pa, pb, ok := c.Next(); ok; pa, pb, ok = c.Next() {
-			b := p.M*tr.CellDiffDist(pa, pb) + p.Eps*tr.CellPathLen(pa, pb)
+			na, _ := tr.CellNode(pa)
+			nb, _ := tr.CellNode(pb)
+			b := p.M*tr.DiffDist(na, nb) + p.Eps*tr.PathLen(na, nb)
 			if b > bound {
 				bound = b
 			}
@@ -262,9 +264,9 @@ func TestMinPipelinedPeriodGrowsWithDepthButNotSize(t *testing.T) {
 	if p16 <= p4 {
 		t.Errorf("period did not grow with tree depth: %g vs %g", p4, p16)
 	}
-	// But equipotential τ grows faster (proportional to root distance
-	// times alpha with a much bigger constant in practice).
-	if EquipotentialTau(b16, 1) <= EquipotentialTau(b4, 1) {
+	// But equipotential τ grows faster (A6: alpha times the root
+	// distance, with a much bigger constant in practice).
+	if b16.MaxRootDist() <= b4.MaxRootDist() {
 		t.Errorf("equipotential tau did not grow")
 	}
 }

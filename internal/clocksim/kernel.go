@@ -125,10 +125,6 @@ func (k *Kernel) Tree() *clocktree.Tree { return k.tree }
 // Graph returns the communication graph, or nil for tree-only kernels.
 func (k *Kernel) Graph() *comm.Graph { return k.graph }
 
-// Pairs returns the number of communicating pairs (0 for tree-only
-// kernels).
-func (k *Kernel) Pairs() int { return len(k.pairA) }
-
 // errNeedRNG and errNotClocked keep kernel and reference error text
 // identical, so differential tests can compare failure modes too.
 func errNeedRNG(fn string) error {

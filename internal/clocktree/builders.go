@@ -32,22 +32,6 @@ func Spine(g *comm.Graph) (*Tree, error) {
 	return b.Finalize()
 }
 
-// SpineWithHost is Spine with an extra root node at hostPos representing
-// the host interface, so host-to-cell skews can be analyzed (the concern
-// Fig. 5's folded layout addresses).
-func SpineWithHost(g *comm.Graph, hostPos geom.Point) (*Tree, error) {
-	if g.NumCells() == 0 {
-		return nil, fmt.Errorf("clocktree: SpineWithHost on empty graph")
-	}
-	b := newBuilder("spine+host/"+g.Name, g.NumCells()+1, g.NumCells())
-	prev := b.Root(hostPos, comm.Host)
-	for id := comm.CellID(0); int(id) < g.NumCells(); id++ {
-		c := g.Cell(id)
-		prev = b.Child(prev, c.Pos, c.ID)
-	}
-	return b.Finalize()
-}
-
 // Ladder builds the constant-skew clock for ring arrays: ring layouts in
 // this repository place the cells in two facing rows (a flattened loop),
 // and the ladder runs a spine between the rows with a short rung to each
@@ -556,16 +540,4 @@ func (t *Tree) BufferCount() int {
 		}
 	}
 	return n
-}
-
-// MaxSegmentLength returns the longest single wire (unbuffered segment) in
-// the tree — the quantity A7's τ is proportional to in a buffered tree.
-func (t *Tree) MaxSegmentLength() float64 {
-	var m float64
-	for v := range t.pos {
-		if l := t.EdgeLen(NodeID(v)); l > m {
-			m = l
-		}
-	}
-	return m
 }

@@ -198,7 +198,7 @@ func TestBufferedKeepsEqualizeSlack(t *testing.T) {
 			t.Errorf("cell %d root distance %g → %g", c.ID, d1, d2)
 		}
 	}
-	if seg := buf.MaxSegmentLength(); seg > 0.5+1e-9 {
+	if seg := maxSegmentLength(buf); seg > 0.5+1e-9 {
 		t.Errorf("max segment %g exceeds spacing 0.5", seg)
 	}
 	if got, want := buf.TotalWireLength(), tr.TotalWireLength(); math.Abs(got-want) > 1e-9 {

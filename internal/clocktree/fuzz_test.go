@@ -73,7 +73,7 @@ func checkTreeMetrics(t *testing.T, g *comm.Graph, tree *Tree) {
 			if s != sRev {
 				t.Fatalf("path length asymmetric: %g vs %g", s, sRev)
 			}
-			d := tree.CellDiffDist(a, b)
+			d := tree.DiffDist(tree.mustCellNode(a), tree.mustCellNode(b))
 			if d < 0 || s < 0 || math.IsNaN(s) || math.IsNaN(d) {
 				t.Fatalf("negative or NaN distances: d=%g s=%g", d, s)
 			}
@@ -214,7 +214,7 @@ func FuzzBuffered(f *testing.F) {
 				t.Fatalf("segment into node %d has length %g > spacing %g", v, l, spacing)
 			}
 			w := buf.Wire(id)
-			if !w.Start().Eq(buf.Node(buf.Parent(id)).Pos, 0) || !w.End().Eq(buf.Node(id).Pos, 0) {
+			if !w[0].Eq(buf.Node(buf.Parent(id)).Pos, 0) || !w[len(w)-1].Eq(buf.Node(id).Pos, 0) {
 				t.Fatalf("wire of node %d does not join its parent's position to its own", v)
 			}
 		}

@@ -1,9 +1,9 @@
 package clocktree
 
 import (
+	"encoding/json"
 	"math"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -92,8 +92,8 @@ func negZeroLayouts(t *testing.T) map[string]*comm.Graph {
 	}
 	out := map[string]*comm.Graph{}
 	for name, doc := range docs {
-		g, err := comm.ReadJSON(strings.NewReader(doc))
-		if err != nil {
+		g := new(comm.Graph)
+		if err := json.Unmarshal([]byte(doc), g); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		out[name] = g
@@ -253,8 +253,9 @@ func TestWireCutMatchesPathSplit(t *testing.T) {
 			piece, rest = rest.Split(length / float64(nseg))
 			end, l := w.cut(length / float64(nseg))
 			same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
-			if !same(end.X, piece.End().X) || !same(end.Y, piece.End().Y) || !same(l, piece.Length()) {
-				t.Fatalf("%v→%v piece %d/%d: cut (%v, %v), Split (%v, %v)", a, b, i, nseg, end, l, piece.End(), piece.Length())
+			pieceEnd := piece[len(piece)-1]
+			if !same(end.X, pieceEnd.X) || !same(end.Y, pieceEnd.Y) || !same(l, piece.Length()) {
+				t.Fatalf("%v→%v piece %d/%d: cut (%v, %v), Split (%v, %v)", a, b, i, nseg, end, l, pieceEnd, piece.Length())
 			}
 		}
 		if got, want := w.length(w.n), rest.Length(); math.Float64bits(got) != math.Float64bits(want) {

@@ -250,11 +250,6 @@ func (t *Tree) CellPathLen(a, b comm.CellID) float64 {
 	return t.PathLen(t.mustCellNode(a), t.mustCellNode(b))
 }
 
-// CellDiffDist returns DiffDist between the nodes clocking cells a and b.
-func (t *Tree) CellDiffDist(a, b comm.CellID) float64 {
-	return t.DiffDist(t.mustCellNode(a), t.mustCellNode(b))
-}
-
 func (t *Tree) mustCellNode(c comm.CellID) NodeID {
 	id, ok := t.CellNode(c)
 	if !ok {

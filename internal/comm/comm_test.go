@@ -257,7 +257,7 @@ func TestBoundsCoverAllCells(t *testing.T) {
 		}
 		b := g.Bounds()
 		for id := CellID(0); int(id) < g.NumCells(); id++ {
-			if c := g.Cell(id); !b.Contains(c.Pos) {
+			if c := g.Cell(id); b.Union(geom.Rect{Min: c.Pos, Max: c.Pos}) != b {
 				t.Errorf("%s: cell %d at %v outside bounds %v", g.Name, c.ID, c.Pos, b)
 			}
 		}

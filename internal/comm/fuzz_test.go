@@ -10,6 +10,7 @@ package comm
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 )
 
@@ -26,11 +27,11 @@ func FuzzGraphJSONRoundTrip(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := g.WriteJSON(&buf); err != nil {
+		data, err := g.MarshalJSON()
+		if err != nil {
 			f.Fatal(err)
 		}
-		f.Add(buf.Bytes())
+		f.Add(data)
 	}
 	f.Add([]byte(`{"kind":"mesh","cells":[{"id":5}]}`))
 	f.Add([]byte(`{"kind":"linear","cells":[{"id":0,"x":1e308,"y":-1e308}],"edges":[{"from":-1,"to":0}]}`))
@@ -38,32 +39,32 @@ func FuzzGraphJSONRoundTrip(f *testing.F) {
 	f.Add([]byte(`{"edges":[{"from":0,"to":99}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := ReadJSON(bytes.NewReader(data))
-		if err != nil {
+		var g Graph
+		if err := g.UnmarshalJSON(data); err != nil {
 			return // malformed input must error, and it did
 		}
-		var first bytes.Buffer
-		if err := g.WriteJSON(&first); err != nil {
+		first, err := g.MarshalJSON()
+		if err != nil {
 			t.Fatalf("accepted graph fails to encode: %v", err)
 		}
-		g2, err := ReadJSON(bytes.NewReader(first.Bytes()))
-		if err != nil {
-			t.Fatalf("emitted JSON does not decode: %v\n%s", err, first.String())
+		var g2 Graph
+		if err := g2.UnmarshalJSON(first); err != nil {
+			t.Fatalf("emitted JSON does not decode: %v\n%s", err, first)
 		}
-		var second bytes.Buffer
-		if err := g2.WriteJSON(&second); err != nil {
+		second, err := g2.MarshalJSON()
+		if err != nil {
 			t.Fatalf("re-encoding decoded graph: %v", err)
 		}
-		if !bytes.Equal(first.Bytes(), second.Bytes()) {
-			t.Fatalf("round trip is not stable:\nfirst:\n%s\nsecond:\n%s", first.String(), second.String())
+		if !bytes.Equal(first, second) {
+			t.Fatalf("round trip is not stable:\nfirst:\n%s\nsecond:\n%s", first, second)
 		}
-		// UnmarshalJSON must agree with ReadJSON on the same bytes.
-		var g3 Graph
-		if err := g3.UnmarshalJSON(data); err != nil {
-			t.Fatalf("ReadJSON accepted input that UnmarshalJSON rejects: %v", err)
+		// The encoding/json path a service request takes must agree.
+		g3 := new(Graph)
+		if err := json.Unmarshal(data, g3); err != nil {
+			t.Fatalf("UnmarshalJSON accepted input that json.Unmarshal rejects: %v", err)
 		}
 		if g3.NumCells() != g.NumCells() || g3.NumEdges() != g.NumEdges() {
-			t.Fatalf("UnmarshalJSON decoded %d cells/%d edges, ReadJSON %d/%d",
+			t.Fatalf("json.Unmarshal decoded %d cells/%d edges, UnmarshalJSON %d/%d",
 				g3.NumCells(), g3.NumEdges(), g.NumCells(), g.NumEdges())
 		}
 	})

@@ -3,7 +3,6 @@ package comm
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/geom"
 )
@@ -69,41 +68,18 @@ func fromJSON(in graphJSON) (*Graph, error) {
 	return g, nil
 }
 
-// WriteJSON serializes the graph for interchange with external tools
-// (layout viewers, other simulators). The format is stable: kind, name,
-// grid dims, cells with positions, and directed edges with -1 as the
-// host sentinel.
-func (g *Graph) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(g.toJSON())
-}
-
-// ReadJSON deserializes a graph written by WriteJSON and validates it.
-// Trailing data after the JSON value is an error (found by fuzzing: the
-// streaming decoder would otherwise accept input that UnmarshalJSON
-// rejects, splitting the two ingestion paths' notion of validity).
-func ReadJSON(r io.Reader) (*Graph, error) {
-	dec := json.NewDecoder(r)
-	var in graphJSON
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("comm: decoding graph: %w", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return nil, fmt.Errorf("comm: decoding graph: trailing data after JSON value")
-	}
-	return fromJSON(in)
-}
-
-// MarshalJSON encodes the graph in the WriteJSON interchange format, so
-// a *Graph embeds directly in larger JSON payloads (service requests).
+// MarshalJSON encodes the graph in its interchange format, so a *Graph
+// embeds directly in larger JSON payloads (service requests). The format
+// is stable: kind, name, grid dims, cells with positions, and directed
+// edges with -1 as the host sentinel.
 func (g *Graph) MarshalJSON() ([]byte, error) {
 	return json.Marshal(g.toJSON())
 }
 
-// UnmarshalJSON decodes and validates a graph in the interchange format
-// — ReadJSON for embedded use. A graph that fails New's checks is
-// rejected, so no malformed graph ever enters the analysis engines.
+// UnmarshalJSON decodes and validates a graph in the interchange format.
+// A graph that fails New's checks is rejected, so no malformed graph
+// ever enters the analysis engines; trailing data after the JSON value
+// is an error.
 func (g *Graph) UnmarshalJSON(data []byte) error {
 	var in graphJSON
 	if err := json.Unmarshal(data, &in); err != nil {

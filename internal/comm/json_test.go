@@ -1,7 +1,7 @@
 package comm
 
 import (
-	"strings"
+	"encoding/json"
 	"testing"
 )
 
@@ -20,12 +20,12 @@ func TestJSONRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf strings.Builder
-		if err := orig.WriteJSON(&buf); err != nil {
+		data, err := json.Marshal(orig)
+		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadJSON(strings.NewReader(buf.String()))
-		if err != nil {
+		got := new(Graph)
+		if err := json.Unmarshal(data, got); err != nil {
 			t.Fatalf("%s: %v", orig.Name, err)
 		}
 		if got.Name != orig.Name || got.Kind() != orig.Kind() ||
@@ -56,23 +56,33 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// decodeGraph decodes a graph the way a service request carries one.
+func decodeGraph(doc string) (*Graph, error) {
+	g := new(Graph)
+	return g, json.Unmarshal([]byte(doc), g)
+}
+
 func TestReadJSONRejectsGarbage(t *testing.T) {
-	if _, err := ReadJSON(strings.NewReader("{nonsense")); err == nil {
+	if _, err := decodeGraph("{nonsense"); err == nil {
 		t.Error("garbage accepted")
 	}
 	// Non-dense IDs.
 	bad := `{"kind":"linear","name":"x","cells":[{"id":3,"x":0,"y":0}],"edges":[]}`
-	if _, err := ReadJSON(strings.NewReader(bad)); err == nil {
+	if _, err := decodeGraph(bad); err == nil {
 		t.Error("non-dense IDs accepted")
 	}
 	// Dangling edge.
 	bad2 := `{"kind":"linear","name":"x","cells":[{"id":0,"x":0,"y":0}],"edges":[{"from":0,"to":9}]}`
-	if _, err := ReadJSON(strings.NewReader(bad2)); err == nil {
+	if _, err := decodeGraph(bad2); err == nil {
 		t.Error("dangling edge accepted")
+	}
+	// Trailing data after the value.
+	if _, err := decodeGraph(`{"kind":"linear","name":"x","cells":[{"id":0,"x":0,"y":0}],"edges":[]} {}`); err == nil {
+		t.Error("trailing data accepted")
 	}
 	// Duplicate positions.
 	bad3 := `{"kind":"linear","name":"x","cells":[{"id":0,"x":0,"y":0},{"id":1,"x":0,"y":0}],"edges":[]}`
-	if _, err := ReadJSON(strings.NewReader(bad3)); err == nil {
+	if _, err := decodeGraph(bad3); err == nil {
 		t.Error("duplicate positions accepted")
 	}
 }
@@ -83,7 +93,7 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 func TestCellAtHugeDeclaredGrid(t *testing.T) {
 	in := `{"kind":"mesh","name":"sparse","rows":4294967296,"cols":4294967296,` +
 		`"cells":[{"id":0,"x":0,"y":0},{"id":1,"x":1,"y":0,"col":1}],"edges":[{"from":0,"to":1}]}`
-	g, err := ReadJSON(strings.NewReader(in))
+	g, err := decodeGraph(in)
 	if err != nil {
 		t.Fatal(err)
 	}

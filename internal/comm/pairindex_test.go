@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"bytes"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -66,7 +65,7 @@ func decodedCorpus(t *testing.T) []*Graph {
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}
-		if g, err := ReadJSON(bytes.NewReader([]byte(data))); err == nil {
+		if g, err := decodeGraph(data); err == nil {
 			out = append(out, g)
 		}
 	}

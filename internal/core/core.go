@@ -429,18 +429,3 @@ func hybridPlan(g *comm.Graph, a Assumptions) (*Plan, error) {
 		SizeIndependent: true,
 	}, nil
 }
-
-// EquipotentialPeriod returns the A5/A6 clock period of a conventionally
-// clocked (non-pipelined) implementation using the given tree: σ + δ +
-// α·P. It grows with the layout diameter — the baseline the paper's
-// schemes beat.
-func EquipotentialPeriod(g *comm.Graph, tree *clocktree.Tree, a Assumptions) (float64, error) {
-	if a.Alpha <= 0 {
-		return 0, fmt.Errorf("core: EquipotentialPeriod needs Alpha > 0")
-	}
-	analysis, err := skew.Analyze(g, tree, skew.Linear{M: a.M, Eps: a.Eps})
-	if err != nil {
-		return 0, err
-	}
-	return analysis.MaxSkew + a.Delta + a.Alpha*tree.MaxRootDist(), nil
-}

@@ -152,41 +152,6 @@ func TestNoPipeliningFallsBackToHybrid(t *testing.T) {
 	}
 }
 
-func TestEquipotentialPeriodGrowsWithSize(t *testing.T) {
-	period := func(n int) float64 {
-		g, err := comm.Mesh(n, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewPlan(g, assumptions(DifferenceModel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := assumptions(DifferenceModel)
-		a.Alpha = 1
-		ep, err := EquipotentialPeriod(g, p.Tree, a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ep
-	}
-	p8, p32 := period(8), period(32)
-	if p32 < 2*p8 {
-		t.Errorf("equipotential period must grow with the layout: %g vs %g", p8, p32)
-	}
-}
-
-func TestEquipotentialPeriodNeedsAlpha(t *testing.T) {
-	g, _ := comm.Linear(4)
-	p, err := NewPlan(g, assumptions(SummationModel))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := EquipotentialPeriod(g, p.Tree, assumptions(SummationModel)); err == nil {
-		t.Error("Alpha=0 accepted")
-	}
-}
-
 func TestPlanRejectsEmptyGraph(t *testing.T) {
 	g := &comm.Graph{}
 	if _, err := NewPlan(g, assumptions(DifferenceModel)); err == nil {

@@ -13,10 +13,9 @@ import (
 
 // Sim is a discrete-event simulator. The zero value is ready to use.
 type Sim struct {
-	pq   eventHeap
-	now  float64
-	seq  int64
-	step int64
+	pq  eventHeap
+	now float64
+	seq int64
 }
 
 type event struct {
@@ -47,12 +46,6 @@ func (h *eventHeap) Pop() interface{} {
 // Now returns the current simulation time.
 func (s *Sim) Now() float64 { return s.now }
 
-// Pending returns the number of queued events.
-func (s *Sim) Pending() int { return len(s.pq) }
-
-// Steps returns the number of events executed so far.
-func (s *Sim) Steps() int64 { return s.step }
-
 // At schedules fn to run at absolute time t. Scheduling into the past
 // (before Now) panics: it indicates a causality bug in the caller.
 func (s *Sim) At(t float64, fn func()) {
@@ -80,7 +73,6 @@ func (s *Sim) Step() bool {
 	}
 	e := heap.Pop(&s.pq).(event)
 	s.now = e.time
-	s.step++
 	e.fn()
 	return true
 }
@@ -96,19 +88,5 @@ func (s *Sim) Run(maxEvents int64) float64 {
 		if !s.Step() {
 			return s.now
 		}
-	}
-}
-
-// RunUntil executes events with time ≤ tEnd (inclusive), leaving later
-// events queued, and advances Now to tEnd.
-func (s *Sim) RunUntil(tEnd float64, maxEvents int64) {
-	for i := int64(0); len(s.pq) > 0 && s.pq[0].time <= tEnd; i++ {
-		if i >= maxEvents {
-			panic(fmt.Sprintf("des: event budget %d exhausted at t=%g", maxEvents, s.now))
-		}
-		s.Step()
-	}
-	if tEnd > s.now {
-		s.now = tEnd
 	}
 }

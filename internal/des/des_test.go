@@ -50,9 +50,6 @@ func TestAfterAndNow(t *testing.T) {
 	if sampled != 2 {
 		t.Errorf("sampled = %g", sampled)
 	}
-	if s.Steps() != 2 {
-		t.Errorf("Steps = %d", s.Steps())
-	}
 }
 
 func TestSchedulingIntoPastPanics(t *testing.T) {
@@ -89,28 +86,6 @@ func TestRunBudgetPanics(t *testing.T) {
 		}
 	}()
 	s.Run(50)
-}
-
-func TestRunUntil(t *testing.T) {
-	var s Sim
-	fired := 0
-	for i := 1; i <= 10; i++ {
-		s.At(float64(i), func() { fired++ })
-	}
-	s.RunUntil(5, 100)
-	if fired != 5 {
-		t.Errorf("fired = %d, want 5", fired)
-	}
-	if s.Now() != 5 {
-		t.Errorf("Now = %g, want 5", s.Now())
-	}
-	if s.Pending() != 5 {
-		t.Errorf("Pending = %d, want 5", s.Pending())
-	}
-	s.RunUntil(20, 100)
-	if fired != 10 || s.Now() != 20 {
-		t.Errorf("after second RunUntil: fired=%d now=%g", fired, s.Now())
-	}
 }
 
 func TestStepOnEmpty(t *testing.T) {

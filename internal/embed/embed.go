@@ -32,12 +32,6 @@ type Embedding struct {
 	Pos [][2]int
 }
 
-// At returns the target coordinates of source vertex (r, c).
-func (e *Embedding) At(r, c int) (int, int) {
-	p := e.Pos[r*e.SrcCols+c]
-	return p[0], p[1]
-}
-
 // Identity returns the trivial embedding of a grid into itself.
 func Identity(rows, cols int) (*Embedding, error) {
 	if rows < 1 || cols < 1 {

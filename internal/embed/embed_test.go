@@ -18,7 +18,8 @@ func TestIdentity(t *testing.T) {
 	if m.Dilation != 1 || m.AreaFactor != 1 {
 		t.Errorf("identity metrics = %+v", m)
 	}
-	r, c := e.At(2, 3)
+	p := e.Pos[2*e.SrcCols+3]
+	r, c := p[0], p[1]
 	if r != 2 || c != 3 {
 		t.Errorf("At = %d,%d", r, c)
 	}

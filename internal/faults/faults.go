@@ -6,8 +6,8 @@
 // the violations: dropped and delayed handshake messages (recovered by a
 // bounded retransmission timeout), per-edge clock jitter beyond the
 // [M−Eps, M+Eps] band of Section III, and metastable-resolution failures
-// at a configurable per-sample rate (derivable from an MTBF via
-// metastable.FailureProbForMTBF).
+// at a configurable per-sample rate (the inverse of a synchronizer's
+// MTBF per clock cycle, 1/(MTBF·fclk)).
 //
 // An Injector draws every fault decision from a generator forked per
 // event key, so a simulation's fault pattern depends only on (seed, key)
@@ -46,8 +46,9 @@ type Config struct {
 	// JitterProb is.
 	MaxJitter float64
 	// MetastableProb is the per-sample probability that a synchronizer
-	// fails to resolve in time; each failure costs MetastableStall. Use
-	// metastable.FailureProbForMTBF to derive it from a target MTBF.
+	// fails to resolve in time; each failure costs MetastableStall. A
+	// target MTBF at clock frequency fclk gives 1/(MTBF·fclk), clamped
+	// to 1.
 	MetastableProb float64
 	// MetastableStall is the extra resolution wait charged per failure;
 	// it must be positive when MetastableProb is.
@@ -138,11 +139,17 @@ func (c Counts) Faults() int64 { return c.Dropped + c.Delayed + c.Jittered + c.M
 // same seed see identical fault patterns regardless of event ordering,
 // and concurrent runs with forked injectors stay reproducible.
 //
-// The count and total-extra accumulators are not goroutine-safe: an
-// Injector belongs to one simulation on one goroutine.
+// The count and total-extra accumulators and the decision generator are
+// not goroutine-safe: an Injector belongs to one simulation on one
+// goroutine.
 type Injector struct {
-	cfg        Config
-	base       *stats.RNG
+	cfg  Config
+	base *stats.RNG
+	// scratch is reseeded per decision to the fork of base for that
+	// decision's key, so no decision allocates a generator. It is made
+	// on the first decision: an injector that injects nothing never
+	// needs one.
+	scratch    *stats.RNG
 	counts     Counts
 	totalExtra float64
 }
@@ -153,14 +160,6 @@ func New(cfg Config, seed int64) (*Injector, error) {
 		return nil, err
 	}
 	return &Injector{cfg: cfg, base: stats.NewRNG(seed)}, nil
-}
-
-// Config returns the injector's configuration; the zero Config for nil.
-func (in *Injector) Config() Config {
-	if in == nil {
-		return Config{}
-	}
-	return in.cfg
 }
 
 // Counts returns the faults injected so far.
@@ -182,10 +181,14 @@ func (in *Injector) TotalExtra() float64 {
 }
 
 // fork returns the decision generator for one event key, salted per
-// fault class so that message, jitter, and metastability decisions with
-// coinciding keys stay independent.
+// fault class so that message and jitter decisions with coinciding keys
+// stay independent. It is the scratch generator reseeded to the fork's
+// stream, valid until the next decision.
 func (in *Injector) fork(class, key uint64) *stats.RNG {
-	return in.base.Fork(int64(class*0x9E3779B97F4A7C15 ^ key))
+	if in.scratch == nil {
+		in.scratch = stats.NewRNG(0)
+	}
+	return in.base.ForkInto(int64(class*0x9E3779B97F4A7C15^key), in.scratch)
 }
 
 // MessageExtra returns the extra delivery delay of handshake message
@@ -229,17 +232,6 @@ func (in *Injector) EdgeJitter(key uint64) float64 {
 	extra := in.cfg.MaxJitter * (1 - r.Float64())
 	in.totalExtra += extra
 	return extra
-}
-
-// MetastableStall returns the resolution stall of synchronizer sample
-// `key`: MetastableStall with probability MetastableProb, else 0.
-func (in *Injector) MetastableStall(key uint64) float64 {
-	if in == nil || in.cfg.MetastableProb == 0 {
-		return 0
-	}
-	stall := in.metastableStall(in.fork(3, key))
-	in.totalExtra += stall
-	return stall
 }
 
 // metastableStall draws one resolution-failure decision from r.

@@ -59,17 +59,11 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if x := in.EdgeJitter(7); x != 0 {
 		t.Errorf("nil EdgeJitter = %g, want 0", x)
 	}
-	if x := in.MetastableStall(7); x != 0 {
-		t.Errorf("nil MetastableStall = %g, want 0", x)
-	}
 	if c := in.Counts(); c != (Counts{}) {
 		t.Errorf("nil Counts = %+v, want zero", c)
 	}
 	if in.TotalExtra() != 0 {
 		t.Errorf("nil TotalExtra = %g, want 0", in.TotalExtra())
-	}
-	if in.Config().Enabled() {
-		t.Error("nil Config reports enabled")
 	}
 }
 
@@ -143,11 +137,6 @@ func TestExtrasWithinBounds(t *testing.T) {
 			t.Fatalf("EdgeJitter(%d) = %g outside [0, %g]", k, j, cfg.MaxJitter)
 		}
 		sum += j
-		m := in.MetastableStall(uint64(k))
-		if m != 0 && m != cfg.MetastableStall {
-			t.Fatalf("MetastableStall(%d) = %g, want 0 or %g", k, m, cfg.MetastableStall)
-		}
-		sum += m
 	}
 	if got := in.TotalExtra(); got != sum {
 		t.Errorf("TotalExtra = %g, want %g", got, sum)

@@ -54,104 +54,6 @@ func (p Point) Eq(q Point, tol float64) bool {
 // Path has zero length.
 type Path []Point
 
-// Length returns the total polyline length of the path.
-func (p Path) Length() float64 {
-	var sum float64
-	for i := 1; i < len(p); i++ {
-		sum += p[i].Dist(p[i-1])
-	}
-	return sum
-}
-
-// ManhattanLength returns the total L1 length of the path's segments.
-func (p Path) ManhattanLength() float64 {
-	var sum float64
-	for i := 1; i < len(p); i++ {
-		sum += p[i].ManhattanDist(p[i-1])
-	}
-	return sum
-}
-
-// Start returns the first point of the path; it panics on an empty path.
-func (p Path) Start() Point { return p[0] }
-
-// End returns the last point of the path; it panics on an empty path.
-func (p Path) End() Point { return p[len(p)-1] }
-
-// Reverse returns a copy of p traversed end-to-start.
-func (p Path) Reverse() Path {
-	out := make(Path, len(p))
-	for i, pt := range p {
-		out[len(p)-1-i] = pt
-	}
-	return out
-}
-
-// Concat joins p and q into a single path. If p's end coincides with q's
-// start (within 1e-9) the duplicate joint point is dropped.
-func (p Path) Concat(q Path) Path {
-	if len(p) == 0 {
-		return append(Path(nil), q...)
-	}
-	if len(q) == 0 {
-		return append(Path(nil), p...)
-	}
-	out := make(Path, 0, len(p)+len(q))
-	out = append(out, p...)
-	if p.End().Eq(q.Start(), 1e-9) {
-		out = append(out, q[1:]...)
-	} else {
-		out = append(out, q...)
-	}
-	return out
-}
-
-// At returns the point at arc-length distance d along the path, clamped to
-// the path's endpoints.
-func (p Path) At(d float64) Point {
-	if len(p) == 0 {
-		return Point{}
-	}
-	if d <= 0 {
-		return p[0]
-	}
-	for i := 1; i < len(p); i++ {
-		seg := p[i].Dist(p[i-1])
-		if d <= seg && seg > 0 {
-			t := d / seg
-			return Point{
-				X: p[i-1].X + t*(p[i].X-p[i-1].X),
-				Y: p[i-1].Y + t*(p[i].Y-p[i-1].Y),
-			}
-		}
-		d -= seg
-	}
-	return p[len(p)-1]
-}
-
-// Split cuts the path at arc length d and returns the two halves. Both
-// halves share the cut point. d is clamped to [0, Length].
-func (p Path) Split(d float64) (Path, Path) {
-	if len(p) == 0 {
-		return nil, nil
-	}
-	if d <= 0 {
-		return Path{p[0]}, append(Path(nil), p...)
-	}
-	for i := 1; i < len(p); i++ {
-		seg := p[i].Dist(p[i-1])
-		if d < seg {
-			cut := p.At(p[:i+1].Length() - seg + d)
-			// Rebuild explicitly to keep both halves simple polylines.
-			first := append(append(Path(nil), p[:i]...), cut)
-			second := append(Path{cut}, p[i:]...)
-			return first, second
-		}
-		d -= seg
-	}
-	return append(Path(nil), p...), Path{p[len(p)-1]}
-}
-
 // Rect is an axis-aligned rectangle. Min is the lower-left corner and Max
 // the upper-right; a Rect with Max.X < Min.X is treated as empty.
 type Rect struct {
@@ -197,11 +99,6 @@ func (r Rect) AspectRatio() float64 {
 	return hi / lo
 }
 
-// Contains reports whether p lies inside r (inclusive of the boundary).
-func (r Rect) Contains(p Point) bool {
-	return p.X >= r.Min.X && p.X <= r.Max.X && p.Y >= r.Min.Y && p.Y <= r.Max.Y
-}
-
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {
@@ -232,18 +129,6 @@ func BoundingRect(pts ...Point) Rect {
 	r := EmptyRect()
 	for _, p := range pts {
 		r = r.Union(Rect{Min: p, Max: p})
-	}
-	return r
-}
-
-// BoundingRectOfPaths returns the smallest rectangle containing every
-// vertex of every path.
-func BoundingRectOfPaths(paths []Path) Rect {
-	r := EmptyRect()
-	for _, p := range paths {
-		for _, pt := range p {
-			r = r.Union(Rect{Min: pt, Max: pt})
-		}
 	}
 	return r
 }

@@ -68,51 +68,11 @@ func TestPathLength(t *testing.T) {
 	if got := p.Length(); !almost(got, 7) {
 		t.Errorf("Length = %g, want 7", got)
 	}
-	if got := p.ManhattanLength(); !almost(got, 7) {
-		t.Errorf("ManhattanLength = %g, want 7", got)
-	}
 	if got := Path(nil).Length(); got != 0 {
 		t.Errorf("nil path length = %g", got)
 	}
 	if got := (Path{Pt(1, 1)}).Length(); got != 0 {
 		t.Errorf("single point length = %g", got)
-	}
-}
-
-func TestPathReverse(t *testing.T) {
-	p := Path{Pt(0, 0), Pt(1, 0), Pt(1, 1)}
-	r := p.Reverse()
-	if r[0] != Pt(1, 1) || r[2] != Pt(0, 0) {
-		t.Errorf("Reverse = %v", r)
-	}
-	if !almost(r.Length(), p.Length()) {
-		t.Errorf("Reverse changed length")
-	}
-	// Original untouched.
-	if p[0] != Pt(0, 0) {
-		t.Errorf("Reverse mutated the receiver")
-	}
-}
-
-func TestPathConcat(t *testing.T) {
-	a := Path{Pt(0, 0), Pt(1, 0)}
-	b := Path{Pt(1, 0), Pt(1, 1)}
-	joined := a.Concat(b)
-	if len(joined) != 3 {
-		t.Fatalf("Concat len = %d, want 3 (duplicate joint dropped)", len(joined))
-	}
-	if !almost(joined.Length(), 2) {
-		t.Errorf("Concat length = %g, want 2", joined.Length())
-	}
-	disjoint := a.Concat(Path{Pt(5, 5), Pt(6, 5)})
-	if len(disjoint) != 4 {
-		t.Errorf("disjoint Concat len = %d, want 4", len(disjoint))
-	}
-	if got := Path(nil).Concat(a); len(got) != 2 {
-		t.Errorf("nil Concat = %v", got)
-	}
-	if got := a.Concat(nil); len(got) != 2 {
-		t.Errorf("Concat nil = %v", got)
 	}
 }
 
@@ -146,11 +106,12 @@ func TestPathSplit(t *testing.T) {
 	if !almost(b.Length(), 5) {
 		t.Errorf("second half length = %g, want 5", b.Length())
 	}
-	if !a.End().Eq(b.Start(), 1e-9) {
-		t.Errorf("halves do not share cut point: %v vs %v", a.End(), b.Start())
+	end, start := a[len(a)-1], b[0]
+	if !end.Eq(start, 1e-9) {
+		t.Errorf("halves do not share cut point: %v vs %v", end, start)
 	}
-	if !a.End().Eq(Pt(10, 5), 1e-9) {
-		t.Errorf("cut point = %v, want (10,5)", a.End())
+	if !end.Eq(Pt(10, 5), 1e-9) {
+		t.Errorf("cut point = %v, want (10,5)", end)
 	}
 }
 
@@ -189,9 +150,6 @@ func TestRectBasics(t *testing.T) {
 	}
 	if !almost(r.AspectRatio(), 2) {
 		t.Errorf("AspectRatio = %g, want 2", r.AspectRatio())
-	}
-	if !r.Contains(Pt(4, 2)) || !r.Contains(Pt(0, 0)) || r.Contains(Pt(5, 1)) {
-		t.Errorf("Contains wrong")
 	}
 }
 
@@ -232,10 +190,6 @@ func TestBoundingRect(t *testing.T) {
 	}
 	if !BoundingRect().IsEmpty() {
 		t.Errorf("BoundingRect() should be empty")
-	}
-	pr := BoundingRectOfPaths([]Path{{Pt(0, 0), Pt(2, 2)}, {Pt(-1, 1)}})
-	if pr.Min != Pt(-1, 0) || pr.Max != Pt(2, 2) {
-		t.Errorf("BoundingRectOfPaths = %v", pr)
 	}
 }
 

@@ -4,29 +4,8 @@ import (
 	"context"
 
 	"repro/internal/array"
-	"repro/internal/faults"
 	"repro/internal/obs"
 )
-
-// SimulateHandshakeCtx is SimulateHandshake with a "hybrid.handshake"
-// span recorded when ctx carries a tracer.
-func (s *System) SimulateHandshakeCtx(ctx context.Context, waves int) ([][]float64, error) {
-	_, span := obs.Start(ctx, "hybrid.handshake",
-		obs.Int("waves", int64(waves)), obs.Int("elements", int64(s.NumElements())))
-	defer span.End()
-	return s.SimulateHandshake(waves)
-}
-
-// SimulateHandshakeFaultyCtx is SimulateHandshakeFaulty with a
-// "hybrid.handshake" span (tagged faulty=1) recorded when ctx carries a
-// tracer.
-func (s *System) SimulateHandshakeFaultyCtx(ctx context.Context, waves int, inj *faults.Injector) ([][]float64, error) {
-	_, span := obs.Start(ctx, "hybrid.handshake",
-		obs.Int("waves", int64(waves)), obs.Int("elements", int64(s.NumElements())),
-		obs.Int("faulty", 1))
-	defer span.End()
-	return s.SimulateHandshakeFaulty(waves, inj)
-}
 
 // RunCtx is Run with a "hybrid.run" span recorded when ctx carries a
 // tracer.

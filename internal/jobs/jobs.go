@@ -127,9 +127,6 @@ type Job struct {
 	cancel context.CancelFunc // set when the manager admits the job
 }
 
-// ID returns the job's identifier.
-func (j *Job) ID() string { return j.id }
-
 // append records ev (stamping Seq and Elapsed) and fans it out to live
 // subscribers. Callers hold j.mu.
 func (j *Job) appendLocked(ev Event) {

@@ -305,7 +305,7 @@ func TestManagerCloseCancelsAll(t *testing.T) {
 	m.Close()
 	for _, j := range jobsList {
 		if s := j.State(); s != Canceled {
-			t.Fatalf("job %s state %q after Close, want canceled", j.ID(), s)
+			t.Fatalf("job %s state %q after Close, want canceled", j.id, s)
 		}
 	}
 }
@@ -487,7 +487,7 @@ func waitTerminal(t *testing.T, j *Job) {
 	deadline := time.Now().Add(5 * time.Second)
 	for !j.State().Terminal() {
 		if time.Now().After(deadline) {
-			t.Fatalf("job %s never reached a terminal state", j.ID())
+			t.Fatalf("job %s never reached a terminal state", j.id)
 		}
 		time.Sleep(time.Millisecond)
 	}

@@ -120,29 +120,6 @@ func (s Synchronizer) ResolveTimeForMTBF(target float64, crossings int) (float64
 	return tr, nil
 }
 
-// FailureProbForMTBF inverts the MTBF relation MTBF = 1/(p·fclk) into the
-// per-sample failure probability p = 1/(mtbf·clockFreq), clamped to 1.
-// It is the bridge from a synchronizer's observed (or target) MTBF to a
-// fault-injection rate: feed the result to faults.Config.MetastableProb
-// to inject resolution failures at the rate that MTBF implies. An
-// infinite MTBF maps to probability 0.
-func FailureProbForMTBF(mtbf, clockFreq float64) (float64, error) {
-	if mtbf <= 0 || math.IsNaN(mtbf) {
-		return 0, fmt.Errorf("metastable: MTBF must be positive, got %g", mtbf)
-	}
-	if clockFreq <= 0 || math.IsInf(clockFreq, 0) || math.IsNaN(clockFreq) {
-		return 0, fmt.Errorf("metastable: clock frequency must be positive and finite, got %g", clockFreq)
-	}
-	if math.IsInf(mtbf, 1) {
-		return 0, nil
-	}
-	p := 1 / (mtbf * clockFreq)
-	if p > 1 {
-		p = 1
-	}
-	return p, nil
-}
-
 // SimulateFailures Monte-Carlo samples the synchronizer for the given
 // number of clock cycles and returns the observed failure count: each
 // cycle, a transition lands in the aperture with probability

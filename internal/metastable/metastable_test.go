@@ -177,41 +177,3 @@ func TestAperturePCatchClamped(t *testing.T) {
 		t.Errorf("probability %g > 1", p)
 	}
 }
-
-// FailureProbForMTBF inverts MTBF: round-tripping a synchronizer's MTBF
-// through it recovers the per-sample failure probability.
-func TestFailureProbForMTBFRoundTrip(t *testing.T) {
-	s := sync()
-	for _, resolve := range []float64{0, 1, 5, 20} {
-		p, err := s.FailureProbPerSample(resolve)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mtbf, err := s.MTBF(resolve)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := FailureProbForMTBF(mtbf, s.ClockFreq)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(got-p) > 1e-12*(1+p) {
-			t.Errorf("resolve %g: round-trip prob %g, want %g", resolve, got, p)
-		}
-	}
-}
-
-func TestFailureProbForMTBFEdges(t *testing.T) {
-	if p, err := FailureProbForMTBF(math.Inf(1), 100); err != nil || p != 0 {
-		t.Errorf("infinite MTBF: (%g, %v), want (0, nil)", p, err)
-	}
-	// An MTBF shorter than a clock period clamps to certainty.
-	if p, err := FailureProbForMTBF(1e-6, 100); err != nil || p != 1 {
-		t.Errorf("tiny MTBF: (%g, %v), want (1, nil)", p, err)
-	}
-	for _, bad := range [][2]float64{{0, 100}, {-1, 100}, {100, 0}, {100, -5}, {100, math.Inf(1)}} {
-		if _, err := FailureProbForMTBF(bad[0], bad[1]); err == nil {
-			t.Errorf("FailureProbForMTBF(%g, %g) accepted", bad[0], bad[1])
-		}
-	}
-}

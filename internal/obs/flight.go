@@ -229,10 +229,3 @@ func attrText(a Attr) string {
 		return ""
 	}
 }
-
-// Capture returns the retained slow/error dumps, newest last.
-func (f *FlightRecorder) Captures() []FlightCapture {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return append([]FlightCapture(nil), f.captures...)
-}

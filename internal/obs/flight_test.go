@@ -36,7 +36,7 @@ func TestFlightRecorderCapturesSlowTree(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Fatalf("noRetain tracer retained %d spans", tr.Len())
 	}
-	caps := fr.Captures()
+	caps := fr.Snapshot("", "").Captures
 	if len(caps) != 1 {
 		t.Fatalf("%d captures, want 1: %+v", len(caps), caps)
 	}
@@ -79,7 +79,7 @@ func TestFlightRecorderCapturesErrors(t *testing.T) {
 	bad.Annotate(String("error", "peer_unreachable"))
 	bad.End()
 
-	caps := fr.Captures()
+	caps := fr.Snapshot("", "").Captures
 	if len(caps) != 1 || caps[0].Reason != "error" {
 		t.Fatalf("captures = %+v, want one error capture", caps)
 	}
@@ -149,7 +149,7 @@ func TestFlightRecorderRemoteRootTriggersCapture(t *testing.T) {
 	ctx = WithRemoteParent(ctx, SpanContext{TraceID: "00000000deadbeef", SpanID: 3})
 	_, s := Start(ctx, "serve.analyze")
 	endSpanAt(s, 50*time.Millisecond)
-	caps := fr.Captures()
+	caps := fr.Snapshot("", "").Captures
 	if len(caps) != 1 || caps[0].TraceID != "00000000deadbeef" {
 		t.Fatalf("captures = %+v", caps)
 	}

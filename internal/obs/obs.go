@@ -156,9 +156,6 @@ func FromContext(ctx context.Context) *Tracer {
 	return t
 }
 
-// Enabled reports whether ctx carries a tracer.
-func Enabled(ctx context.Context) bool { return FromContext(ctx) != nil }
-
 // WorkerContext returns a context whose spans render on a fresh display
 // track named name — worker pools give each worker its own lane so
 // concurrent task spans do not overlap in the trace viewer. Parent/child
@@ -304,24 +301,6 @@ func (t *Tracer) Summary() []SpanStat {
 		return out[i].Name < out[j].Name
 	})
 	return out
-}
-
-// TotalSeconds returns the summed wall time of all finished spans whose
-// parent is not itself a recorded span (i.e. top-level work).
-func (t *Tracer) TotalSeconds() float64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	recorded := make(map[int64]bool, len(t.spans))
-	for _, s := range t.spans {
-		recorded[s.id] = true
-	}
-	var total float64
-	for _, s := range t.spans {
-		if !recorded[s.parent] {
-			total += s.dur.Seconds()
-		}
-	}
-	return total
 }
 
 // String renders a brief human-readable digest (top spans by total

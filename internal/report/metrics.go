@@ -1,7 +1,6 @@
 package report
 
 import (
-	"fmt"
 	"time"
 )
 
@@ -52,9 +51,4 @@ func MetricsTable(ms []RunMetric) *Table {
 	}
 	t.AddRow("total", total.Round(time.Millisecond).String(), rows, "", "")
 	return t
-}
-
-// String implements fmt.Stringer for log lines.
-func (m RunMetric) String() string {
-	return fmt.Sprintf("%s %s rows=%d %s", m.ID, m.Wall.Round(time.Millisecond), m.Rows, m.Status())
 }

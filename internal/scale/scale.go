@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/clocksim"
@@ -530,21 +529,4 @@ func (s *Series) fit() {
 	if len(fits) > 0 {
 		s.Fits = fits
 	}
-}
-
-// EngineNames returns the registry's engine names in sweep order.
-func EngineNames() []string {
-	all := allEngines()
-	names := make([]string, len(all))
-	for i, e := range all {
-		names[i] = e.name
-	}
-	return names
-}
-
-// Topologies returns the topology names the sweep understands.
-func Topologies() []string {
-	out := []string{"mesh", "torus", "linear", "tree"}
-	sort.Strings(out)
-	return out
 }

@@ -30,7 +30,7 @@ func TestSweepTinyMeshAllEnginesOK(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatalf("generated report invalid: %v", err)
 	}
-	if want := len(EngineNames()); len(r.Series) != want {
+	if want := len(allEngines()); len(r.Series) != want {
 		t.Fatalf("series = %d, want %d", len(r.Series), want)
 	}
 	for _, s := range r.Series {
@@ -236,22 +236,21 @@ func TestSweepConfigErrors(t *testing.T) {
 }
 
 func TestEngineAndTopologyNames(t *testing.T) {
-	names := EngineNames()
+	var names []string
+	for _, e := range allEngines() {
+		names = append(names, e.name)
+	}
 	want := []string{"plan", "kernel_build", "analyze", "guaranteed_min_skew",
 		"analyze_streamed", "montecarlo", "clocksim", "clocksim_kernel", "hybrid", "selftimed"}
 	if len(names) != len(want) {
-		t.Fatalf("EngineNames = %v, want %v", names, want)
+		t.Fatalf("engine names = %v, want %v", names, want)
 	}
 	for i := range want {
 		if names[i] != want[i] {
-			t.Fatalf("EngineNames = %v, want %v", names, want)
+			t.Fatalf("engine names = %v, want %v", names, want)
 		}
 	}
-	topos := Topologies()
-	if len(topos) != 4 {
-		t.Fatalf("Topologies = %v", topos)
-	}
-	for _, topo := range topos {
+	for _, topo := range []string{"linear", "mesh", "torus", "tree"} {
 		if _, err := buildGraph(topo, 4); err != nil {
 			t.Errorf("buildGraph(%q, 4): %v", topo, err)
 		}

@@ -44,7 +44,7 @@ func BenchmarkKernelRunElastic32x32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.RunElastic(32, benchDelays(), 2, rng); err != nil {
+		if _, err := k.RunElasticFaulty(32, benchDelays(), 2, rng, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -89,13 +89,13 @@ func BenchmarkSelftimedKernelBuild32x32(b *testing.B) {
 func BenchmarkKernelElasticSteadyState(b *testing.B) {
 	k := NewKernel(benchGraph(b))
 	rng := stats.NewRNG(7)
-	if _, err := k.RunElastic(32, benchDelays(), 2, rng); err != nil { // warm the arena pool
+	if _, err := k.RunElasticFaulty(32, benchDelays(), 2, rng, nil); err != nil { // warm the arena pool
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := k.RunElastic(32, benchDelays(), 2, rng); err != nil {
+		if _, err := k.RunElasticFaulty(32, benchDelays(), 2, rng, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -104,9 +104,6 @@ func NewKernel(g *comm.Graph) *Kernel {
 	return k
 }
 
-// Graph returns the communication graph the kernel was built over.
-func (k *Kernel) Graph() *comm.Graph { return k.g }
-
 // ensure resizes the arena for a run with the given ring size, reusing
 // capacity when possible. The history ring must start zeroed (rows
 // before wave 0 read as zero).
@@ -124,16 +121,6 @@ func (a *stArena) ensure(histLen, n int) {
 	} else {
 		a.draws = a.draws[:n]
 	}
-}
-
-// Run is the kernel form of the package Run: 1-deep channels.
-func (k *Kernel) Run(waves int, d Delays, rng *stats.RNG) (Result, error) {
-	return k.RunElastic(waves, d, 1, rng)
-}
-
-// RunElastic is the kernel form of the package RunElastic.
-func (k *Kernel) RunElastic(waves int, d Delays, depth int, rng *stats.RNG) (Result, error) {
-	return k.RunElasticFaulty(waves, d, depth, rng, nil)
 }
 
 // RunElasticFaulty runs the token-game recurrence over the kernel's

@@ -49,7 +49,7 @@ func TestKernelMatchesReferenceElastic(t *testing.T) {
 		for _, depth := range []int{1, 2, 5} {
 			for _, waves := range []int{1, 3, 24} {
 				for seed := int64(1); seed <= 4; seed++ {
-					got, err := k.RunElastic(waves, testDelays(), depth, stats.NewRNG(seed))
+					got, err := k.RunElasticFaulty(waves, testDelays(), depth, stats.NewRNG(seed), nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -64,7 +64,7 @@ func TestKernelMatchesReferenceElastic(t *testing.T) {
 		for _, p := range []float64{0, 1} {
 			d := testDelays()
 			d.PWorst = p
-			got, err := k.RunElastic(8, d, 2, nil)
+			got, err := k.RunElasticFaulty(8, d, 2, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestPackageEntryPointsMatchKernel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := k.Run(12, testDelays(), stats.NewRNG(5))
+	want, err := k.RunElasticFaulty(12, testDelays(), 1, stats.NewRNG(5), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,13 +172,13 @@ func TestKernelValidationMatchesReference(t *testing.T) {
 		run   func() error
 		refun func() error
 	}{
-		{"depth", func() error { _, e := k.RunElastic(4, testDelays(), 0, stats.NewRNG(1)); return e },
+		{"depth", func() error { _, e := k.RunElasticFaulty(4, testDelays(), 0, stats.NewRNG(1), nil); return e },
 			func() error { _, e := ReferenceRunElastic(g, 4, testDelays(), 0, stats.NewRNG(1)); return e }},
-		{"delays", func() error { _, e := k.RunElastic(4, Delays{Fast: 2, Worst: 1}, 1, nil); return e },
+		{"delays", func() error { _, e := k.RunElasticFaulty(4, Delays{Fast: 2, Worst: 1}, 1, nil, nil); return e },
 			func() error { _, e := ReferenceRunElastic(g, 4, Delays{Fast: 2, Worst: 1}, 1, nil); return e }},
-		{"waves", func() error { _, e := k.RunElastic(0, testDelays(), 1, stats.NewRNG(1)); return e },
+		{"waves", func() error { _, e := k.RunElasticFaulty(0, testDelays(), 1, stats.NewRNG(1), nil); return e },
 			func() error { _, e := ReferenceRunElastic(g, 0, testDelays(), 1, stats.NewRNG(1)); return e }},
-		{"rng", func() error { _, e := k.RunElastic(4, testDelays(), 1, nil); return e },
+		{"rng", func() error { _, e := k.RunElasticFaulty(4, testDelays(), 1, nil, nil); return e },
 			func() error { _, e := ReferenceRunElastic(g, 4, testDelays(), 1, nil); return e }},
 		{"rigid-waves", func() error { _, e := k.RunRigid(0, testDelays(), stats.NewRNG(1)); return e },
 			func() error { _, e := ReferenceRunRigid(g, 0, testDelays(), stats.NewRNG(1)); return e }},

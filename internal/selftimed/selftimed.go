@@ -119,12 +119,3 @@ func RunRigid(g *comm.Graph, waves int, d Delays, rng *stats.RNG) (Result, error
 func WorstCaseProb(p float64, k int) float64 {
 	return 1 - math.Pow(p, float64(k))
 }
-
-// ClockedWorstCasePeriod is the cycle time a clocked implementation of
-// the same array needs: the worst-case cell delay plus skew budget —
-// clocked systems always budget for the worst case (A5). Self-timing can
-// beat it only while waves escape the worst case, which Section I shows
-// stops happening as arrays grow.
-func ClockedWorstCasePeriod(d Delays, skew float64) float64 {
-	return d.Worst + skew
-}

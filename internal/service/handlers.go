@@ -467,15 +467,9 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 		k, err := s.kernelFor(req.engineID(req.Trees[i]), lg)
 		if err != nil {
 			// An oversize array switches to the streamed path, which
-			// answers exactly in bounded memory; with the fallback
-			// disabled it fails the whole request with its typed 413 —
-			// inlining it like a mere builder mismatch would bury the
-			// status in a 200 body.
+			// answers exactly in bounded memory.
 			var he *httpError
 			if errors.As(err, &he) && he.status == http.StatusRequestEntityTooLarge {
-				if s.cfg.NoStreamedFallback {
-					return out, err
-				}
 				return s.streamedTreeAnalysis(ctx, lg, req.Trees[i], req, model, nil)
 			}
 			out.Error = err.Error()
@@ -896,72 +890,35 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 			pair = [2]comm.CellID{comm.CellID(cfg.Pair[0]), comm.CellID(cfg.Pair[1])}
 		}
 	}
-	rng := stats.NewRNG(cfg.Seed)
-	trial := func(i int, trng *stats.RNG, inj *faults.Injector) (float64, error) {
-		switch cfg.Regime {
-		case "nominal":
-			v, err := k.NominalSkew(p)
-			if err != nil {
-				return 0, unprocessable(err)
-			}
-			return v, nil
-		case "random":
-			v, err := k.RandomSkew(p, rng.ForkInto(int64(i), trng))
-			if err != nil {
-				return 0, unprocessable(err)
-			}
-			return v, nil
-		case "jittered":
-			v, err := k.JitteredSkew(p, rng.ForkInto(int64(i), trng), inj)
-			if err != nil {
-				return 0, unprocessable(err)
-			}
-			return v, nil
-		case "adversarial":
-			v, err := k.AdversarialSkew(p, pair[0], pair[1])
-			if err != nil {
-				return 0, unprocessable(err)
-			}
-			return v, nil
-		default:
-			return 0, badRequest("unknown regime %q (want nominal, random, jittered, or adversarial)", cfg.Regime)
+	var vals []float64
+	switch cfg.Regime {
+	case "nominal", "adversarial":
+		// Neither regime draws from a generator, so every trial has the
+		// same value: evaluate it once and repeat it.
+		if err := ctx.Err(); err != nil {
+			return err
 		}
+		var v float64
+		if cfg.Regime == "nominal" {
+			v, err = k.NominalSkew(p)
+		} else {
+			v, err = k.AdversarialSkew(p, pair[0], pair[1])
+		}
+		if err != nil {
+			return unprocessable(err)
+		}
+		vals = make([]float64, cfg.Trials)
+		for i := range vals {
+			vals[i] = v
+		}
+	case "random", "jittered":
+		if vals, err = s.randomClockTrials(ctx, k, p, cfg); err != nil {
+			return err
+		}
+	default:
+		return badRequest("unknown regime %q (want nominal, random, jittered, or adversarial)", cfg.Regime)
 	}
-	// Trials run in a few chunks per worker, concatenated back into trial
-	// order. A chunk runs on one goroutine, so one generator and one
-	// injector serve all its trials: ForkInto reseeds the generator to
-	// exactly rng.Fork(i)'s stream without allocating a source, and the
-	// injector's keyed decisions give every trial of a seed one pattern.
-	chunk := (cfg.Trials + 4*s.cfg.Workers - 1) / (4 * s.cfg.Workers)
-	results := runner.MapChunks(ctx, s.cfg.Workers, cfg.Trials, chunk, func(ctx context.Context, lo, hi int) ([]float64, error) {
-		var trng *stats.RNG
-		var inj *faults.Injector
-		if cfg.Regime == "random" || cfg.Regime == "jittered" {
-			trng = stats.NewRNG(0)
-		}
-		if cfg.Regime == "jittered" {
-			var err error
-			if inj, err = faults.New(faultsOrZero(cfg.Faults), cfg.Seed); err != nil {
-				return nil, badRequest("%v", err)
-			}
-		}
-		vals := make([]float64, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			v, err := trial(i, trng, inj)
-			if err != nil {
-				return nil, err
-			}
-			vals = append(vals, v)
-		}
-		return vals, nil
-	})
-	if err := runner.Join(results); err != nil {
-		return firstTypedError(results, err)
-	}
-	summary := stats.Summarize(slices.Concat(runner.Values(results)...))
+	summary := stats.Summarize(vals)
 	resp.Tree = tree.Name
 	resp.Regime = cfg.Regime
 	resp.Trials = cfg.Trials
@@ -982,6 +939,50 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 		}
 	}
 	return nil
+}
+
+// randomClockTrials runs cfg.Trials trials of the random or jittered
+// regime, trial i drawing from stream i of the request's seed. Trials run
+// in a few chunks per worker, concatenated back into trial order. A chunk
+// runs on one goroutine, so one generator and one injector serve all its
+// trials: ForkInto reseeds the generator to exactly rng.Fork(i)'s stream
+// without allocating a source, and the injector's keyed decisions give
+// every trial of a seed one pattern.
+func (s *Server) randomClockTrials(ctx context.Context, k *clocksim.Kernel, p clocksim.Params, cfg *SimulateConfig) ([]float64, error) {
+	rng := stats.NewRNG(cfg.Seed)
+	chunk := (cfg.Trials + 4*s.cfg.Workers - 1) / (4 * s.cfg.Workers)
+	results := runner.MapChunks(ctx, s.cfg.Workers, cfg.Trials, chunk, func(ctx context.Context, lo, hi int) ([]float64, error) {
+		trng := stats.NewRNG(0)
+		var inj *faults.Injector
+		if cfg.Regime == "jittered" {
+			var err error
+			if inj, err = faults.New(faultsOrZero(cfg.Faults), cfg.Seed); err != nil {
+				return nil, badRequest("%v", err)
+			}
+		}
+		vals := make([]float64, 0, hi-lo)
+		for i := lo; i < hi; i++ {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			var v float64
+			var err error
+			if cfg.Regime == "random" {
+				v, err = k.RandomSkew(p, rng.ForkInto(int64(i), trng))
+			} else {
+				v, err = k.JitteredSkew(p, rng.ForkInto(int64(i), trng), inj)
+			}
+			if err != nil {
+				return nil, unprocessable(err)
+			}
+			vals = append(vals, v)
+		}
+		return vals, nil
+	})
+	if err := runner.Join(results); err != nil {
+		return nil, firstTypedError(results, err)
+	}
+	return slices.Concat(runner.Values(results)...), nil
 }
 
 func (s *Server) simulateHybrid(ctx context.Context, id engineIdentity, lg *lazyGraph, cfg *SimulateConfig, resp *SimulateResponse) error {

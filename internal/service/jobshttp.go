@@ -352,15 +352,11 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 			k, err := s.kernelFor(req.engineID(treeName), lg)
 			if err != nil {
 				// Mirror computeAnalyze: an oversize array falls back to the
-				// streamed path — publishing shard-level partials as the scan
-				// runs — or, with the fallback disabled, fails the job with
-				// its typed reason. A mere builder mismatch reports inline
-				// and the sweep continues.
+				// streamed path, publishing shard-level partials as the scan
+				// runs. A mere builder mismatch reports inline and the sweep
+				// continues.
 				var he *httpError
 				if errors.As(err, &he) && he.status == http.StatusRequestEntityTooLarge {
-					if s.cfg.NoStreamedFallback {
-						return nil, ReasonArrayTooLarge, err
-					}
 					sa, err := s.streamedTreeAnalysis(ctx, lg, treeName, req, model, func(p skew.StreamPartial) {
 						job.Publish(doneTrials, totalTrials, streamedPartial(treeName, p))
 					})

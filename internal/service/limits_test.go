@@ -8,18 +8,14 @@ import (
 	"repro/internal/skew"
 )
 
-// TestKernelLimitsSurfaceAs413 pins the oversize-kernel opt-out
-// contract: with the streamed fallback disabled, a request whose
-// (graph, tree) kernel would exceed the configured limits fails with
-// 413 and the machine-readable reason "array_too_large", instead of
-// 500 or an attempted allocation. (With the default fallback enabled,
-// oversize analyze requests answer 200 streamed — see stream_test.go.)
+// TestKernelLimitsSurfaceAs413 pins the oversize-kernel contract: a
+// simulation whose (graph, tree) kernel would exceed the configured
+// limits fails with 413 and the machine-readable reason
+// "array_too_large", instead of 500 or an attempted allocation.
+// (Oversize analyze requests answer 200 streamed — see stream_test.go.)
 func TestKernelLimitsSurfaceAs413(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		KernelLimits:       skew.Limits{MaxPairs: 4},
-		NoStreamedFallback: true,
-	})
-	for _, path := range []string{"/v1/analyze", "/v1/simulate"} {
+	_, ts := newTestServer(t, Config{KernelLimits: skew.Limits{MaxPairs: 4}})
+	for _, path := range []string{"/v1/simulate"} {
 		t.Run(path, func(t *testing.T) {
 			resp, body := postJSON(t, ts.URL+path, `{"topology":{"kind":"mesh","n":8}}`)
 			if resp.StatusCode != http.StatusRequestEntityTooLarge {
@@ -58,12 +54,9 @@ func TestKernelLimitsSmallArraysUnaffected(t *testing.T) {
 // verbatim must be rejected again (and not count as a cache hit of a
 // successful compute).
 func TestKernelLimits413Repeatable(t *testing.T) {
-	_, ts := newTestServer(t, Config{
-		KernelLimits:       skew.Limits{MaxPairs: 4},
-		NoStreamedFallback: true,
-	})
+	_, ts := newTestServer(t, Config{KernelLimits: skew.Limits{MaxPairs: 4}})
 	for i := 0; i < 2; i++ {
-		resp, body := postJSON(t, ts.URL+"/v1/analyze", `{"topology":{"kind":"mesh","n":8}}`)
+		resp, body := postJSON(t, ts.URL+"/v1/simulate", `{"topology":{"kind":"mesh","n":8}}`)
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Fatalf("attempt %d: status %d, want 413: %s", i, resp.StatusCode, body)
 		}

@@ -44,11 +44,6 @@ type Config struct {
 	// reason "array_too_large" instead of index corruption or an OOM
 	// kill. Zero fields take skew.DefaultLimits.
 	KernelLimits skew.Limits
-	// NoStreamedFallback disables the streamed-analysis fallback:
-	// analyze requests whose kernel would exceed KernelLimits answer 413
-	// array_too_large instead of transparently switching to the
-	// bounded-memory streamed path. Default: fallback enabled.
-	NoStreamedFallback bool
 	// StreamShardSize is the pair-block size of the streamed path's
 	// shards. <= 0 takes skew.DefaultShardSize.
 	StreamShardSize int64

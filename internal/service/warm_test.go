@@ -11,8 +11,11 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/clocksim"
 	"repro/internal/comm"
+	"repro/internal/faults"
 	"repro/internal/skew"
+	"repro/internal/stats"
 )
 
 // warmSlackBytes bounds how far a warm request's allocations at 128² may
@@ -268,21 +271,30 @@ func TestLazyGraphFanOutMatchesSequential(t *testing.T) {
 const perSourceBytes = 1 << 10
 
 // A random or jittered clock simulation reseeds one generator per chunk
-// of trials with RNG.ForkInto and shares one fault injector per chunk:
-// its allocations must not grow by a generator (RNG.Fork) per trial.
+// of trials with RNG.ForkInto and shares one fault injector per chunk,
+// which reseeds one decision generator per fault decision: its
+// allocations must not grow by a generator (RNG.Fork) per trial or per
+// jittered clock-tree edge.
 func TestClockSimulateAllocsIndependentOfTrials(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	for _, regime := range []string{"random", "jittered"} {
+	for _, tc := range []struct {
+		name, regime string
+		faults       *faults.Config
+	}{
+		{"random", "random", nil},
+		{"jittered", "jittered", nil},
+		{"jittered-faulty", "jittered", &faults.Config{JitterProb: 0.5, MaxJitter: 0.2}},
+	} {
 		s := NewServer(Config{Workers: 1})
 		at := map[int]uint64{}
 		for _, trials := range []int{16, 272} {
 			at[trials] = warmBytesPerRequest(t, func(i int) error {
 				req := &SimulateRequest{
 					GraphInput: GraphInput{Topology: &TopologySpec{Kind: "mesh", N: 8}},
-					Mode:       "clock", Regime: regime, Trials: trials, Seed: int64(i),
-					Params: ClockParamsSpec{M: 1, Eps: 0.1},
+					Mode:       "clock", Regime: tc.regime, Trials: trials, Seed: int64(i),
+					Params: ClockParamsSpec{M: 1, Eps: 0.1}, Faults: tc.faults,
 				}
 				req.applyDefaults()
 				res, err := s.computeSimulate(context.Background(), req)
@@ -293,10 +305,73 @@ func TestClockSimulateAllocsIndependentOfTrials(t *testing.T) {
 			})
 		}
 		perTrial := (int64(at[272]) - int64(at[16])) / 256
-		t.Logf("%s: %d B at 16 trials, %d B at 272 trials, %d B per extra trial", regime, at[16], at[272], perTrial)
+		t.Logf("%s: %d B at 16 trials, %d B at 272 trials, %d B per extra trial", tc.name, at[16], at[272], perTrial)
 		if perTrial > perSourceBytes {
-			t.Errorf("%s simulate allocates %d B per trial, more than %d B: a generator per trial is back",
-				regime, perTrial, perSourceBytes)
+			t.Errorf("%s simulate allocates %d B per trial, more than %d B: a generator per trial or per fault decision is back",
+				tc.name, perTrial, perSourceBytes)
+		}
+	}
+}
+
+// A clock simulation's summary is the per-trial loop's, bit for bit, in
+// every regime: trial i of the random and jittered regimes draws from
+// stream i of the seed, and nominal and adversarial, which draw nothing,
+// repeat one value however many trials ask for it.
+func TestClockSimulateMatchesPerTrialLoop(t *testing.T) {
+	s := NewServer(Config{Workers: 3})
+	jitter := &faults.Config{JitterProb: 0.5, MaxJitter: 0.3}
+	for _, regime := range []string{"nominal", "random", "jittered", "adversarial"} {
+		for _, trials := range []int{1, 7, 300} {
+			req := &SimulateRequest{
+				GraphInput: GraphInput{Topology: &TopologySpec{Kind: "mesh", N: 6}},
+				Mode:       "clock", Regime: regime, Trials: trials, Seed: 11,
+				Params: ClockParamsSpec{M: 1, Eps: 0.1},
+			}
+			if regime == "jittered" {
+				req.Faults = jitter
+			}
+			req.applyDefaults()
+			cfg := req.config()
+			lg := &lazyGraph{in: req.GraphInput}
+			got, err := s.simulateOne(context.Background(), req.GraphInput, lg, &cfg)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", regime, trials, err)
+			}
+			k, err := s.clockKernelFor(cfg.engineID(req.GraphInput), lg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := clocksim.Params{
+				M: cfg.Params.M, Eps: cfg.Params.Eps,
+				BufferDelay:   cfg.Params.BufferDelay,
+				MinSeparation: cfg.Params.MinSeparation,
+				RiseFallBias:  cfg.Params.RiseFallBias,
+			}
+			rng := stats.NewRNG(cfg.Seed)
+			inj, err := faults.New(*jitter, cfg.Seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := k.Graph().PairIndex().Pair(0)
+			vals := make([]float64, trials)
+			for i := range vals {
+				switch regime {
+				case "nominal":
+					vals[i], err = k.NominalSkew(p)
+				case "random":
+					vals[i], err = k.RandomSkew(p, rng.Fork(int64(i)))
+				case "jittered":
+					vals[i], err = k.JitteredSkew(p, rng.Fork(int64(i)), inj)
+				case "adversarial":
+					vals[i], err = k.AdversarialSkew(p, a, b)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if want := summaryJSON(stats.Summarize(vals)); *got.CommSkew != *want {
+				t.Errorf("%s/%d trials: summary %+v, per-trial loop %+v", regime, trials, *got.CommSkew, *want)
+			}
 		}
 	}
 }

@@ -109,3 +109,32 @@ func BenchmarkMeshCertifiedLowerBound128(b *testing.B) {
 		}
 	}
 }
+
+func TestMeshCutLowerBound(t *testing.T) {
+	cases := []struct{ n, k, want int }{
+		{10, 0, 0},
+		{10, 1, 1},
+		{10, 4, 2},
+		{10, 5, 3},
+		{10, 9, 3},
+		{10, 10, 4},
+		{10, 50, 8},
+		{10, 1000, 10}, // capped at n
+	}
+	for _, c := range cases {
+		if got := meshCutLowerBound(c.n, c.k); got != c.want {
+			t.Errorf("meshCutLowerBound(%d,%d) = %d, want %d", c.n, c.k, got, c.want)
+		}
+	}
+}
+
+func TestMeshCutLowerBoundGrowsLinearly(t *testing.T) {
+	// At the paper's balance (neither side above 23/30 of the cells) the
+	// smaller side holds 7/30 of them, and the bound min(√(7/30)·n, n) ≈
+	// 0.48n grows linearly.
+	balanced := func(n int) int { return meshCutLowerBound(n, int(7.0/30*float64(n*n))) }
+	b8, b16, b32 := balanced(8), balanced(16), balanced(32)
+	if b16 < 2*b8-2 || b32 < 2*b16-2 || b32 <= 0 {
+		t.Errorf("balanced bound not ~linear: %d %d %d", b8, b16, b32)
+	}
+}

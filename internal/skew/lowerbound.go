@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/clocktree"
 	"repro/internal/comm"
-	"repro/internal/graph"
 	"repro/internal/stats"
 )
 
@@ -126,7 +125,7 @@ func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) 
 			return false
 		}
 		cutUpper := 2 * math.Pi * r // A3: edges crossing the circle boundary
-		cutLower := float64(graph.MeshCutLowerBound(width, minSide))
+		cutLower := float64(meshCutLowerBound(width, minSide))
 		return cutUpper < cutLower
 	}
 
@@ -146,6 +145,28 @@ func MeshCertifiedLowerBound(g *comm.Graph, tree *clocktree.Tree, beta float64) 
 		}
 	}
 	return CertifiedResult{Bound: lo, SeparatorChild: sep, SideA: sizeA, SideB: total - sizeA}, nil
+}
+
+// meshCutLowerBound returns a lower bound on the number of edges that must
+// be removed from an n×n mesh to detach a set of k cells (k ≤ n²/2), via
+// the grid edge-isoperimetric inequality: cutting off k vertices requires
+// at least min(⌈√k⌉, n) edges. This is the quantitative form of the
+// paper's Lemma 4 (which it cites from Lipton–Eisenstat–DeMillo).
+func meshCutLowerBound(n, k int) int {
+	if k <= 0 {
+		return 0
+	}
+	s := 0
+	for (s+1)*(s+1) <= k {
+		s++
+	}
+	if s*s < k {
+		s++
+	}
+	if s > n {
+		s = n
+	}
+	return s
 }
 
 // TreeFactory builds a candidate clock tree for a graph.

@@ -171,7 +171,7 @@ func (st *Streamer) ShardStats(model Model, lo, hi int64) (ShardStats, error) {
 	}, nil
 }
 
-// StreamOptions tunes AnalyzeStreamed. The zero value means: default
+// StreamOptions tunes Streamer.Analyze. The zero value means: default
 // shard size, sequential shards, no sampled Monte Carlo, seed 0.
 type StreamOptions struct {
 	// ShardSize is the pairs-per-shard block size (DefaultShardSize if
@@ -227,7 +227,7 @@ type SampledMaxEstimate struct {
 	Seed        int64   `json:"seed"`
 }
 
-// StreamAnalysis is AnalyzeStreamed's result: the exact Analysis a
+// StreamAnalysis is Streamer.Analyze's result: the exact Analysis a
 // Kernel would produce (bit-identical fields), plus the bounded-memory
 // distribution summary and optional sampled estimate the streamed path
 // adds.
@@ -451,17 +451,6 @@ func uniformPairSample(r *stats.RNG, n, k int64) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// AnalyzeStreamed is the convenience form: build a Streamer for
-// (g, tree) and run the streamed scan. Callers issuing several analyses
-// against one pair should build the Streamer once.
-func AnalyzeStreamed(ctx context.Context, g *comm.Graph, tree *clocktree.Tree, model Model, opt StreamOptions) (StreamAnalysis, error) {
-	st, err := NewStreamer(g, tree)
-	if err != nil {
-		return StreamAnalysis{}, err
-	}
-	return st.Analyze(ctx, model, opt)
 }
 
 // FootprintBytes estimates the streamer's resident size: the clock tree

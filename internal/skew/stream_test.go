@@ -12,6 +12,16 @@ import (
 	"repro/internal/stats"
 )
 
+// analyzeStreamed builds a Streamer for (g, tree) and runs one streamed
+// scan.
+func analyzeStreamed(ctx context.Context, g *comm.Graph, tree *clocktree.Tree, model Model, opt StreamOptions) (StreamAnalysis, error) {
+	st, err := NewStreamer(g, tree)
+	if err != nil {
+		return StreamAnalysis{}, err
+	}
+	return st.Analyze(ctx, model, opt)
+}
+
 func streamTestGraphs(t *testing.T) []*comm.Graph {
 	t.Helper()
 	var out []*comm.Graph
@@ -61,12 +71,12 @@ func TestStreamedMatchesKernelExact(t *testing.T) {
 					continue
 				}
 				for _, workers := range []int{1, 4} {
-					got, err := AnalyzeStreamed(context.Background(), g, tree, m, StreamOptions{
+					got, err := analyzeStreamed(context.Background(), g, tree, m, StreamOptions{
 						ShardSize: shardSize,
 						Workers:   workers,
 					})
 					if err != nil {
-						t.Fatalf("%s: AnalyzeStreamed: %v", g.Name, err)
+						t.Fatalf("%s: streamed Analyze: %v", g.Name, err)
 					}
 					if got.Analysis != want {
 						t.Fatalf("%s tree=%s shard=%d workers=%d:\n got %+v\nwant %+v",
@@ -103,7 +113,7 @@ func TestStreamedQuantiles(t *testing.T) {
 		bounds = append(bounds, m.Bound(tree.DiffDist(a, b), tree.PathLen(a, b)))
 	}
 	sort.Float64s(bounds)
-	got, err := AnalyzeStreamed(context.Background(), g, tree, m, StreamOptions{ShardSize: 64, Workers: 3})
+	got, err := analyzeStreamed(context.Background(), g, tree, m, StreamOptions{ShardSize: 64, Workers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +152,7 @@ func TestStreamedProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var partials []StreamPartial
-	got, err := AnalyzeStreamed(context.Background(), g, tree, Linear{M: 1, Eps: 0.1}, StreamOptions{
+	got, err := analyzeStreamed(context.Background(), g, tree, Linear{M: 1, Eps: 0.1}, StreamOptions{
 		ShardSize: 10,
 		Workers:   4,
 		Progress:  func(p StreamPartial) { partials = append(partials, p) },
@@ -244,11 +254,11 @@ func TestStreamedShardFnFallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := Linear{M: 1, Eps: 0.1}
-	want, err := AnalyzeStreamed(context.Background(), g, tree, m, StreamOptions{ShardSize: 8})
+	want, err := analyzeStreamed(context.Background(), g, tree, m, StreamOptions{ShardSize: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeStreamed(context.Background(), g, tree, m, StreamOptions{
+	got, err := analyzeStreamed(context.Background(), g, tree, m, StreamOptions{
 		ShardSize: 8,
 		ShardFn:   func(ctx context.Context, lo, hi int64) (ShardStats, bool) { return ShardStats{}, false },
 	})
@@ -272,7 +282,7 @@ func TestSampledMaxExhaustive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeStreamed(context.Background(), g, tree, Linear{M: 1, Eps: 0.1}, StreamOptions{
+	got, err := analyzeStreamed(context.Background(), g, tree, Linear{M: 1, Eps: 0.1}, StreamOptions{
 		MCTrials:    8,
 		MCSampleCap: 1 << 30,
 		Seed:        42,
@@ -314,12 +324,12 @@ func TestSampledMaxProperties(t *testing.T) {
 		MCSampleCap: 40, // well below the pair count: genuinely subsampled
 		Seed:        7,
 	}
-	a, err := AnalyzeStreamed(context.Background(), g, tree, m, opt)
+	a, err := analyzeStreamed(context.Background(), g, tree, m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt.Workers = 4
-	b, err := AnalyzeStreamed(context.Background(), g, tree, m, opt)
+	b, err := analyzeStreamed(context.Background(), g, tree, m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +357,7 @@ func TestSampledMaxProperties(t *testing.T) {
 	}
 	// A different seed draws different reservoirs.
 	opt.Seed = 8
-	c, err := AnalyzeStreamed(context.Background(), g, tree, m, opt)
+	c, err := analyzeStreamed(context.Background(), g, tree, m, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +377,7 @@ func TestStreamedZeroPairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyzeStreamed(context.Background(), g, tree, Linear{M: 1, Eps: 0.1}, StreamOptions{
+	got, err := analyzeStreamed(context.Background(), g, tree, Linear{M: 1, Eps: 0.1}, StreamOptions{
 		MCTrials: 4,
 	})
 	if err != nil {
@@ -435,7 +445,7 @@ func TestStreamedContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := AnalyzeStreamed(ctx, g, tree, Linear{M: 1, Eps: 0.1}, StreamOptions{ShardSize: 4}); err == nil {
+	if _, err := analyzeStreamed(ctx, g, tree, Linear{M: 1, Eps: 0.1}, StreamOptions{ShardSize: 4}); err == nil {
 		t.Fatal("cancelled context did not error")
 	}
 }

@@ -15,7 +15,7 @@ func TestPercentilesMatchesPercentile(t *testing.T) {
 		n := 1 + rng.Intn(200)
 		xs := make([]float64, n)
 		for i := range xs {
-			xs[i] = rng.NormFloat64() * 100
+			xs[i] = rng.Normal(0, 100)
 		}
 		got := Percentiles(xs, ps...)
 		if len(got) != len(ps) {

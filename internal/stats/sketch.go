@@ -118,25 +118,6 @@ func (s *LogSketch) Merge(o *LogSketch) {
 // Reset empties the sketch for reuse without allocating.
 func (s *LogSketch) Reset() { *s = LogSketch{} }
 
-// Count returns the number of recorded values.
-func (s *LogSketch) Count() int64 { return s.count }
-
-// Min returns the exact minimum recorded value (0 for an empty sketch).
-func (s *LogSketch) Min() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the exact maximum recorded value (0 for an empty sketch).
-func (s *LogSketch) Max() float64 {
-	if s.count == 0 {
-		return 0
-	}
-	return s.max
-}
-
 // RelativeError returns the sketch's worst-case relative quantile error
 // (half a bucket's geometric width on either side): 2^(1/subN) − 1.
 func RelativeError() float64 { return math.Exp2(1.0/sketchSubN) - 1 }

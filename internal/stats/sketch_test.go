@@ -8,20 +8,20 @@ import (
 
 func TestLogSketchEmptyAndEdge(t *testing.T) {
 	var s LogSketch
-	if s.Count() != 0 || s.Quantile(0.5) != 0 || s.Min() != 0 || s.Max() != 0 {
+	if s.count != 0 || s.Quantile(0.5) != 0 || s.min != 0 || s.max != 0 {
 		t.Fatal("empty sketch not zero-valued")
 	}
 	s.Add(math.NaN())
-	if s.Count() != 0 {
+	if s.count != 0 {
 		t.Fatal("NaN was recorded")
 	}
 	s.Add(0)
 	s.Add(0)
-	if s.Count() != 2 || s.Quantile(0.5) != 0 || s.Max() != 0 {
-		t.Fatalf("zero-only sketch: count=%d q50=%v max=%v", s.Count(), s.Quantile(0.5), s.Max())
+	if s.count != 2 || s.Quantile(0.5) != 0 || s.max != 0 {
+		t.Fatalf("zero-only sketch: count=%d q50=%v max=%v", s.count, s.Quantile(0.5), s.max)
 	}
 	s.Add(-3) // negative clamps to zero
-	if s.Min() != 0 || s.Count() != 3 {
+	if s.min != 0 || s.count != 3 {
 		t.Fatal("negative value not clamped to zero")
 	}
 }
@@ -32,8 +32,8 @@ func TestLogSketchExactMinMaxAndBounds(t *testing.T) {
 	for _, v := range vals {
 		s.Add(v)
 	}
-	if s.Min() != 1e-30 || s.Max() != 7e12 {
-		t.Fatalf("min/max = %v/%v", s.Min(), s.Max())
+	if s.min != 1e-30 || s.max != 7e12 {
+		t.Fatalf("min/max = %v/%v", s.min, s.max)
 	}
 	if got := s.Quantile(0); got != 1e-30 {
 		t.Fatalf("q0 = %v", got)

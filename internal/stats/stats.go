@@ -58,13 +58,6 @@ func (r *RNG) Float64() float64 {
 	return r.rand.Float64()
 }
 
-// NormFloat64 returns a sample from the standard normal distribution.
-func (r *RNG) NormFloat64() float64 {
-	r.enter()
-	defer r.exit()
-	return r.rand.NormFloat64()
-}
-
 // Intn returns a uniform sample from [0, n); it panics if n <= 0.
 func (r *RNG) Intn(n int) int {
 	r.enter()
@@ -77,20 +70,6 @@ func (r *RNG) Int63() int64 {
 	r.enter()
 	defer r.exit()
 	return r.rand.Int63()
-}
-
-// Perm returns a uniform random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	r.enter()
-	defer r.exit()
-	return r.rand.Perm(n)
-}
-
-// Shuffle randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	r.enter()
-	defer r.exit()
-	r.rand.Shuffle(n, swap)
 }
 
 // Fork derives an independent generator from r, keyed by id. Forked
@@ -313,12 +292,6 @@ func Summarize(xs []float64) Summary {
 	}
 }
 
-// String implements fmt.Stringer.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g std=%.4g min=%.4g p50=%.4g p90=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.P50, s.P90, s.Max)
-}
-
 // PowerLawFit is the result of fitting y ≈ A·x^B by least squares on
 // log-transformed data. R2 is the coefficient of determination in log
 // space.
@@ -380,21 +353,6 @@ func LinearFit(xs, ys []float64) (slope, intercept, r2 float64, err error) {
 		r2 = sxy * sxy / (sxx * syy)
 	}
 	return slope, intercept, r2, nil
-}
-
-// RandomWalkMaxAbs simulates a random walk of n steps with i.i.d. N(0,sd²)
-// increments and returns the maximum absolute value of the partial sums.
-// Section VII models the accumulated rise/fall discrepancy along an
-// inverter string as exactly such a walk.
-func RandomWalkMaxAbs(r *RNG, n int, sd float64) float64 {
-	var sum, maxAbs float64
-	for i := 0; i < n; i++ {
-		sum += r.Normal(0, sd)
-		if a := math.Abs(sum); a > maxAbs {
-			maxAbs = a
-		}
-	}
-	return maxAbs
 }
 
 // QuantileAtYield returns the value v such that a fraction `yield` of the

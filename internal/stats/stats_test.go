@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -108,8 +107,8 @@ func TestRNGForkIntoMatchesFork(t *testing.T) {
 				if a, b := got.Float64(), want.Float64(); a != b {
 					t.Fatalf("seed %d id %d: Float64 draw %d: %v != %v", seed, id, i, a, b)
 				}
-				if a, b := got.NormFloat64(), want.NormFloat64(); a != b {
-					t.Fatalf("seed %d id %d: NormFloat64 draw %d: %v != %v", seed, id, i, a, b)
+				if a, b := got.Normal(0, 1), want.Normal(0, 1); a != b {
+					t.Fatalf("seed %d id %d: Normal draw %d: %v != %v", seed, id, i, a, b)
 				}
 				if a, b := got.Intn(1000), want.Intn(1000); a != b {
 					t.Fatalf("seed %d id %d: Intn draw %d: %v != %v", seed, id, i, a, b)
@@ -301,9 +300,6 @@ func TestSummarize(t *testing.T) {
 	if z := Summarize(nil); z.N != 0 {
 		t.Errorf("Summarize(nil) = %+v", z)
 	}
-	if s.String() == "" {
-		t.Errorf("Summary.String empty")
-	}
 }
 
 func TestLinearFitExact(t *testing.T) {
@@ -373,33 +369,6 @@ func TestFitPowerLawErrors(t *testing.T) {
 	}
 	if _, err := FitPowerLaw([]float64{-1, -2}, []float64{1, 2}); err == nil {
 		t.Error("no positive points should error")
-	}
-}
-
-func TestRandomWalkMaxAbsGrowsLikeSqrtN(t *testing.T) {
-	// E[max |walk|] scales as √n; check the ratio between n and 4n is ≈2.
-	const trials = 400
-	mean := func(n int) float64 {
-		r := NewRNG(11)
-		var sum float64
-		for i := 0; i < trials; i++ {
-			sum += RandomWalkMaxAbs(r.Fork(int64(i)), n, 1)
-		}
-		return sum / trials
-	}
-	m1, m4 := mean(256), mean(1024)
-	ratio := m4 / m1
-	if ratio < 1.6 || ratio > 2.4 {
-		t.Errorf("walk max scaling ratio = %g, want ≈2 (√4)", ratio)
-	}
-}
-
-func TestRandomWalkMaxAbsNonNegativeProperty(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		return RandomWalkMaxAbs(NewRNG(seed), int(n), 1) >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -110,9 +110,6 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// Leaves returns the number of leaf cells.
-func (m *Machine) Leaves() int { return 1 << (m.cfg.Levels - 1) }
-
 // Nodes returns the total number of tree cells.
 func (m *Machine) Nodes() int { return (1 << m.cfg.Levels) - 1 }
 

@@ -30,8 +30,8 @@ func TestNewValidation(t *testing.T) {
 
 func TestStructure(t *testing.T) {
 	m := machine(t, 5)
-	if m.Leaves() != 16 || m.Nodes() != 31 {
-		t.Errorf("leaves=%d nodes=%d", m.Leaves(), m.Nodes())
+	if m.Nodes() != 31 {
+		t.Errorf("nodes=%d", m.Nodes())
 	}
 	regs := m.RegistersPerLevel()
 	if len(regs) != 4 {

@@ -38,14 +38,6 @@ const (
 // Invert returns the opposite polarity.
 func (p Polarity) Invert() Polarity { return 1 - p }
 
-// String implements fmt.Stringer.
-func (p Polarity) String() string {
-	if p == Rising {
-		return "rising"
-	}
-	return "falling"
-}
-
 // InverterString models a chain of inverters used as a clock distribution
 // line. rise[i] (fall[i]) is the propagation delay of stage i for a rising
 // (falling) edge arriving at its input.

@@ -21,9 +21,6 @@ func TestPolarity(t *testing.T) {
 	if Rising.Invert() != Falling || Falling.Invert() != Rising {
 		t.Error("Invert wrong")
 	}
-	if Rising.String() != "rising" || Falling.String() != "falling" {
-		t.Error("String wrong")
-	}
 }
 
 func TestNewStringValidation(t *testing.T) {
