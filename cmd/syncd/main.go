@@ -6,7 +6,6 @@
 //
 //	syncd [-addr 127.0.0.1:8080] [-cache 1024] [-kernel-cache 256]
 //	      [-max-kernel-pairs 0] [-max-kernel-bytes 0] [-max-batch-configs 64]
-//	      [-stream-shard-size 0] [-stream-peer-shards]
 //	      [-workers 0] [-deadline 30s] [-max-deadline 2m] [-quiet] [-pprof]
 //	      [-peers http://h2:8080,http://h3:8080] [-self http://h1:8080]
 //	      [-replicas 128] [-hedge-after 0] [-health-interval 1s]
@@ -57,19 +56,15 @@
 //
 //	GET  /v1/cluster/info   membership, health, and hedge state
 //	POST /v1/cluster/fill   accept a pushed cache entry from a peer
-//	POST /v1/cluster/shard  compute one streamed-analysis pair shard on
-//	                        behalf of a peer (used with -stream-peer-shards)
 //
 // Without -peers the daemon behaves exactly as a standalone server.
 //
-// Size ceiling: a kernel whose pair count or byte estimate exceeds
-// -max-kernel-pairs / -max-kernel-bytes is never built. The analysis
-// falls back to the streamed path — exact max skew and worst pair in
-// bounded memory, sketch quantiles, sampled Monte Carlo — and the
-// response carries "streamed": true; a simulation over such an array
-// answers 413 array_too_large. -stream-shard-size tunes the
-// streamed path's pair-block granularity; -stream-peer-shards lets a
-// clustered node spill shards to their ring owners.
+// Size ceiling: an array whose pair count or byte estimate exceeds
+// -max-kernel-pairs / -max-kernel-bytes never gets a resident kernel.
+// Its kernel is streamed, and an analysis runs on it — exact max skew
+// and worst pair in bounded memory, sketch quantiles, sampled Monte
+// Carlo — with "streamed": true in the response; a simulation over such
+// an array answers 413 array_too_large.
 //
 // With -pprof the net/http/pprof profiling endpoints are additionally
 // served under /debug/pprof/ (default off: profiling handlers expose
@@ -109,11 +104,9 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	cache := flag.Int("cache", 1024, "result cache entries")
 	kernelCache := flag.Int("kernel-cache", 256, "skew-kernel cache entries (precomputed graph+tree geometry)")
-	maxKernelPairs := flag.Int64("max-kernel-pairs", 0, "largest communicating-pair count a request may ask a kernel for (0 = skew.DefaultLimits; oversize requests get 413 array_too_large)")
-	maxKernelBytes := flag.Int64("max-kernel-bytes", 0, "kernel memory budget in bytes per request (0 = skew.DefaultLimits; oversize requests get 413 array_too_large)")
+	maxKernelPairs := flag.Int64("max-kernel-pairs", 0, "largest communicating-pair count a resident kernel may hold (0 = skew.DefaultLimits; analyses over it run streamed, simulations get 413 array_too_large)")
+	maxKernelBytes := flag.Int64("max-kernel-bytes", 0, "resident-kernel memory budget in bytes per request (0 = skew.DefaultLimits; analyses over it run streamed, simulations get 413 array_too_large)")
 	maxBatchConfigs := flag.Int("max-batch-configs", 64, "largest configs array a batched /v1/simulate request may carry")
-	streamShardSize := flag.Int64("stream-shard-size", 0, "streamed-analysis pair-shard size (0 = skew.DefaultShardSize)")
-	streamPeerShards := flag.Bool("stream-peer-shards", false, "in cluster mode, spill streamed-analysis shards to their ring-owning peers")
 	workers := flag.Int("workers", 0, "engine fan-out workers per request (0 = GOMAXPROCS)")
 	deadline := flag.Duration("deadline", 30*time.Second, "default per-request deadline")
 	maxDeadline := flag.Duration("max-deadline", 2*time.Minute, "cap on client-requested deadlines")
@@ -143,8 +136,6 @@ func main() {
 		KernelCacheEntries: *kernelCache,
 		KernelLimits:       skew.Limits{MaxPairs: *maxKernelPairs, MaxBytes: *maxKernelBytes},
 		MaxBatchConfigs:    *maxBatchConfigs,
-		StreamShardSize:    *streamShardSize,
-		StreamPeerShards:   *streamPeerShards,
 		Workers:            *workers,
 		DefaultDeadline:    *deadline,
 		MaxDeadline:        *maxDeadline,

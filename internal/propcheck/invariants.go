@@ -35,7 +35,7 @@ var registry = []Invariant{
 	{
 		Name:  "streamed-analyze-matches-kernel",
 		Ref:   "Sections III–V (implementation)",
-		Doc:   "the streamed shard fold reproduces the kernel analysis bit for bit at any shard size and worker count, and exhaustive sampled Monte Carlo recovers the exact maximum",
+		Doc:   "the streamed tier and its shard fold reproduce the resident kernel analysis bit for bit at any shard size and worker count, and exhaustive sampled Monte Carlo recovers the exact maximum",
 		Check: checkStreamedMatchesKernel,
 	},
 	{
@@ -215,12 +215,13 @@ func checkKernelMatchesReference(rng *stats.RNG) error {
 	return nil
 }
 
-// checkStreamedMatchesKernel pins the streamed analysis path to the
-// flat kernel with zero tolerance: on a random (graph, tree, model),
-// Streamer.Analyze under a random shard size and worker count must
-// reproduce the kernel's Analysis and guaranteed minimum bit for bit
-// (the shard fold replays the same ascending strictly-greater scan, and
-// the sketch merge is order-independent), the merged quantiles must
+// checkStreamedMatchesKernel pins the streamed tier to the resident
+// kernel with zero tolerance: on a random (graph, tree, model), a
+// streamed-tier kernel's Analyze and its Stream under a random shard
+// size and worker count must reproduce the resident kernel's Analysis
+// and guaranteed minimum bit for bit (both walk the pair index with the
+// same ascending strictly-greater scan, and the sketch merge is
+// order-independent), the merged quantiles must
 // stay within the sketch's advertised relative error of the exact
 // maximum, and a sampled Monte-Carlo run whose reservoir covers every
 // pair must degenerate to the exact maximum.
@@ -238,15 +239,22 @@ func checkStreamedMatchesKernel(rng *stats.RNG) error {
 	if err != nil {
 		return err
 	}
-	st, err := skew.NewStreamer(g, tree)
+	// A one-byte budget puts any array on the streamed tier.
+	st, err := skew.NewKernelWithLimits(g, tree, skew.Limits{MaxBytes: 1})
 	if err != nil {
 		return err
+	}
+	if st.SizeError() == nil {
+		return fmt.Errorf("%s on %s: a one-byte budget built a resident kernel", g.Name, tree.Name)
+	}
+	if an := st.Analyze(m); an != want {
+		return fmt.Errorf("%s on %s: streamed-tier analysis %+v != resident %+v", g.Name, tree.Name, an, want)
 	}
 	opt := skew.StreamOptions{
 		ShardSize: int64(intIn(rng, 1, 64)),
 		Workers:   intIn(rng, 1, 4),
 	}
-	got, err := st.Analyze(context.Background(), m, opt)
+	got, err := st.Stream(context.Background(), m, opt)
 	if err != nil {
 		return err
 	}
@@ -265,9 +273,9 @@ func checkStreamedMatchesKernel(rng *stats.RNG) error {
 			g.Name, tree.Name, got.P99, want.MaxSkew, got.QuantileRelError)
 	}
 	opt.MCTrials = intIn(rng, 1, 4)
-	opt.MCSampleCap = st.NumPairs() + 1
+	opt.MCSampleCap = int64(st.Pairs()) + 1
 	opt.Seed = rng.Int63()
-	got, err = st.Analyze(context.Background(), m, opt)
+	got, err = st.Stream(context.Background(), m, opt)
 	if err != nil {
 		return err
 	}

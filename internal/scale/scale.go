@@ -114,11 +114,11 @@ type sizeEnv struct {
 	treeErr   error
 	kernelErr error
 
-	// streamer is the streamed path's environment: the shared H-tree plus
-	// the CSR pair index, deliberately NOT subject to cfg.Limits — the
-	// streamed engine exists to measure the sizes the kernel rejects.
-	streamer    *skew.Streamer
-	streamerErr error
+	// streamed is a streamed-tier kernel over the shared H-tree,
+	// deliberately NOT subject to cfg.Limits — the streamed engine exists
+	// to measure the sizes the resident tier refuses.
+	streamed    *skew.Kernel
+	streamedErr error
 }
 
 // engine is one measured entry point.
@@ -126,8 +126,22 @@ type engine struct {
 	name          string
 	needsTree     bool
 	needsKernel   bool
-	needsStreamer bool
+	needsStreamed bool
 	run           func(cfg Config, env *sizeEnv) error
+}
+
+// residentKernel builds the kernel for (g, tree) under lim and reports a
+// streamed-tier result as its *SizeError: the kernel-backed engines
+// measure the resident tier, and record array_too_large past the limits.
+func residentKernel(g *comm.Graph, tree *clocktree.Tree, lim skew.Limits) (*skew.Kernel, error) {
+	k, err := skew.NewKernelWithLimits(g, tree, lim)
+	if err != nil {
+		return nil, err
+	}
+	if se := k.SizeError(); se != nil {
+		return nil, se
+	}
+	return k, nil
 }
 
 // skewModel is the Linear model every skew engine measures under — the
@@ -146,7 +160,7 @@ func allEngines() []engine {
 			return err
 		}},
 		{name: "kernel_build", needsTree: true, run: func(cfg Config, env *sizeEnv) error {
-			k, err := skew.NewKernelWithLimits(env.g, env.tree, cfg.Limits)
+			k, err := residentKernel(env.g, env.tree, cfg.Limits)
 			Sink = k
 			return err
 		}},
@@ -158,11 +172,11 @@ func allEngines() []engine {
 			Sink = env.kernel.GuaranteedMinSkew(skewModel)
 			return nil
 		}},
-		{name: "analyze_streamed", needsStreamer: true, run: func(cfg Config, env *sizeEnv) error {
+		{name: "analyze_streamed", needsStreamed: true, run: func(cfg Config, env *sizeEnv) error {
 			// The full streamed analysis — exact max plus sketch quantiles
 			// and the sampled Monte-Carlo estimate — in bounded memory, at
 			// sizes where kernel_build records array_too_large.
-			res, err := env.streamer.Analyze(context.Background(), skewModel, skew.StreamOptions{
+			res, err := env.streamed.Stream(context.Background(), skewModel, skew.StreamOptions{
 				MCTrials: cfg.MCTrials, Seed: cfg.Seed,
 			})
 			Sink = res
@@ -453,27 +467,30 @@ func runSizeEngines(ctx context.Context, cfg Config, engines []engine, topo stri
 	base.Cells = env.g.NumCells()
 	// Shared setup is built only when a selected engine needs it: a
 	// streamed-only ladder at 8192² must never pay for a kernel build the
-	// size guard exists to reject. Kernel and streamer share one H-tree.
-	var needTree, needKernel, needStreamer bool
+	// size guard exists to reject. Both kernels share one H-tree.
+	var needTree, needKernel, needStreamed bool
 	for _, e := range engines {
-		needTree = needTree || e.needsTree || e.needsKernel || e.needsStreamer
+		needTree = needTree || e.needsTree || e.needsKernel || e.needsStreamed
 		needKernel = needKernel || e.needsKernel
-		needStreamer = needStreamer || e.needsStreamer
+		needStreamed = needStreamed || e.needsStreamed
 	}
 	if needTree {
 		env.tree, env.treeErr = clocktree.HTree(env.g)
 	}
 	switch {
 	case needKernel && env.treeErr == nil:
-		env.kernel, env.kernelErr = skew.NewKernelWithLimits(env.g, env.tree, cfg.Limits)
+		env.kernel, env.kernelErr = residentKernel(env.g, env.tree, cfg.Limits)
 	case env.treeErr != nil:
 		env.kernelErr = env.treeErr
 	}
 	switch {
-	case needStreamer && env.treeErr == nil:
-		env.streamer, env.streamerErr = skew.NewStreamer(env.g, env.tree)
+	case needStreamed && env.treeErr == nil:
+		// A one-byte budget trips at every size, so every rung measures
+		// the streamed tier; the default 16 GiB budget would keep an
+		// 8192² mesh resident and materialize 3.2 GB of pair columns.
+		env.streamed, env.streamedErr = skew.NewKernelWithLimits(env.g, env.tree, skew.Limits{MaxBytes: 1})
 	case env.treeErr != nil:
-		env.streamerErr = env.treeErr
+		env.streamedErr = env.treeErr
 	}
 	for _, e := range engines {
 		p := base
@@ -486,8 +503,8 @@ func runSizeEngines(ctx context.Context, cfg Config, engines []engine, topo stri
 			p.Status, p.Error = StatusError, env.treeErr.Error()
 		case e.needsKernel && env.kernelErr != nil:
 			p.Status, p.Error = StatusError, env.kernelErr.Error()
-		case e.needsStreamer && env.streamerErr != nil:
-			p.Status, p.Error = StatusError, env.streamerErr.Error()
+		case e.needsStreamed && env.streamedErr != nil:
+			p.Status, p.Error = StatusError, env.streamedErr.Error()
 		default:
 			m, err := measure(ctx, cfg, func() error { return e.run(cfg, env) })
 			if err != nil {
@@ -500,8 +517,8 @@ func runSizeEngines(ctx context.Context, cfg Config, engines []engine, topo stri
 		if (e.needsKernel || e.name == "kernel_build") && env.kernel != nil {
 			p.KernelBytes = env.kernel.FootprintBytes()
 		}
-		if e.needsStreamer && env.streamer != nil {
-			p.KernelBytes = env.streamer.FootprintBytes()
+		if e.needsStreamed && env.streamed != nil {
+			p.KernelBytes = env.streamed.FootprintBytes()
 		}
 		p.PeakRSSBytes = peakRSSBytes()
 		updates <- update{e.name, p}

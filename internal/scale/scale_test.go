@@ -202,7 +202,7 @@ func TestSweepStreamedEngineRunsPastKernelLimits(t *testing.T) {
 		t.Fatalf("analyze_streamed: status %q (%s), want ok despite MaxPairs=4", p.Status, p.Error)
 	}
 	if p.KernelBytes <= 0 {
-		t.Errorf("analyze_streamed point missing streamer footprint, got %d", p.KernelBytes)
+		t.Errorf("analyze_streamed point missing streamed-tier footprint, got %d", p.KernelBytes)
 	}
 	if p.NsPerOp <= 0 || p.Iters <= 0 {
 		t.Errorf("unmeasured ok point %+v", p)

@@ -92,8 +92,7 @@ func (in GraphInput) build() (*comm.Graph, error) {
 
 // lazyGraph is one request's graph, built from its input at most once
 // and only when something needs it: an engine-cache miss (inside the
-// cache's build closure), the streamed fallback, or an answer no engine
-// supplied. An engine hit adopts the engine's own graph instead —
+// cache's build closure) or an answer no engine supplied. An engine hit adopts the engine's own graph instead —
 // engines are keyed by the same input, so it is the graph the input
 // describes — which keeps a warm request free of O(cells) work.
 type lazyGraph struct {
@@ -168,8 +167,9 @@ func buildTree(name string, g *comm.Graph, equalize bool, spacing float64) (*clo
 }
 
 // kernelFor returns the cached skew kernel for id's tree recipe over the
-// request's graph, building graph, tree and kernel on a miss. A hit
-// builds nothing and adopts the kernel's graph as the request's.
+// request's graph, building graph, tree and kernel on a miss: resident
+// within the server's kernel limits, streamed past them. A hit builds
+// nothing and adopts the kernel's graph as the request's.
 func (s *Server) kernelFor(id engineIdentity, lg *lazyGraph) (*skew.Kernel, error) {
 	k, err := s.kernels.get(id, func() (*skew.Kernel, error) {
 		g, err := lg.get()
@@ -182,10 +182,6 @@ func (s *Server) kernelFor(id engineIdentity, lg *lazyGraph) (*skew.Kernel, erro
 		}
 		k, err := skew.NewKernelWithLimits(g, t, s.cfg.KernelLimits)
 		if err != nil {
-			var se *skew.SizeError
-			if errors.As(err, &se) {
-				return nil, tooLarge(err)
-			}
 			return nil, unprocessable(err)
 		}
 		return k, nil
@@ -201,13 +197,18 @@ func (s *Server) kernelFor(id engineIdentity, lg *lazyGraph) (*skew.Kernel, erro
 // recipe over the request's graph: the flat propagation schedule reused
 // across regimes, seeds, trial counts, and the configs of one batched
 // simulate. It rides on kernelFor so the built tree (and graph) is
-// shared with analyze and the skew size limits (413 on oversize arrays)
-// apply identically. A hit adopts the kernel's graph as the request's.
+// shared with analyze, and the skew size limits apply identically: an
+// array whose skew kernel is on the streamed tier answers 413, and the
+// cached kernel's SizeError says why. A hit adopts the kernel's graph as
+// the request's.
 func (s *Server) clockKernelFor(id engineIdentity, lg *lazyGraph) (*clocksim.Kernel, error) {
 	k, err := s.simKernels.get(id, func() (*clocksim.Kernel, error) {
 		sk, err := s.kernelFor(id, lg)
 		if err != nil {
 			return nil, err
+		}
+		if se := sk.SizeError(); se != nil {
+			return nil, tooLarge(se)
 		}
 		k, err := clocksim.NewKernel(sk.Graph(), sk.Tree())
 		if err != nil {
@@ -421,17 +422,17 @@ type TreeAnalysis struct {
 	MonteCarloMaxSkew   float64 `json:"montecarlo_max_skew,omitempty"`
 	CertifiedLowerBound float64 `json:"certified_lower_bound,omitempty"`
 
-	// Streamed marks a result served by the bounded-memory streamed path
-	// instead of a materialized kernel — the machine-readable signal that
-	// the array exceeded the server's kernel size limits and the fallback
-	// engaged. MaxSkew, WorstPair, MaxD/MaxS, and GuaranteedMinSkew are
-	// still exact (bit-identical to what a kernel would report); the skew
+	// Streamed marks a result served by the kernel's bounded-memory
+	// streamed tier instead of its resident tier — the machine-readable
+	// signal that the array exceeded the server's kernel size limits.
+	// MaxSkew, WorstPair, MaxD/MaxS, and GuaranteedMinSkew are still
+	// exact (bit-identical to what a resident kernel reports); the skew
 	// quantiles come from a mergeable sketch with the stated relative
 	// error, and Monte-Carlo trials become a sampled-max estimate with a
 	// confidence interval rather than MonteCarloMaxSkew.
 	Streamed         bool                     `json:"streamed,omitempty"`
 	StreamShards     int                      `json:"stream_shards,omitempty"`
-	StreamShardSize  int64                    `json:"stream_shard_size,omitempty"`
+	ShardSize        int64                    `json:"stream_shard_size,omitempty"`
 	SkewP50          float64                  `json:"skew_p50,omitempty"`
 	SkewP90          float64                  `json:"skew_p90,omitempty"`
 	SkewP99          float64                  `json:"skew_p99,omitempty"`
@@ -466,14 +467,13 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 		out := TreeAnalysis{Tree: req.Trees[i]}
 		k, err := s.kernelFor(req.engineID(req.Trees[i]), lg)
 		if err != nil {
-			// An oversize array switches to the streamed path, which
-			// answers exactly in bounded memory.
-			var he *httpError
-			if errors.As(err, &he) && he.status == http.StatusRequestEntityTooLarge {
-				return s.streamedTreeAnalysis(ctx, lg, req.Trees[i], req, model, nil)
-			}
 			out.Error = err.Error()
 			return out, nil
+		}
+		if k.SizeError() != nil {
+			// An oversize array's kernel is streamed, and answers
+			// exactly in bounded memory.
+			return s.streamedTreeAnalysis(ctx, k, req.Trees[i], req, model, nil)
 		}
 		tree := k.Tree()
 		analysis := k.Analyze(model)
@@ -891,6 +891,7 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 		}
 	}
 	var vals []float64
+	var jittered int64
 	switch cfg.Regime {
 	case "nominal", "adversarial":
 		// Neither regime draws from a generator, so every trial has the
@@ -912,7 +913,7 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 			vals[i] = v
 		}
 	case "random", "jittered":
-		if vals, err = s.randomClockTrials(ctx, k, p, cfg); err != nil {
+		if vals, jittered, err = s.randomClockTrials(ctx, k, p, cfg); err != nil {
 			return err
 		}
 	default:
@@ -928,15 +929,7 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 		resp.MinPipelinedPeriod = k.MinPipelinedPeriod(p)
 	}
 	if cfg.Regime == "jittered" {
-		inj, err := faults.New(faultsOrZero(cfg.Faults), cfg.Seed)
-		if err == nil {
-			// Re-draw one trial's pattern solely to report its tallies.
-			for id := 0; id < tree.NumNodes(); id++ {
-				inj.EdgeJitter(uint64(id))
-			}
-			c := inj.Counts()
-			resp.Faults = &FaultsJSON{Jittered: c.Jittered}
-		}
+		resp.Faults = &FaultsJSON{Jittered: jittered}
 	}
 	return nil
 }
@@ -947,9 +940,11 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 // runs on one goroutine, so one generator and one injector serve all its
 // trials: ForkInto reseeds the generator to exactly rng.Fork(i)'s stream
 // without allocating a source, and the injector's keyed decisions give
-// every trial of a seed one pattern.
-func (s *Server) randomClockTrials(ctx context.Context, k *clocksim.Kernel, p clocksim.Params, cfg *SimulateConfig) ([]float64, error) {
+// every trial of a seed one pattern. jittered is that pattern's count of
+// jittered edges, read from the injector that ran trial 0 right after it.
+func (s *Server) randomClockTrials(ctx context.Context, k *clocksim.Kernel, p clocksim.Params, cfg *SimulateConfig) ([]float64, int64, error) {
 	rng := stats.NewRNG(cfg.Seed)
+	var jittered int64
 	chunk := (cfg.Trials + 4*s.cfg.Workers - 1) / (4 * s.cfg.Workers)
 	results := runner.MapChunks(ctx, s.cfg.Workers, cfg.Trials, chunk, func(ctx context.Context, lo, hi int) ([]float64, error) {
 		trng := stats.NewRNG(0)
@@ -975,14 +970,17 @@ func (s *Server) randomClockTrials(ctx context.Context, k *clocksim.Kernel, p cl
 			if err != nil {
 				return nil, unprocessable(err)
 			}
+			if i == 0 {
+				jittered = inj.Counts().Jittered // only trial 0's chunk writes it
+			}
 			vals = append(vals, v)
 		}
 		return vals, nil
 	})
 	if err := runner.Join(results); err != nil {
-		return nil, firstTypedError(results, err)
+		return nil, 0, firstTypedError(results, err)
 	}
-	return slices.Concat(runner.Values(results)...), nil
+	return slices.Concat(runner.Values(results)...), jittered, nil
 }
 
 func (s *Server) simulateHybrid(ctx context.Context, id engineIdentity, lg *lazyGraph, cfg *SimulateConfig, resp *SimulateResponse) error {

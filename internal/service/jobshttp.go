@@ -294,7 +294,7 @@ func mcPartial(tree string, samples []float64, total int) json.RawMessage {
 }
 
 // StreamedPartial is the partial-result document attached to a job's
-// progress events while a tree runs on the streamed fallback path:
+// progress events while a tree runs on the kernel's streamed tier:
 // shard-level progress plus the statistics so far. MaxSkew is a running
 // exact maximum over the pairs scanned; the quantiles come from the
 // partially merged sketch and tighten as shards fold in.
@@ -351,24 +351,23 @@ func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 			out := TreeAnalysis{Tree: treeName}
 			k, err := s.kernelFor(req.engineID(treeName), lg)
 			if err != nil {
-				// Mirror computeAnalyze: an oversize array falls back to the
-				// streamed path, publishing shard-level partials as the scan
-				// runs. A mere builder mismatch reports inline and the sweep
-				// continues.
-				var he *httpError
-				if errors.As(err, &he) && he.status == http.StatusRequestEntityTooLarge {
-					sa, err := s.streamedTreeAnalysis(ctx, lg, treeName, req, model, func(p skew.StreamPartial) {
-						job.Publish(doneTrials, totalTrials, streamedPartial(treeName, p))
-					})
-					if err != nil {
-						return nil, reasonOf(err), err
-					}
-					resp.Results = append(resp.Results, sa)
-					doneTrials += trials
-					continue
-				}
+				// Mirror computeAnalyze: a builder mismatch reports inline
+				// and the sweep continues.
 				out.Error = err.Error()
 				resp.Results = append(resp.Results, out)
+				doneTrials += trials
+				continue
+			}
+			if k.SizeError() != nil {
+				// An oversize array's kernel is streamed: publish
+				// shard-level partials as the scan runs.
+				sa, err := s.streamedTreeAnalysis(ctx, k, treeName, req, model, func(p skew.StreamPartial) {
+					job.Publish(doneTrials, totalTrials, streamedPartial(treeName, p))
+				})
+				if err != nil {
+					return nil, reasonOf(err), err
+				}
+				resp.Results = append(resp.Results, sa)
 				doneTrials += trials
 				continue
 			}

@@ -35,9 +35,8 @@ type metrics struct {
 	simKernelHits   atomic.Int64 // simulation-kernel cache hits (clocksim kernel or hybrid system reused)
 	simKernelMisses atomic.Int64 // simulation-kernel cache misses (engine precomputation built)
 
-	streamedFallbacks atomic.Int64 // analyses served by the streamed path after a 413-size kernel rejection
-	streamedShards    atomic.Int64 // pair shards processed by the streamed path (local and on behalf of peers)
-	streamedSpills    atomic.Int64 // shards spilled to a peer over /v1/cluster/shard
+	streamedFallbacks atomic.Int64 // analyses served by a streamed-tier kernel
+	streamedShards    atomic.Int64 // pair shards processed by streamed analyses
 
 	forwardErrors atomic.Int64 // forwards with no reachable target (served 502)
 	hedges        atomic.Int64 // forwards whose hedge copy was sent
@@ -176,14 +175,12 @@ func (s *Server) metricFamilies() []family {
 		counter("kernel_cache_evictions", "Kernel cache entries displaced by the capacity bound.", s.kernels.Evictions()),
 		counter("sim_kernel_cache_hits", "Simulation-kernel cache hits (clocksim kernel or hybrid system reused).", m.simKernelHits.Load()),
 		counter("sim_kernel_cache_misses", "Simulation-kernel cache misses (engine precomputation built).", m.simKernelMisses.Load()),
-		counter("streamed_fallback_total", "Analyses served by the streamed path after a 413-size kernel rejection.", m.streamedFallbacks.Load()),
-		counter("streamed_shards_total", "Pair shards processed by the streamed path (local and on behalf of peers).", m.streamedShards.Load()),
-		counter("streamed_spills_total", "Shards spilled to a ring-owning peer over /v1/cluster/shard.", m.streamedSpills.Load()),
+		counter("streamed_fallback_total", "Analyses served by a streamed-tier kernel because the array exceeds the kernel size limits.", m.streamedFallbacks.Load()),
+		counter("streamed_shards_total", "Pair shards processed by streamed analyses.", m.streamedShards.Load()),
 		gauge("in_flight", "Requests currently being served.", float64(m.inFlight.Load())),
 		gauge("cache_entries", "Entries currently in the result cache.", float64(s.cache.Len())),
 		gauge("kernel_cache_entries", "Entries currently in the skew-kernel cache.", float64(s.kernels.Len())),
-		gauge("kernel_bytes_in_use", "Estimated resident bytes of every cached skew kernel and streamer.", float64(s.kernelBytesInUse())),
-		gauge("streamer_cache_entries", "Entries currently in the streamed-analysis streamer cache.", float64(s.streamers.Len())),
+		gauge("kernel_bytes_in_use", "Estimated resident bytes of every cached skew kernel, either tier.", float64(s.kernelBytesInUse())),
 		gauge("sim_kernel_cache_entries", "Entries currently in the simulation-kernel caches.", float64(s.simKernels.Len()+s.hybridSystems.Len())),
 		gauge("uptime_seconds", "Seconds since the server started.", time.Since(m.start).Seconds()),
 		counter("runner_tasks_started_total", "Worker-pool tasks started, process-wide.", ps.TasksStarted),

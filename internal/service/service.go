@@ -39,18 +39,12 @@ type Config struct {
 	// (graph, tree) geometry shared across requests that differ only in
 	// model, trial count, or seed. Default 256.
 	KernelCacheEntries int
-	// KernelLimits bounds the size of any one skew kernel the server
-	// will build. An oversize request is answered with HTTP 413 and
-	// reason "array_too_large" instead of index corruption or an OOM
-	// kill. Zero fields take skew.DefaultLimits.
+	// KernelLimits bounds the size of any one resident skew kernel. An
+	// analysis over the limits runs on the kernel's streamed tier; a
+	// simulation is answered with HTTP 413 and reason "array_too_large"
+	// instead of index corruption or an OOM kill. Zero fields take
+	// skew.DefaultLimits.
 	KernelLimits skew.Limits
-	// StreamShardSize is the pair-block size of the streamed path's
-	// shards. <= 0 takes skew.DefaultShardSize.
-	StreamShardSize int64
-	// StreamPeerShards, in cluster mode, lets the streamed path spill
-	// shards to their ring-owning peers over /v1/cluster/shard instead of
-	// computing every shard locally. Default: off (shards stay local).
-	StreamPeerShards bool
 	// Workers bounds each request's engine fan-out (candidate trees,
 	// Monte-Carlo trials, simulation trials, batch configs). Default
 	// GOMAXPROCS.
@@ -151,11 +145,11 @@ type Server struct {
 	// The engine caches hold immutable per-(graph, recipe)
 	// precomputations reused across models, regimes, seeds, trial
 	// counts, and batch sweeps, each built once per engineIdentity:
-	// skew kernels; the streamed path's streamers (the CSR pair index
-	// plus the tree, 4 B/pair + 8 B/cell against the kernel's
-	// 24 B/pair); clocksim kernels; and hybrid systems.
+	// skew kernels of either tier (a streamed-tier kernel holds the
+	// tree, and the graph its CSR pair index, 4 B/pair + 8 B/cell
+	// against the resident tier's 24 B/pair); clocksim kernels; and
+	// hybrid systems.
 	kernels       *engineCache[*skew.Kernel]
-	streamers     *engineCache[*skew.Streamer]
 	simKernels    *engineCache[*clocksim.Kernel]
 	hybridSystems *engineCache[*hybrid.System]
 	flight        *flightGroup[response]
@@ -193,7 +187,6 @@ func NewServer(cfg Config) *Server {
 		cfg:           cfg,
 		cache:         newLRU[response](cfg.CacheEntries),
 		kernels:       newEngineCache[*skew.Kernel]("kernel", n, &m.kernelHits, &m.kernelMisses),
-		streamers:     newEngineCache[*skew.Streamer]("streamer", n, &m.kernelHits, &m.kernelMisses),
 		simKernels:    newEngineCache[*clocksim.Kernel]("simkernel", n, &m.simKernelHits, &m.simKernelMisses),
 		hybridSystems: newEngineCache[*hybrid.System]("hybridsys", n, &m.simKernelHits, &m.simKernelMisses),
 		flight:        newFlightGroup[response](),
@@ -246,7 +239,6 @@ func NewClusterServer(cfg Config) (*Server, error) {
 	s.cluster = cs
 	s.mux.HandleFunc("/v1/cluster/info", s.handleClusterInfo)
 	s.mux.HandleFunc("/v1/cluster/fill", s.handleClusterFill)
-	s.mux.HandleFunc("/v1/cluster/shard", s.handleClusterShard)
 	return s, nil
 }
 

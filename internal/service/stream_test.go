@@ -2,14 +2,11 @@ package service
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
 
-	"repro/internal/clocktree"
-	"repro/internal/comm"
 	"repro/internal/skew"
 )
 
@@ -115,7 +112,7 @@ func TestStreamedFallbackMetrics(t *testing.T) {
 		t.Errorf("streamed_shards_total = %d, want >= 1", doc.StreamedShards)
 	}
 	if doc.KernelBytes <= 0 {
-		t.Errorf("kernel_bytes_in_use = %d, want > 0 after a streamer build", doc.KernelBytes)
+		t.Errorf("kernel_bytes_in_use = %d, want > 0 after a streamed-tier kernel build", doc.KernelBytes)
 	}
 	prom, err := http.Get(ts.URL + "/metrics?format=prom")
 	if err != nil {
@@ -127,7 +124,7 @@ func TestStreamedFallbackMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(b)
-	for _, name := range []string{"streamed_fallback_total", "streamed_shards_total", "kernel_bytes_in_use", "streamer_cache_entries"} {
+	for _, name := range []string{"streamed_fallback_total", "streamed_shards_total", "kernel_bytes_in_use"} {
 		if !strings.Contains(text, name) {
 			t.Errorf("prom exposition missing %s", name)
 		}
@@ -165,7 +162,7 @@ func TestStreamedCertifiedBound(t *testing.T) {
 // streamed path publishes shard-level partials (pairs scanned, sketch
 // quantiles so far) and finishes with the streamed result document.
 func TestStreamedJobPartials(t *testing.T) {
-	_, ts := newTestServer(t, Config{KernelLimits: skew.Limits{MaxPairs: 4}, StreamShardSize: 16})
+	_, ts := newTestServer(t, Config{KernelLimits: skew.Limits{MaxPairs: 4}})
 	resp, body := postJSON(t, ts.URL+"/v1/jobs",
 		`{"analyze":{"topology":{"kind":"mesh","n":10}}}`)
 	if resp.StatusCode != http.StatusAccepted {
@@ -222,129 +219,5 @@ func TestStreamedJobPartials(t *testing.T) {
 	}
 	if len(doc.Results) != 1 || !doc.Results[0].Streamed || doc.Results[0].MaxSkew <= 0 {
 		t.Errorf("job result not a streamed analysis: %s", result)
-	}
-}
-
-// TestClusterShardEndpoint: POST /v1/cluster/shard computes one pair
-// shard bit-identically to a local Streamer.ShardStats, and rejects bad
-// methods and ranges.
-func TestClusterShardEndpoint(t *testing.T) {
-	tc := newTestCluster(t, 2, nil)
-
-	g, err := comm.Build("mesh", 6, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := clocktree.HTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := skew.NewStreamer(g, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := skew.Linear{M: 1, Eps: 0.1}
-	want, err := st.ShardStats(model, 8, 24)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	body := `{"topology":{"kind":"mesh","n":6},"tree":"htree","model":{"kind":"linear"},"lo":8,"hi":24}`
-	resp, raw := postJSON(t, tc.urls[0]+"/v1/cluster/shard", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	var got skew.ShardStats
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Lo != want.Lo || got.Hi != want.Hi || got.MaxSkew != want.MaxSkew ||
-		got.WorstA != want.WorstA || got.WorstB != want.WorstB ||
-		got.MaxD != want.MaxD || got.MaxS != want.MaxS {
-		t.Errorf("shard over the wire diverges:\n  got  %+v\n  want %+v", got, want)
-	}
-	if got.Sketch == nil || want.Sketch == nil || *got.Sketch != *want.Sketch {
-		t.Error("shard sketch did not round-trip bit-identically")
-	}
-
-	resp, raw = postJSON(t, tc.urls[0]+"/v1/cluster/shard",
-		`{"topology":{"kind":"mesh","n":6},"lo":3,"hi":2}`)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("inverted range: status %d, want 400: %s", resp.StatusCode, raw)
-	}
-	getResp, err := http.Get(tc.urls[0] + "/v1/cluster/shard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	getResp.Body.Close()
-	if getResp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET: status %d, want 405", getResp.StatusCode)
-	}
-}
-
-// TestStreamedPeerShardSpill: with -stream-peer-shards on, a streamed
-// analysis spills the shards the ring assigns to peers and still
-// answers exactly — the spilled sketches and maxima fold back into the
-// same bit-identical result a single node produces.
-func TestStreamedPeerShardSpill(t *testing.T) {
-	tc := newTestCluster(t, 2, func(i int, cfg *Config) {
-		cfg.KernelLimits = skew.Limits{MaxPairs: 4}
-		cfg.StreamShardSize = 16
-		cfg.StreamPeerShards = true
-	})
-	body := `{"topology":{"kind":"mesh","n":12},"trees":["htree"]}`
-
-	resp, raw := postJSON(t, tc.urls[0]+"/v1/analyze", body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
-	}
-	var got AnalyzeResponse
-	if err := json.Unmarshal(raw, &got); err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Results) != 1 || !got.Results[0].Streamed {
-		t.Fatalf("expected one streamed result: %s", raw)
-	}
-
-	// Reference: a standalone big-limit server's kernel answer.
-	_, ref := newTestServer(t, Config{KernelLimits: skew.Limits{MaxPairs: 1 << 20}})
-	_, rawRef := postJSON(t, ref.URL+"/v1/analyze", body)
-	var want AnalyzeResponse
-	if err := json.Unmarshal(rawRef, &want); err != nil {
-		t.Fatal(err)
-	}
-	g, w := got.Results[0], want.Results[0]
-	if g.MaxSkew != w.MaxSkew || g.WorstPair != w.WorstPair || g.Pairs != w.Pairs {
-		t.Errorf("spilled streamed answer diverges from kernel:\n  got  %+v\n  want %+v", g, w)
-	}
-
-	// The ring decides, per shard, whether the computing node spilled it;
-	// recompute that assignment and hold the spill counter to it exactly.
-	req := &AnalyzeRequest{}
-	if err := json.Unmarshal([]byte(body), req); err != nil {
-		t.Fatal(err)
-	}
-	req.applyDefaults()
-	base, ok := req.affinityKey()
-	if !ok {
-		t.Fatal("analyze request must have an affinity key")
-	}
-	ring := tc.servers[0].cluster.ring
-	owner := ring.Owner(base)
-	var expected int64
-	for lo := int64(0); lo < int64(g.Pairs); lo += 16 {
-		if ring.Owner(fmt.Sprintf("%s/shard/%d", base, lo)) != owner {
-			expected++
-		}
-	}
-	var spills int64
-	for _, s := range tc.servers {
-		spills += s.metrics.streamedSpills.Load()
-	}
-	if spills != expected {
-		t.Errorf("streamed_spills_total = %d across the cluster, ring assigns %d shards to peers", spills, expected)
-	}
-	if expected == 0 {
-		t.Log("ring assigned every shard to the computing node; spill path not exercised this run")
 	}
 }

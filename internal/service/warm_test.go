@@ -51,17 +51,18 @@ func warmBytesPerRequest(t *testing.T, compute func(i int) error) uint64 {
 	return samples[len(samples)/2]
 }
 
-// checkWarmSizeIndependent measures a warm request at 32² and 128² and
-// fails if the larger array allocates more than warmSlackBytes extra: a
-// warm request must do no O(cells) work, the graph build included.
-func checkWarmSizeIndependent(t *testing.T, compute func(s *Server, n, i int) error) {
+// checkWarmSizeIndependent measures a warm request at 32² and 128² on
+// servers built from cfg and fails if the larger array allocates more
+// than warmSlackBytes extra: a warm request must do no O(cells) work,
+// the graph build included.
+func checkWarmSizeIndependent(t *testing.T, cfg Config, compute func(s *Server, n, i int) error) {
 	t.Helper()
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
 	at := map[int]uint64{}
 	for _, n := range []int{32, 128} {
-		s := NewServer(Config{Workers: 1})
+		s := NewServer(cfg)
 		at[n] = warmBytesPerRequest(t, func(i int) error { return compute(s, n, i) })
 	}
 	t.Logf("warm request: %d B at 32², %d B at 128²", at[32], at[128])
@@ -72,7 +73,7 @@ func checkWarmSizeIndependent(t *testing.T, compute func(s *Server, n, i int) er
 }
 
 func TestWarmAnalyzeAllocsIndependentOfCells(t *testing.T) {
-	checkWarmSizeIndependent(t, func(s *Server, n, i int) error {
+	checkWarmSizeIndependent(t, Config{Workers: 1}, func(s *Server, n, i int) error {
 		req := &AnalyzeRequest{
 			GraphInput:    GraphInput{Topology: &TopologySpec{Kind: "mesh", N: n}},
 			BufferSpacing: 1.5,
@@ -87,8 +88,33 @@ func TestWarmAnalyzeAllocsIndependentOfCells(t *testing.T) {
 	})
 }
 
+// A warm analyze over the kernel limits hits its cached streamed-tier
+// kernel: no graph or tree is built, so the kernel cache records the one
+// miss of the first request however often the request repeats.
+func TestWarmStreamedAnalyzeAllocsIndependentOfCells(t *testing.T) {
+	checkWarmSizeIndependent(t, Config{Workers: 1, KernelLimits: skew.Limits{MaxPairs: 4}}, func(s *Server, n, i int) error {
+		req := &AnalyzeRequest{
+			GraphInput: GraphInput{Topology: &TopologySpec{Kind: "mesh", N: n}},
+			Model:      ModelSpec{Kind: "linear", M: 1 + float64(i)/64, Eps: 0.1},
+		}
+		req.applyDefaults()
+		res, err := s.computeAnalyze(context.Background(), req)
+		if err == nil && res.status != http.StatusOK {
+			t.Fatalf("status %d: %s", res.status, res.body)
+		}
+		var doc AnalyzeResponse
+		if err == nil && (json.Unmarshal(res.body, &doc) != nil || !doc.Results[0].Streamed) {
+			t.Fatalf("answer not streamed: %s", res.body)
+		}
+		if misses := s.metrics.kernelMisses.Load(); misses != 1 {
+			t.Fatalf("request %d at %d²: kernel_cache_misses = %d, want 1", i, n, misses)
+		}
+		return err
+	})
+}
+
 func TestWarmClockSimulateAllocsIndependentOfCells(t *testing.T) {
-	checkWarmSizeIndependent(t, func(s *Server, n, i int) error {
+	checkWarmSizeIndependent(t, Config{Workers: 1}, func(s *Server, n, i int) error {
 		req := &SimulateRequest{
 			GraphInput: GraphInput{Topology: &TopologySpec{Kind: "mesh", N: n}},
 			Mode:       "clock", Regime: "nominal",
@@ -107,7 +133,7 @@ func TestWarmClockSimulateAllocsIndependentOfCells(t *testing.T) {
 // count, so the element size scales with the array to hold that count
 // at 8×8: what is left to differ is the graph.
 func TestWarmHybridSimulateAllocsIndependentOfCells(t *testing.T) {
-	checkWarmSizeIndependent(t, func(s *Server, n, i int) error {
+	checkWarmSizeIndependent(t, Config{Workers: 1}, func(s *Server, n, i int) error {
 		req := &SimulateRequest{
 			GraphInput: GraphInput{Topology: &TopologySpec{Kind: "mesh", N: n}},
 			Mode:       "hybrid",
@@ -177,10 +203,10 @@ func TestBadTopologyFailsAnalyzeJob(t *testing.T) {
 	}
 }
 
-// The streamed fallback still engages under a low pair limit, on the
-// first request (which builds the graph) and on a warm repeat (whose
-// streamer is cached, so nothing builds it); both answer the graph and
-// cell count and the certified bound from the streamer's graph.
+// The streamed tier still engages under a low pair limit, on the first
+// request (which builds the graph) and on a warm repeat (whose kernel is
+// cached, so nothing builds it); both answer the graph and cell count
+// and the certified bound from the kernel's graph.
 func TestStreamedFallbackWarm(t *testing.T) {
 	_, ts := newTestServer(t, Config{KernelLimits: skew.Limits{MaxPairs: 4}})
 	var first TreeAnalysis
@@ -372,6 +398,49 @@ func TestClockSimulateMatchesPerTrialLoop(t *testing.T) {
 			if want := summaryJSON(stats.Summarize(vals)); *got.CommSkew != *want {
 				t.Errorf("%s/%d trials: summary %+v, per-trial loop %+v", regime, trials, *got.CommSkew, *want)
 			}
+		}
+	}
+}
+
+// A jittered simulation reports how many clock-tree edges its fault
+// pattern jittered: the tally of one trial, the same for every trial of
+// a seed. The root has no edge, so it is never counted.
+func TestJitteredFaultTallyCountsOneTrial(t *testing.T) {
+	s := NewServer(Config{Workers: 2})
+	jitter := faults.Config{JitterProb: 0.5, MaxJitter: 1}
+	for _, seed := range []int64{3, 5} {
+		req := &SimulateRequest{
+			GraphInput: GraphInput{Topology: &TopologySpec{Kind: "mesh", N: 8}},
+			Mode:       "clock", Regime: "jittered", Trials: 9, Seed: seed,
+			Params: ClockParamsSpec{M: 1, Eps: 0.1}, Faults: &jitter,
+		}
+		req.applyDefaults()
+		res, err := s.computeSimulate(context.Background(), req)
+		if err != nil || res.status != http.StatusOK {
+			t.Fatalf("seed %d: status %d err %v: %s", seed, res.status, err, res.body)
+		}
+		var doc SimulateResponse
+		if err := json.Unmarshal(res.body, &doc); err != nil {
+			t.Fatal(err)
+		}
+		cfg := req.config()
+		k, err := s.clockKernelFor(cfg.engineID(req.GraphInput), &lazyGraph{in: req.GraphInput})
+		if err != nil {
+			t.Fatal(err)
+		}
+		inj, err := faults.New(jitter, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := k.JitteredSkew(clocksim.Params{M: 1, Eps: 0.1}, stats.NewRNG(seed).Fork(0), inj); err != nil {
+			t.Fatal(err)
+		}
+		want := inj.Counts().Jittered
+		if want <= 0 || want >= int64(k.Tree().NumNodes()) {
+			t.Fatalf("seed %d: one trial jittered %d of %d edges", seed, want, k.Tree().NumNodes()-1)
+		}
+		if doc.Faults == nil || doc.Faults.Jittered != want {
+			t.Errorf("seed %d: reported faults %+v, one trial jittered %d edges", seed, doc.Faults, want)
 		}
 	}
 }

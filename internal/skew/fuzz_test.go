@@ -9,6 +9,7 @@ package skew
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -72,12 +73,13 @@ func FuzzAnalyze(f *testing.F) {
 	})
 }
 
-// FuzzStreamedAnalyze drives the streamed scan against the flat kernel
-// over fuzzer-chosen array sizes, clock-tree shapes, shard sizes, and
-// worker counts. The two paths share no arrays, only the pair order, so
-// agreement must be bit for bit: any divergence in the fold, the CSR
-// iteration, or the sketch merge surfaces here. Seed corpus lives in
-// testdata/fuzz/; CI runs the target briefly as a smoke test.
+// FuzzStreamedAnalyze drives both tiers and the streamed scan against
+// the resident kernel over fuzzer-chosen array sizes, clock-tree shapes,
+// shard sizes, and worker counts. The streamed tier and Stream share no
+// arrays with the resident kernel, only the pair order, so agreement
+// must be bit for bit: any divergence in the fold, the CSR iteration, or
+// the sketch merge surfaces here. Seed corpus lives in testdata/fuzz/;
+// CI runs the target briefly as a smoke test.
 func FuzzStreamedAnalyze(f *testing.F) {
 	f.Add(uint8(8), uint8(1), uint16(7), uint8(2), 1.0, 0.5)     // H-tree mesh, tiny shards, 2 workers
 	f.Add(uint8(1), uint8(0), uint16(1), uint8(1), 1.0, 0.2)     // single cell: zero pairs, zero shards
@@ -112,15 +114,28 @@ func FuzzStreamedAnalyze(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Analyze: %v", err)
 		}
-		st, err := NewStreamer(g, tree)
+		st, err := NewKernelWithLimits(g, tree, Limits{MaxBytes: 1})
 		if err != nil {
-			t.Fatalf("NewStreamer: %v", err)
+			t.Fatalf("NewKernelWithLimits: %v", err)
+		}
+		if st.SizeError() == nil {
+			t.Fatal("a one-byte budget built a resident kernel")
+		}
+		if an := st.Analyze(model); an != want {
+			t.Fatalf("streamed tier %+v != resident %+v", an, want)
+		}
+		if gm, sgm := GuaranteedMinSkew(g, tree, model), st.GuaranteedMinSkew(model); sgm != gm {
+			t.Fatalf("streamed-tier guaranteed min %g != resident %g", sgm, gm)
+		}
+		var se *SizeError
+		if _, err := st.MonteCarlo(model, 2, stats.NewRNG(1)); !errors.As(err, &se) {
+			t.Fatalf("streamed-tier MonteCarlo returned %v, want *SizeError", err)
 		}
 		opt := StreamOptions{
 			ShardSize: int64(shard%2048) + 1,
 			Workers:   int(workers%4) + 1,
 		}
-		got, err := st.Analyze(context.Background(), model, opt)
+		got, err := st.Stream(context.Background(), model, opt)
 		if err != nil {
 			t.Fatalf("streamed Analyze: %v", err)
 		}

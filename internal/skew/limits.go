@@ -5,15 +5,18 @@ import (
 	"math"
 )
 
-// Limits bounds the size of a Kernel NewKernel will agree to build.
+// Limits bounds the size of a resident Kernel: past any limit,
+// NewKernelWithLimits builds the streamed tier instead.
 //
-// The kernel's flat arrays index tree nodes with int32 (pairA/pairB,
-// parent), so a tree with more than math.MaxInt32 nodes — or a
-// pair list longer than math.MaxInt32 — would silently truncate
+// The resident kernel's flat arrays index tree nodes with int32
+// (pairA/pairB, parent), so a tree with more than math.MaxInt32 nodes —
+// or a pair list longer than math.MaxInt32 — would silently truncate
 // indices and corrupt every subsequent query. Limits turns that cliff,
-// and the quadratic pair-array memory that precedes it, into a typed
-// error (*SizeError) callers and the HTTP service can surface instead
-// of corrupting results or dying on allocation.
+// and the quadratic pair-array memory that precedes it, into the
+// streamed tier, whose memory does not grow with the pair count, and a
+// typed *SizeError the Monte-Carlo methods and the HTTP service's
+// simulations report instead of corrupting results or dying on
+// allocation.
 type Limits struct {
 	// MaxNodes bounds tree.NumNodes(). Values above math.MaxInt32 are
 	// clamped: int32 node indexing is a hard representation limit, not
@@ -27,12 +30,12 @@ type Limits struct {
 	MaxBytes int64
 }
 
-// DefaultLimits is what NewKernel enforces: the int32 representation
+// DefaultLimits is what NewKernel applies: the int32 representation
 // ceilings plus a 16 GiB kernel-memory budget. The budget is the
-// documented answer to "how big an array can one node certify" — a
-// mesh's pair count is linear in cells, so 16 GiB admits meshes past
-// 4096², while a dense synthetic graph hits the pair or byte ceiling
-// long before indices would truncate.
+// documented answer to "how big an array does one node hold resident" —
+// a mesh's pair count is linear in cells, so 16 GiB keeps meshes past
+// 4096² resident, while a dense synthetic graph hits the pair or byte
+// ceiling, and streams, long before indices would truncate.
 var DefaultLimits = Limits{
 	MaxNodes: math.MaxInt32,
 	MaxPairs: math.MaxInt32,
@@ -60,10 +63,11 @@ func (l Limits) withDefaults() Limits {
 	return l
 }
 
-// SizeError reports a (graph, tree) pair too large for a Kernel under
-// the limits in force. It is returned by NewKernel/NewKernelWithLimits
-// before any kernel array is allocated, and the service maps it to
-// HTTP 413 with machine-readable reason "array_too_large".
+// SizeError reports a (graph, tree) pair too large for a resident
+// Kernel under the limits in force. A streamed-tier kernel carries it
+// (Kernel.SizeError) and returns it from MonteCarlo and
+// MonteCarloParallel; the service maps it to HTTP 413 with
+// machine-readable reason "array_too_large" for simulations.
 type SizeError struct {
 	Graph, Tree string
 	Nodes       int    // tree node count
@@ -105,10 +109,11 @@ func KernelBytes(nodes, pairs int) int64 {
 	return int64(pairs)*perPair + int64(nodes)*perNode
 }
 
-// checkKernelSize is the guard behind NewKernelWithLimits, separated
-// so tests can probe counts (e.g. above math.MaxInt32) that could
-// never be allocated for real.
-func checkKernelSize(graph, tree string, nodes, pairs int, lim Limits) error {
+// checkKernelSize is the tier choice behind NewKernelWithLimits,
+// separated so tests can probe counts (e.g. above math.MaxInt32) that
+// could never be allocated for real. It returns nil when the resident
+// tier fits.
+func checkKernelSize(graph, tree string, nodes, pairs int, lim Limits) *SizeError {
 	lim = lim.withDefaults()
 	e := &SizeError{Graph: graph, Tree: tree, Nodes: nodes, Pairs: pairs, Bytes: KernelBytes(nodes, pairs)}
 	switch {

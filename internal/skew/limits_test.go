@@ -10,7 +10,7 @@ import (
 )
 
 // buildOrSizeError builds a kernel under lim and returns the SizeError
-// if construction was refused.
+// if a limit refused the resident tier.
 func buildOrSizeError(t *testing.T, lim Limits) (*Kernel, *SizeError) {
 	t.Helper()
 	g := meshArray(t, 8)
@@ -19,14 +19,13 @@ func buildOrSizeError(t *testing.T, lim Limits) (*Kernel, *SizeError) {
 		t.Fatal(err)
 	}
 	k, err := NewKernelWithLimits(g, tr, lim)
-	if err == nil {
-		return k, nil
+	if err != nil {
+		t.Fatalf("NewKernelWithLimits: %v", err)
 	}
-	var se *SizeError
-	if !errors.As(err, &se) {
-		t.Fatalf("error is %T (%v), want *SizeError", err, err)
+	if se := k.SizeError(); se != nil {
+		return nil, se
 	}
-	return nil, se
+	return k, nil
 }
 
 func TestNewKernelWithLimitsRefusesOversize(t *testing.T) {
@@ -78,8 +77,10 @@ func TestNewKernelDefaultLimitsAdmitNormalSizes(t *testing.T) {
 		t.Errorf("FootprintBytes = %d, want %d", got, want)
 	}
 	// Zero-valued Limits behaves exactly like DefaultLimits.
-	if _, err := NewKernelWithLimits(g, tr, Limits{}); err != nil {
+	if k, err := NewKernelWithLimits(g, tr, Limits{}); err != nil {
 		t.Errorf("zero Limits should take defaults: %v", err)
+	} else if se := k.SizeError(); se != nil {
+		t.Errorf("zero Limits should take defaults: %v", se)
 	}
 }
 

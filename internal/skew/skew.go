@@ -203,8 +203,11 @@ func MonteCarlo(g *comm.Graph, tree *clocktree.Tree, m Linear, trials int, rng *
 // the worst skew is a max-reduction — order independent — so the result
 // is identical to the sequential run at any worker count and any
 // chunking. A cancelled ctx aborts the remaining trials and returns
-// ctx's error.
+// ctx's error; a streamed-tier kernel returns its *SizeError.
 func (k *Kernel) MonteCarloParallel(ctx context.Context, workers int, m Linear, trials int, rng *stats.RNG) (float64, error) {
+	if k.sizeErr != nil {
+		return 0, k.sizeErr
+	}
 	// Chunk so each worker gets a few chunks (tail-latency smoothing)
 	// without creating so many that scheduling costs return.
 	chunkSize := 1

@@ -2,12 +2,10 @@ package skew
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 	"sync"
 
-	"repro/internal/clocktree"
 	"repro/internal/comm"
 	"repro/internal/obs"
 	"repro/internal/runner"
@@ -24,76 +22,10 @@ const DefaultShardSize = 1 << 20
 // sampled Monte-Carlo max estimate.
 const DefaultMCSampleCap = 1 << 16
 
-// Streamer is the streamed counterpart of Kernel: a reusable context
-// over one (graph, tree) pair that never materializes per-pair arrays.
-// It holds the graph's CSR pair index (4 B per pair plus 8 per cell),
-// the clock tree (whose cell→node slice resolves each pair's
-// endpoints), and a pool of per-worker shard arenas, so the
-// resident cost is O(cells), not O(pairs)·24 B like the kernel — this
-// is the path that breaks the kernel byte ceiling. Safe for concurrent
-// use; the serving stack caches Streamers content-addressed exactly as
-// it caches Kernels.
-type Streamer struct {
-	graph *comm.Graph
-	tree  *clocktree.Tree
-	ix    *comm.PairIndex
-
-	arenas sync.Pool // *streamArena
-}
-
-// streamArena is one worker's shard scratch: the bounded-memory
-// quantile sketch the shard folds its per-pair bounds into. It lives in
-// a pool so steady-state shard processing allocates nothing.
-type streamArena struct {
-	sketch stats.LogSketch
-}
-
-// NewStreamer validates that tree clocks every cell of g and builds the
-// streaming context. Construction is O(cells + edges); no per-pair
-// state is allocated.
-func NewStreamer(g *comm.Graph, tree *clocktree.Tree) (*Streamer, error) {
-	if !tree.Covers(g) {
-		return nil, fmt.Errorf("skew: tree %q does not clock every cell of %q", tree.Name, g.Name)
-	}
-	st := &Streamer{graph: g, tree: tree, ix: g.PairIndex()}
-	st.arenas.New = func() any { return &streamArena{} }
-	return st, nil
-}
-
-// Graph returns the communication graph the streamer was built over.
-func (st *Streamer) Graph() *comm.Graph { return st.graph }
-
-// Tree returns the clock tree the streamer was built over.
-func (st *Streamer) Tree() *clocktree.Tree { return st.tree }
-
-// NumPairs returns the number of communicating pairs the streamed scan
-// covers.
-func (st *Streamer) NumPairs() int64 { return st.ix.NumPairs() }
-
-// ShardStats is the exact statistics of one contiguous block of the
-// canonical pair order. Shards merge: fold MaxSkew/worst-pair with
-// strictly-greater updates in ascending Lo order to reproduce the full
-// ascending scan bit-for-bit, and merge sketches by addition. The JSON
-// form is what cluster shard spill ships between nodes.
-type ShardStats struct {
-	Lo      int64   `json:"lo"` // pair index range [Lo, Hi)
-	Hi      int64   `json:"hi"`
-	MaxSkew float64 `json:"max_skew"`
-	WorstA  int     `json:"worst_a"`
-	WorstB  int     `json:"worst_b"`
-	WorstD  float64 `json:"worst_d"`
-	WorstS  float64 `json:"worst_s"`
-	MaxD    float64 `json:"max_d"`
-	MaxS    float64 `json:"max_s"`
-	// MaxLB is the shard's largest model lower bound (0 for models
-	// without one).
-	MaxLB float64 `json:"max_lb,omitempty"`
-
-	Sketch *stats.LogSketch `json:"sketch,omitempty"`
-}
-
-// shardAgg is the arena-free part of a shard's result (the sketch stays
-// in the arena and is folded into the global accumulator immediately).
+// shardAgg is the exact statistics of one contiguous block of the
+// canonical pair order. Blocks merge: folding them with strictly-greater
+// updates in ascending block order reproduces the full ascending scan
+// bit for bit.
 type shardAgg struct {
 	maxSkew        float64
 	worstA, worstB comm.CellID
@@ -102,31 +34,66 @@ type shardAgg struct {
 	maxLB          float64
 }
 
+// merge folds the next block's statistics into agg. The worst pair
+// moves only on a strictly greater skew, so the first pair to attain
+// the maximum wins, as in one ascending scan.
+func (agg *shardAgg) merge(next shardAgg) {
+	if next.maxSkew > agg.maxSkew {
+		agg.maxSkew = next.maxSkew
+		agg.worstA, agg.worstB = next.worstA, next.worstB
+		agg.worstD, agg.worstS = next.worstD, next.worstS
+	}
+	if next.maxD > agg.maxD {
+		agg.maxD = next.maxD
+	}
+	if next.maxS > agg.maxS {
+		agg.maxS = next.maxS
+	}
+	if next.maxLB > agg.maxLB {
+		agg.maxLB = next.maxLB
+	}
+}
+
+// analysis reports agg, the statistics of every pair of k, as the
+// Analysis the resident tier computes. A worst pair that never beat 0
+// stayed zero, as the resident scan leaves it.
+func (agg shardAgg) analysis(model Model, k *Kernel) Analysis {
+	return Analysis{
+		Model: model.Name(), Tree: k.tree.Name,
+		MaxSkew:   agg.maxSkew,
+		WorstPair: PairSkew{A: agg.worstA, B: agg.worstB, D: agg.worstD, S: agg.worstS, Skew: agg.maxSkew},
+		MaxD:      agg.maxD, MaxS: agg.maxS, Pairs: k.Pairs(),
+	}
+}
+
 // processShard computes the exact per-pair statistics of pairs
-// [lo, hi) into agg and the arena's sketch. It is the streamed
-// analyzer's hot loop: one cursor walk, two flat-array lookups and two
-// tree distance queries per pair, zero allocations — the benchmark
-// BenchmarkStreamedShardSteadyState gates that property in CI.
+// [lo, hi), folding each pair's bound into sketch when it is non-nil.
+// It is the streamed tier's hot loop: one cursor walk, two flat-array
+// lookups and two tree distance queries per pair, zero allocations —
+// the benchmark BenchmarkStreamedShardSteadyState gates that property
+// in CI.
 //
-// The per-pair arithmetic is exactly Kernel construction + Analyze:
-// d = tree.DiffDist, s = tree.PathLen, bound = model.Bound(d, s), with
-// strictly-greater updates in ascending pair order — so folding shard
-// maxima in ascending order is bit-identical to the kernel's scan,
-// including which pair wins the argmax.
-func (st *Streamer) processShard(model Model, lb LowerBounder, lo, hi int64, arena *streamArena) shardAgg {
+// The per-pair arithmetic is exactly the resident tier's construction +
+// Analyze: d = tree.DiffDist, s = tree.PathLen, bound =
+// model.Bound(d, s), with strictly-greater updates in ascending pair
+// order — so folding shard maxima in ascending order is bit-identical
+// to the resident scan, including which pair wins the argmax.
+func (k *Kernel) processShard(model Model, lb LowerBounder, lo, hi int64, sketch *stats.LogSketch) shardAgg {
 	var agg shardAgg
-	c := st.ix.Cursor(lo)
+	c := k.ix.Cursor(lo)
 	for c.Index() < hi {
 		a, b, ok := c.Next()
 		if !ok {
 			break
 		}
-		na, _ := st.tree.CellNode(a) // NewStreamer checked Covers
-		nb, _ := st.tree.CellNode(b)
-		d := st.tree.DiffDist(na, nb)
-		s := st.tree.PathLen(na, nb)
+		na, _ := k.tree.CellNode(a) // NewKernelWithLimits checked Covers
+		nb, _ := k.tree.CellNode(b)
+		d := k.tree.DiffDist(na, nb)
+		s := k.tree.PathLen(na, nb)
 		sk := model.Bound(d, s)
-		arena.sketch.Add(sk)
+		if sketch != nil {
+			sketch.Add(sk)
+		}
 		if sk > agg.maxSkew {
 			agg.maxSkew = sk
 			agg.worstA, agg.worstB = a, b
@@ -147,31 +114,7 @@ func (st *Streamer) processShard(model Model, lb LowerBounder, lo, hi int64, are
 	return agg
 }
 
-// ShardStats computes one shard's exact statistics with a pooled arena
-// and returns them in transportable form (sketch copied out of the
-// arena). This is what a cluster peer answers /v1/cluster/shard with.
-func (st *Streamer) ShardStats(model Model, lo, hi int64) (ShardStats, error) {
-	n := st.ix.NumPairs()
-	if lo < 0 || hi < lo || hi > n {
-		return ShardStats{}, fmt.Errorf("skew: shard [%d,%d) out of range [0,%d]", lo, hi, n)
-	}
-	lb, _ := model.(LowerBounder)
-	arena := st.arenas.Get().(*streamArena)
-	arena.sketch.Reset()
-	agg := st.processShard(model, lb, lo, hi, arena)
-	sk := arena.sketch // copy the fixed-size value out of the arena
-	st.arenas.Put(arena)
-	return ShardStats{
-		Lo: lo, Hi: hi,
-		MaxSkew: agg.maxSkew,
-		WorstA:  int(agg.worstA), WorstB: int(agg.worstB),
-		WorstD: agg.worstD, WorstS: agg.worstS,
-		MaxD: agg.maxD, MaxS: agg.maxS, MaxLB: agg.maxLB,
-		Sketch: &sk,
-	}, nil
-}
-
-// StreamOptions tunes Streamer.Analyze. The zero value means: default
+// StreamOptions tunes Kernel.Stream. The zero value means: default
 // shard size, sequential shards, no sampled Monte Carlo, seed 0.
 type StreamOptions struct {
 	// ShardSize is the pairs-per-shard block size (DefaultShardSize if
@@ -193,11 +136,6 @@ type StreamOptions struct {
 	// worker goroutines, serialized) with cumulative partial statistics —
 	// the hook /v1/jobs uses to stream partial quantiles.
 	Progress func(StreamPartial)
-	// ShardFn, if non-nil, may compute a shard remotely: return the
-	// shard's stats and true, or false to fall back to local
-	// computation. The serving layer uses this to spill shards to
-	// cluster peers over a byte budget.
-	ShardFn func(ctx context.Context, lo, hi int64) (ShardStats, bool)
 }
 
 // StreamPartial is a cumulative snapshot delivered after each completed
@@ -227,9 +165,9 @@ type SampledMaxEstimate struct {
 	Seed        int64   `json:"seed"`
 }
 
-// StreamAnalysis is Streamer.Analyze's result: the exact Analysis a
-// Kernel would produce (bit-identical fields), plus the bounded-memory
-// distribution summary and optional sampled estimate the streamed path
+// StreamAnalysis is Kernel.Stream's result: the exact Analysis
+// (bit-identical to Kernel.Analyze), plus the bounded-memory
+// distribution summary and optional sampled estimate the streamed scan
 // adds.
 type StreamAnalysis struct {
 	Analysis
@@ -248,31 +186,27 @@ type StreamAnalysis struct {
 	Sampled *SampledMaxEstimate
 }
 
-// Analyze runs the exact streamed scan: shards of the canonical pair
-// order processed over a bounded worker pool, folded into online
-// statistics. MaxSkew, WorstPair, MaxD, MaxS, and Pairs are
-// bit-identical to Kernel.Analyze on the same (graph, tree, model) —
-// the fold replays the kernel's ascending strictly-greater scan — while
-// memory stays O(cells + workers·sketch), independent of the pair
-// count.
-func (st *Streamer) Analyze(ctx context.Context, model Model, opt StreamOptions) (StreamAnalysis, error) {
-	n := st.ix.NumPairs()
+// Stream runs the exact streamed scan on either tier: shards of the
+// canonical pair order processed over a bounded worker pool, folded
+// into online statistics. MaxSkew, WorstPair, MaxD, MaxS, and Pairs are
+// bit-identical to Analyze on the same model — the fold replays the
+// ascending strictly-greater scan — while the scan's memory stays
+// O(workers·sketch), independent of the pair count.
+func (k *Kernel) Stream(ctx context.Context, model Model, opt StreamOptions) (StreamAnalysis, error) {
+	n := k.ix.NumPairs()
 	shardSize := opt.ShardSize
 	if shardSize <= 0 {
 		shardSize = DefaultShardSize
 	}
 	nShards := int((n + shardSize - 1) / shardSize)
 	out := StreamAnalysis{
-		Analysis: Analysis{
-			Model: model.Name(), Tree: st.tree.Name, Pairs: int(n),
-		},
 		Shards:           nShards,
 		ShardSize:        shardSize,
 		QuantileRelError: stats.RelativeError(),
 	}
 	lb, _ := model.(LowerBounder)
 	ctx, span := obs.Start(ctx, "skew.stream",
-		obs.String("graph", st.graph.Name), obs.String("tree", st.tree.Name),
+		obs.String("graph", k.graph.Name), obs.String("tree", k.tree.Name),
 		obs.Int("pairs", n), obs.Int("shards", int64(nShards)),
 		obs.Int("workers", int64(max(opt.Workers, 1))))
 	defer span.End()
@@ -293,38 +227,14 @@ func (st *Streamer) Analyze(ctx context.Context, model Model, opt StreamOptions)
 			return shardAgg{}, err
 		}
 		lo := int64(s) * shardSize
-		hi := lo + shardSize
-		if hi > n {
-			hi = n
-		}
+		hi := min(lo+shardSize, n)
 		_, shardSpan := obs.Start(ctx, "skew.stream_shard",
 			obs.Int("lo", lo), obs.Int("hi", hi))
-		var agg shardAgg
-		var sketch *stats.LogSketch
-		var remote bool
-		if opt.ShardFn != nil {
-			if ss, ok := opt.ShardFn(ctx, lo, hi); ok {
-				agg = shardAgg{
-					maxSkew: ss.MaxSkew,
-					worstA:  comm.CellID(ss.WorstA), worstB: comm.CellID(ss.WorstB),
-					worstD: ss.WorstD, worstS: ss.WorstS,
-					maxD: ss.MaxD, maxS: ss.MaxS, maxLB: ss.MaxLB,
-				}
-				sketch = ss.Sketch
-				remote = true
-			}
-		}
-		var arena *streamArena
-		if !remote {
-			arena = st.arenas.Get().(*streamArena)
-			arena.sketch.Reset()
-			agg = st.processShard(model, lb, lo, hi, arena)
-			sketch = &arena.sketch
-		}
+		sketch := k.sketches.Get().(*stats.LogSketch)
+		sketch.Reset()
+		agg := k.processShard(model, lb, lo, hi, sketch)
 		mu.Lock()
-		if sketch != nil {
-			global.sketch.Merge(sketch)
-		}
+		global.sketch.Merge(sketch)
 		global.pairsDone += hi - lo
 		global.shardsDone++
 		if agg.maxSkew > global.maxSkew {
@@ -341,10 +251,8 @@ func (st *Streamer) Analyze(ctx context.Context, model Model, opt StreamOptions)
 			})
 		}
 		mu.Unlock()
-		if arena != nil {
-			st.arenas.Put(arena)
-		}
-		shardSpan.Annotate(obs.Float("max_skew", agg.maxSkew), obs.Int("remote", boolInt(remote)))
+		k.sketches.Put(sketch)
+		shardSpan.Annotate(obs.Float("max_skew", agg.maxSkew))
 		shardSpan.End()
 		return agg, nil
 	})
@@ -352,29 +260,19 @@ func (st *Streamer) Analyze(ctx context.Context, model Model, opt StreamOptions)
 		return StreamAnalysis{}, err
 	}
 	// Exact fold: ascending shard order with strictly-greater updates
-	// replays the kernel's single ascending scan, so the argmax pair —
-	// the first to attain the maximum — matches bit for bit.
+	// replays the single ascending scan, so the argmax pair — the first
+	// to attain the maximum — matches bit for bit.
+	var total shardAgg
 	for _, r := range results {
-		agg := r.Value
-		if agg.maxSkew > out.MaxSkew {
-			out.MaxSkew = agg.maxSkew
-			out.WorstPair = PairSkew{A: agg.worstA, B: agg.worstB, D: agg.worstD, S: agg.worstS, Skew: agg.maxSkew}
-		}
-		if agg.maxD > out.MaxD {
-			out.MaxD = agg.maxD
-		}
-		if agg.maxS > out.MaxS {
-			out.MaxS = agg.maxS
-		}
-		if agg.maxLB > out.GuaranteedMinSkew {
-			out.GuaranteedMinSkew = agg.maxLB
-		}
+		total.merge(r.Value)
 	}
+	out.Analysis = total.analysis(model, k)
+	out.GuaranteedMinSkew = total.maxLB
 	qs := global.sketch.Quantiles(0.50, 0.90, 0.99)
 	out.P50, out.P90, out.P99 = qs[0], qs[1], qs[2]
 
 	if opt.MCTrials > 0 {
-		est, err := st.SampledMax(ctx, model, opt.MCTrials, opt.MCSampleCap, opt.Seed, out.MaxSkew)
+		est, err := k.SampledMax(ctx, model, opt.MCTrials, opt.MCSampleCap, opt.Seed, out.MaxSkew)
 		if err != nil {
 			return StreamAnalysis{}, err
 		}
@@ -390,8 +288,8 @@ func (st *Streamer) Analyze(ctx context.Context, model Model, opt StreamOptions)
 // exact is the exact streamed maximum (used verbatim for exhaustive
 // trials, where the reservoir provably contains every pair). Results
 // are deterministic in (seed, trials, sampleCap) at any worker count.
-func (st *Streamer) SampledMax(ctx context.Context, model Model, trials int, sampleCap, seed int64, exact float64) (SampledMaxEstimate, error) {
-	n := st.ix.NumPairs()
+func (k *Kernel) SampledMax(ctx context.Context, model Model, trials int, sampleCap, seed int64, exact float64) (SampledMaxEstimate, error) {
+	n := k.ix.NumPairs()
 	if sampleCap <= 0 {
 		sampleCap = DefaultMCSampleCap
 	}
@@ -417,10 +315,10 @@ func (st *Streamer) SampledMax(ctx context.Context, model Model, trials int, sam
 		idxs := uniformPairSample(r, n, sampleCap)
 		var worst float64
 		for _, i := range idxs {
-			a, b := st.ix.Pair(i)
-			na, _ := st.tree.CellNode(a)
-			nb, _ := st.tree.CellNode(b)
-			if sk := model.Bound(st.tree.DiffDist(na, nb), st.tree.PathLen(na, nb)); sk > worst {
+			a, b := k.ix.Pair(i)
+			na, _ := k.tree.CellNode(a)
+			nb, _ := k.tree.CellNode(b)
+			if sk := model.Bound(k.tree.DiffDist(na, nb), k.tree.PathLen(na, nb)); sk > worst {
 				worst = sk
 			}
 		}
@@ -451,21 +349,4 @@ func uniformPairSample(r *stats.RNG, n, k int64) []int64 {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
-}
-
-// FootprintBytes estimates the streamer's resident size: the clock tree
-// it retains. As with Kernel.FootprintBytes, the graph's CSR pair index
-// is not charged: the graph owns it, and every engine built over the
-// graph shares it. Unlike a kernel the streamer holds no per-pair
-// arrays — the gap between the two is exactly what the streamed path
-// saves.
-func (st *Streamer) FootprintBytes() int64 {
-	return st.tree.FootprintBytes()
-}
-
-func boolInt(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -2,9 +2,9 @@ package skew
 
 import (
 	"context"
+	"errors"
 	"math"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/clocktree"
@@ -12,14 +12,28 @@ import (
 	"repro/internal/stats"
 )
 
-// analyzeStreamed builds a Streamer for (g, tree) and runs one streamed
+// streamedTier builds the streamed-tier kernel for (g, tree): a one-byte
+// budget trips on any array.
+func streamedTier(t testing.TB, g *comm.Graph, tree *clocktree.Tree) *Kernel {
+	t.Helper()
+	k, err := NewKernelWithLimits(g, tree, Limits{MaxBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k.SizeError() == nil {
+		t.Fatal("a one-byte budget built a resident kernel")
+	}
+	return k
+}
+
+// analyzeStreamed builds a kernel for (g, tree) and runs one streamed
 // scan.
 func analyzeStreamed(ctx context.Context, g *comm.Graph, tree *clocktree.Tree, model Model, opt StreamOptions) (StreamAnalysis, error) {
-	st, err := NewStreamer(g, tree)
+	k, err := NewKernel(g, tree)
 	if err != nil {
 		return StreamAnalysis{}, err
 	}
-	return st.Analyze(ctx, model, opt)
+	return k.Stream(ctx, model, opt)
 }
 
 func streamTestGraphs(t *testing.T) []*comm.Graph {
@@ -47,8 +61,9 @@ func streamTestGraphs(t *testing.T) []*comm.Graph {
 // over a matrix of graphs × tree representations × models × shard sizes ×
 // worker counts, every exact field of the streamed analysis — MaxSkew,
 // the argmax pair, its d and s, MaxD, MaxS, Pairs — must equal
-// Kernel.Analyze at tolerance zero. The kernel resolves its path lengths
-// in one offline LCA pass, the streamer with per-pair parent walks.
+// Kernel.Analyze at tolerance zero. The resident kernel resolves its
+// path lengths in one offline LCA pass, Stream with per-pair parent
+// walks.
 func TestStreamedMatchesKernelExact(t *testing.T) {
 	models := []Model{
 		Linear{M: 1, Eps: 0.1},
@@ -71,7 +86,7 @@ func TestStreamedMatchesKernelExact(t *testing.T) {
 					continue
 				}
 				for _, workers := range []int{1, 4} {
-					got, err := analyzeStreamed(context.Background(), g, tree, m, StreamOptions{
+					got, err := k.Stream(context.Background(), m, StreamOptions{
 						ShardSize: shardSize,
 						Workers:   workers,
 					})
@@ -177,96 +192,6 @@ func TestStreamedProgress(t *testing.T) {
 		if p.PairsDone <= 0 || p.PairsDone > p.PairsTotal || p.ShardsDone != i+1 {
 			t.Fatalf("partial %d inconsistent: %+v", i, p)
 		}
-	}
-}
-
-// TestStreamedShardFn checks the cluster-spill hook: serving every shard
-// from precomputed ShardStats (as a remote peer would, after a JSON
-// round trip) yields a bit-identical analysis and quantiles.
-func TestStreamedShardFn(t *testing.T) {
-	g, err := comm.Torus(5, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := clocktree.HTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Linear{M: 1, Eps: 0.1}
-	st, err := NewStreamer(g, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	local, err := st.Analyze(context.Background(), m, StreamOptions{ShardSize: 17, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var remoteShards atomic.Int64 // both shard workers call ShardFn
-	spilled, err := st.Analyze(context.Background(), m, StreamOptions{
-		ShardSize: 17,
-		Workers:   2,
-		ShardFn: func(ctx context.Context, lo, hi int64) (ShardStats, bool) {
-			ss, err := st.ShardStats(m, lo, hi)
-			if err != nil {
-				t.Errorf("ShardStats(%d,%d): %v", lo, hi, err)
-				return ShardStats{}, false
-			}
-			// Round-trip the sketch as cluster transport would.
-			data, err := ss.Sketch.MarshalJSON()
-			if err != nil {
-				t.Error(err)
-				return ShardStats{}, false
-			}
-			var back stats.LogSketch
-			if err := back.UnmarshalJSON(data); err != nil {
-				t.Error(err)
-				return ShardStats{}, false
-			}
-			ss.Sketch = &back
-			remoteShards.Add(1)
-			return ss, true
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := remoteShards.Load(); got != int64(local.Shards) {
-		t.Fatalf("ShardFn served %d shards, want %d", got, local.Shards)
-	}
-	if spilled.Analysis != local.Analysis {
-		t.Fatalf("spilled analysis differs:\n got %+v\nwant %+v", spilled.Analysis, local.Analysis)
-	}
-	if spilled.P50 != local.P50 || spilled.P90 != local.P90 || spilled.P99 != local.P99 {
-		t.Fatalf("spilled quantiles differ: %v/%v/%v vs %v/%v/%v",
-			spilled.P50, spilled.P90, spilled.P99, local.P50, local.P90, local.P99)
-	}
-}
-
-// TestStreamedShardFnFallback checks a ShardFn that declines every shard
-// degrades to the local path.
-func TestStreamedShardFnFallback(t *testing.T) {
-	g, err := comm.Mesh(5, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := clocktree.HTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := Linear{M: 1, Eps: 0.1}
-	want, err := analyzeStreamed(context.Background(), g, tree, m, StreamOptions{ShardSize: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := analyzeStreamed(context.Background(), g, tree, m, StreamOptions{
-		ShardSize: 8,
-		ShardFn:   func(ctx context.Context, lo, hi int64) (ShardStats, bool) { return ShardStats{}, false },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Analysis != want.Analysis || got.P50 != want.P50 {
-		t.Fatal("declining ShardFn changed the result")
 	}
 }
 
@@ -391,47 +316,6 @@ func TestStreamedZeroPairs(t *testing.T) {
 	}
 }
 
-// TestStreamerShardStatsErrors checks shard-range validation.
-func TestStreamerShardStatsErrors(t *testing.T) {
-	g, err := comm.Mesh(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := clocktree.HTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := NewStreamer(g, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := st.NumPairs()
-	for _, r := range [][2]int64{{-1, 0}, {0, n + 1}, {3, 2}} {
-		if _, err := st.ShardStats(Linear{M: 1}, r[0], r[1]); err == nil {
-			t.Fatalf("ShardStats(%d,%d) accepted", r[0], r[1])
-		}
-	}
-}
-
-// TestNewStreamerCoverage checks the tree-covers-graph precondition.
-func TestNewStreamerCoverage(t *testing.T) {
-	small, err := comm.Mesh(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big, err := comm.Mesh(3, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tree, err := clocktree.HTree(small)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewStreamer(big, tree); err == nil {
-		t.Fatal("NewStreamer accepted a tree missing cells")
-	}
-}
-
 // TestStreamedContextCancel checks a cancelled context aborts the scan
 // with an error instead of returning partial results.
 func TestStreamedContextCancel(t *testing.T) {
@@ -450,10 +334,76 @@ func TestStreamedContextCancel(t *testing.T) {
 	}
 }
 
-// TestStreamerFootprint checks the streamed footprint estimate is far
-// below the kernel's for the same pair — the inequality the 413 fallback
-// depends on.
-func TestStreamerFootprint(t *testing.T) {
+// TestKernelTiersAgree is the two-tier oracle: over every differential
+// layout and model, a resident kernel and a streamed-tier kernel built
+// over the same graph and tree give bit-identical Analyze and
+// GuaranteedMinSkew answers, Stream's exact fields equal both, and the
+// streamed tier refuses Monte Carlo with its *SizeError.
+func TestKernelTiersAgree(t *testing.T) {
+	for _, c := range diffCases(t) {
+		res, err := NewKernel(c.g, c.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SizeError() != nil {
+			t.Fatalf("%s: default limits streamed: %v", c.name, res.SizeError())
+		}
+		st := streamedTier(t, c.g, c.tr)
+		if st.Pairs() != res.Pairs() {
+			t.Fatalf("%s: streamed tier has %d pairs, resident %d", c.name, st.Pairs(), res.Pairs())
+		}
+		for _, m := range diffModels() {
+			want := res.Analyze(m)
+			if got := st.Analyze(m); got != want {
+				t.Errorf("%s/%s: streamed tier %+v != resident %+v", c.name, m.Name(), got, want)
+			}
+			if got, want := st.GuaranteedMinSkew(m), res.GuaranteedMinSkew(m); got != want {
+				t.Errorf("%s/%s: streamed-tier guaranteed min %v != resident %v", c.name, m.Name(), got, want)
+			}
+			for _, k := range []*Kernel{res, st} {
+				got, err := k.Stream(context.Background(), m, StreamOptions{ShardSize: 5, Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Analysis != want || got.GuaranteedMinSkew != res.GuaranteedMinSkew(m) {
+					t.Errorf("%s/%s: Stream %+v (min %v) != Analyze %+v", c.name, m.Name(), got.Analysis, got.GuaranteedMinSkew, want)
+				}
+			}
+		}
+		var se *SizeError
+		if _, err := st.MonteCarlo(Linear{M: 1, Eps: 0.1}, 4, stats.NewRNG(1)); !errors.As(err, &se) {
+			t.Errorf("%s: streamed-tier MonteCarlo returned %v, want *SizeError", c.name, err)
+		}
+		if _, err := st.MonteCarloParallel(context.Background(), 2, Linear{M: 1, Eps: 0.1}, 4, stats.NewRNG(1)); !errors.As(err, &se) {
+			t.Errorf("%s: streamed-tier MonteCarloParallel returned %v, want *SizeError", c.name, err)
+		}
+	}
+}
+
+// TestNewStreamerCoverage checks the coverage precondition holds on the
+// streamed tier too: a budget that trips on any array must not let a
+// tree missing cells through to a streamed-tier kernel.
+func TestNewStreamerCoverage(t *testing.T) {
+	small, err := comm.Mesh(2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, err := comm.Mesh(3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := clocktree.HTree(small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewKernelWithLimits(big, tree, Limits{MaxBytes: 1}); err == nil {
+		t.Fatal("streamed tier accepted a tree missing cells")
+	}
+}
+
+// TestStreamedTierFootprint checks the streamed tier's footprint is the
+// tree alone, far below the resident kernel's for the same pair.
+func TestStreamedTierFootprint(t *testing.T) {
 	g, err := comm.Mesh(16, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -462,21 +412,22 @@ func TestStreamerFootprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := NewStreamer(g, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := streamedTier(t, g, tree)
 	// Both footprints count the tree the engine retains.
-	kb := KernelBytes(tree.NumNodes(), int(st.NumPairs())) + tree.FootprintBytes()
+	kb := KernelBytes(tree.NumNodes(), st.Pairs()) + tree.FootprintBytes()
 	if fp := st.FootprintBytes(); fp <= 0 || fp >= kb {
 		t.Fatalf("FootprintBytes = %d, want in (0, %d)", fp, kb)
 	}
+	if st.pairA != nil || st.d != nil || st.parent != nil {
+		t.Fatal("streamed-tier kernel holds per-pair or per-node arrays")
+	}
 }
 
-// TestEnginesChargeNothingForPairIndex checks that engines built over one
-// graph charge none of its CSR pair index: the graph owns the index and
-// every engine shares it, so a kernel charges its own arrays and tree,
-// and a streamer only its tree, however many of them there are.
+// TestEnginesChargeNothingForPairIndex checks that kernels built over
+// one graph charge none of its CSR pair index: the graph owns the index
+// and every engine shares it, so a resident kernel charges its own
+// arrays and tree, and a streamed-tier kernel only its tree, however
+// many of them there are.
 func TestEnginesChargeNothingForPairIndex(t *testing.T) {
 	g, err := comm.Mesh(16, 16)
 	if err != nil {
@@ -494,12 +445,8 @@ func TestEnginesChargeNothingForPairIndex(t *testing.T) {
 		t.Errorf("kernel FootprintBytes = %d, want %d", got, want)
 	}
 	for i := 0; i < 2; i++ {
-		st, err := NewStreamer(g, tree)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := st.FootprintBytes(), tree.FootprintBytes(); got != want {
-			t.Errorf("streamer %d FootprintBytes = %d, want %d (the tree alone)", i, got, want)
+		if got, want := streamedTier(t, g, tree).FootprintBytes(), tree.FootprintBytes(); got != want {
+			t.Errorf("streamed-tier kernel %d FootprintBytes = %d, want %d (the tree alone)", i, got, want)
 		}
 	}
 }
@@ -516,25 +463,22 @@ func BenchmarkStreamedShardSteadyState(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := NewStreamer(g, tree)
-	if err != nil {
-		b.Fatal(err)
-	}
+	k := streamedTier(b, g, tree)
 	// Convert to the interface once: the hot loop itself must not allocate.
 	var m Model = Linear{M: 1, Eps: 0.1}
-	n := st.NumPairs()
+	n := k.ix.NumPairs()
 	lb, _ := m.(LowerBounder)
-	arena := st.arenas.Get().(*streamArena)
-	arena.sketch.Reset()
-	_ = st.processShard(m, lb, 0, n, arena) // warm
+	sketch := k.sketches.Get().(*stats.LogSketch)
+	sketch.Reset()
+	_ = k.processShard(m, lb, 0, n, sketch) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		arena.sketch.Reset()
-		_ = st.processShard(m, lb, 0, n, arena)
+		sketch.Reset()
+		_ = k.processShard(m, lb, 0, n, sketch)
 	}
 	b.StopTimer()
-	st.arenas.Put(arena)
+	k.sketches.Put(sketch)
 }
 
 // BenchmarkStreamedAnalyze32 measures the full streamed scan at the
@@ -549,15 +493,12 @@ func BenchmarkStreamedAnalyze32(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st, err := NewStreamer(g, tree)
-	if err != nil {
-		b.Fatal(err)
-	}
+	k := streamedTier(b, g, tree)
 	m := Linear{M: 1, Eps: 0.1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := st.Analyze(context.Background(), m, StreamOptions{}); err != nil {
+		if _, err := k.Stream(context.Background(), m, StreamOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}
