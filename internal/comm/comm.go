@@ -60,6 +60,12 @@ const (
 // index accessors. The derived lookups — the communicating-pair index and
 // the grid index behind CellAt — are therefore built once, on first use,
 // and never go stale. A Graph is safe for concurrent reads.
+//
+// Cells and edges are stored as columns whose element types hold no
+// pointers, so a graph costs the garbage collector nothing to scan; Cell
+// and Edge values are assembled on demand. A cell's ID is its index. An
+// edge is 12 bytes: two int32 endpoints and an index into the graph's
+// label table, which holds each distinct label once.
 type Graph struct {
 	// Name labels the graph in reports, errors and JSON. It is the one
 	// exported field: nothing is derived from it, so relabelling a graph
@@ -68,13 +74,23 @@ type Graph struct {
 
 	kind       Kind
 	rows, cols int
-	cells      []Cell
-	edges      []Edge
+
+	pos      []geom.Point // cell positions, indexed by CellID
+	row, col []int        // cell grid coordinates, indexed by CellID
+
+	edges  []edge
+	labels []string // edge labels, indexed by edge.label
 
 	// lazy holds the lookups built on first use. It is a pointer so Graph
 	// values stay assignable (UnmarshalJSON) without copying a sync.Once;
 	// it is nil only in the zero Graph, which has no cells.
 	lazy *lazyIndex
+}
+
+// edge is one stored directed edge. Host endpoints are -1, as in Edge.
+type edge struct {
+	from, to int32
+	label    uint32
 }
 
 // lazyIndex holds a graph's derived lookups, each built at most once.
@@ -98,15 +114,15 @@ func (g *Graph) Rows() int { return g.rows }
 func (g *Graph) Cols() int { return g.cols }
 
 // NumCells returns the number of cells.
-func (g *Graph) NumCells() int { return len(g.cells) }
+func (g *Graph) NumCells() int { return len(g.pos) }
 
 // Cell returns the cell with the given ID; it panics for Host or
 // out-of-range IDs.
 func (g *Graph) Cell(id CellID) Cell {
-	if uint(id) >= uint(len(g.cells)) {
+	if uint(id) >= uint(len(g.pos)) {
 		panic(noCell(id))
 	}
-	return g.cells[id]
+	return Cell{ID: id, Pos: g.pos[id], Row: g.row[id], Col: g.col[id]}
 }
 
 // noCell is Cell's panic value; a named type rather than a formatted
@@ -120,69 +136,183 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // Edge returns the i-th directed edge, 0 ≤ i < NumEdges, in construction
 // order.
-func (g *Graph) Edge(i int) Edge { return g.edges[i] }
+func (g *Graph) Edge(i int) Edge {
+	e := g.edges[i]
+	return Edge{From: CellID(e.from), To: CellID(e.to), Label: g.labels[e.label]}
+}
 
 // New returns a graph over copies of the given cells and edges after
 // checking its structural invariants: cell IDs dense and equal to their
-// index, distinct cell positions, and edges between known cells (or the
-// host) with no self-loops. It is the constructor for graphs that are not
-// one of the package's topologies.
+// index, at most math.MaxInt32 cells, distinct cell positions, and edges
+// between known cells (or the host) with no self-loops. It is the
+// constructor for graphs that are not one of the package's topologies.
 func New(kind Kind, name string, rows, cols int, cells []Cell, edges []Edge) (*Graph, error) {
-	return newGraph(kind, name, rows, cols,
-		append([]Cell(nil), cells...), append([]Edge(nil), edges...))
+	g, err := newGraph(kind, name, rows, cols, len(cells), len(edges))
+	if err != nil {
+		return nil, err
+	}
+	for i, c := range cells {
+		if int(c.ID) != i {
+			return nil, fmt.Errorf("comm: cell at index %d has ID %d", i, c.ID)
+		}
+		g.pos[i], g.row[i], g.col[i] = c.Pos, c.Row, c.Col
+	}
+	if err := g.checkPositions(); err != nil {
+		return nil, err
+	}
+	var labels labelTable
+	for _, e := range edges {
+		if err := g.appendEdge(e, &labels); err != nil {
+			return nil, err
+		}
+	}
+	g.labels = labels.names
+	return g, nil
 }
 
-// newGraph is New without the defensive copies: the graph takes
-// ownership of cells and edges.
-func newGraph(kind Kind, name string, rows, cols int, cells []Cell, edges []Edge) (*Graph, error) {
-	g := &Graph{Name: name, kind: kind, rows: rows, cols: cols,
-		cells: cells, edges: edges, lazy: &lazyIndex{}}
-	if err := g.validate(); err != nil {
+// newGraph returns a graph with n cells, each at the origin on grid
+// coordinates (0, 0), no edges and room for m, labelled from
+// builtinLabels; a negative n stands for a count that overflowed int.
+// New fills it while checking its input.
+func newGraph(kind Kind, name string, rows, cols, n, m int) (*Graph, error) {
+	if n < 0 || n > math.MaxInt32 {
+		return nil, fmt.Errorf("comm: %s needs more than %d cells", name, math.MaxInt32)
+	}
+	grid := make([]int, 2*n) // the row and col columns, in one allocation
+	return &Graph{Name: name, kind: kind, rows: rows, cols: cols,
+		pos: make([]geom.Point, n), row: grid[:n:n], col: grid[n:],
+		edges: make([]edge, 0, m), labels: builtinLabels, lazy: &lazyIndex{}}, nil
+}
+
+// build returns the graph a topology builder lays out: fill places the
+// n cells of a newGraph and appends at most m edges, and the result is
+// checked against the invariants New documents (cell IDs are dense by
+// construction).
+func build(kind Kind, name string, rows, cols, n, m int, fill func(g *Graph)) (*Graph, error) {
+	g, err := newGraph(kind, name, rows, cols, n, m)
+	if err != nil {
 		return nil, err
+	}
+	fill(g)
+	if err := g.checkPositions(); err != nil {
+		return nil, err
+	}
+	for i := range g.edges {
+		if err := g.checkEdge(g.Edge(i)); err != nil {
+			return nil, err
+		}
 	}
 	return g, nil
 }
 
-// validate checks the invariants New documents.
-func (g *Graph) validate() error {
-	for i, c := range g.cells {
-		if int(c.ID) != i {
-			return fmt.Errorf("comm: cell at index %d has ID %d", i, c.ID)
-		}
+// gridCells returns rows·cols, or -1 when the product overflows int.
+func gridCells(rows, cols int) int {
+	if rows > math.MaxInt/cols {
+		return -1
 	}
-	if a, b, dup := firstSharedPosition(g.cells); dup {
-		return fmt.Errorf("comm: cells %d and %d share position %v", a, b, g.cells[b].Pos)
-	}
-	n := CellID(len(g.cells))
-	for _, e := range g.edges {
-		for _, end := range [2]CellID{e.From, e.To} {
-			if end < Host || end >= n {
-				return fmt.Errorf("comm: edge %v references unknown cell %d", e, end)
-			}
-		}
-		if e.From == e.To {
-			return fmt.Errorf("comm: self-loop edge on cell %d", e.From)
-		}
+	return rows * cols
+}
+
+// checkPositions rejects two cells at one position.
+func (g *Graph) checkPositions() error {
+	if a, b, dup := firstSharedPosition(g.pos); dup {
+		return fmt.Errorf("comm: cells %d and %d share position %v", a, b, g.pos[b])
 	}
 	return nil
+}
+
+// checkEdge rejects an edge with an endpoint that is neither a cell of g
+// nor the host, and a self-loop.
+func (g *Graph) checkEdge(e Edge) error {
+	n := CellID(len(g.pos))
+	for _, end := range [2]CellID{e.From, e.To} {
+		if end < Host || end >= n {
+			return fmt.Errorf("comm: edge %v references unknown cell %d", e, end)
+		}
+	}
+	if e.From == e.To {
+		return fmt.Errorf("comm: self-loop edge on cell %d", e.From)
+	}
+	return nil
+}
+
+// appendEdge checks e as New documents and then appends it, narrowed,
+// with its label interned in labels.
+func (g *Graph) appendEdge(e Edge, labels *labelTable) error {
+	if err := g.checkEdge(e); err != nil {
+		return err
+	}
+	g.edges = append(g.edges, edge{int32(e.From), int32(e.To), labels.intern(e.Label)})
+	return nil
+}
+
+// addEdge appends the edge from → to labelled builtinLabels[label].
+func (g *Graph) addEdge(from, to CellID, label uint32) {
+	g.edges = append(g.edges, edge{int32(from), int32(to), label})
+}
+
+// builtinLabels is the label table of every graph a topology builder
+// makes; the label constants index it.
+var builtinLabels = []string{"x", "y", "e", "w", "n", "s", "ne", "sw", "nw", "se",
+	"in", "out", "down", "up", "wrap-e", "wrap-w", "wrap-n", "wrap-s"}
+
+// Indices into builtinLabels.
+const (
+	labelX uint32 = iota
+	labelY
+	labelE
+	labelW
+	labelN
+	labelS
+	labelNE
+	labelSW
+	labelNW
+	labelSE
+	labelIn
+	labelOut
+	labelDown
+	labelUp
+	labelWrapE
+	labelWrapW
+	labelWrapN
+	labelWrapS
+)
+
+// labelTable interns the labels of a graph under construction.
+type labelTable struct {
+	names []string
+	index map[string]uint32
+}
+
+// intern returns label's index in the table, adding it if it is new.
+func (t *labelTable) intern(label string) uint32 {
+	if i, ok := t.index[label]; ok {
+		return i
+	}
+	if t.index == nil {
+		t.index = make(map[string]uint32)
+	}
+	i := uint32(len(t.names))
+	t.index[label] = i
+	t.names = append(t.names, label)
+	return i
 }
 
 // firstSharedPosition returns the first cell b whose position equals an
 // earlier cell a's, comparing positions with == as a map keyed by
 // geom.Point would. It probes an open-addressing table of cell indices:
 // one allocation and O(cells) expected time.
-func firstSharedPosition(cells []Cell) (a, b CellID, dup bool) {
+func firstSharedPosition(pos []geom.Point) (a, b CellID, dup bool) {
 	size := 1
-	for size < 2*len(cells) {
+	for size < 2*len(pos) {
 		size <<= 1
 	}
 	mask := uint64(size - 1)
 	slots := make([]int32, size) // cell index + 1; 0 marks an empty slot
-	for i := range cells {
-		p := cells[i].Pos
+	for i, p := range pos {
 		h := posHash(p) & mask
 		for ; slots[h] != 0; h = (h + 1) & mask {
-			if j := slots[h] - 1; cells[j].Pos == p {
+			if j := slots[h] - 1; pos[j] == p {
 				return CellID(j), CellID(i), true
 			}
 		}
@@ -215,13 +345,13 @@ func (g *Graph) CellAt(row, col int) (Cell, bool) {
 	}
 	if grid := g.cellGrid(); grid != nil {
 		if id := grid[row*g.cols+col]; id != 0 {
-			return g.cells[id-1], true
+			return g.Cell(CellID(id - 1)), true
 		}
 		return Cell{}, false
 	}
-	for i := len(g.cells) - 1; i >= 0; i-- {
-		if c := g.cells[i]; c.Row == row && c.Col == col {
-			return c, true
+	for i := len(g.pos) - 1; i >= 0; i-- {
+		if g.row[i] == row && g.col[i] == col {
+			return g.Cell(CellID(i)), true
 		}
 	}
 	return Cell{}, false
@@ -232,14 +362,14 @@ func (g *Graph) CellAt(row, col int) (Cell, bool) {
 // that the grid is non-empty; the division keeps decoded dimensions from
 // overflowing the product.
 func (g *Graph) cellGrid() []int32 {
-	if g.lazy == nil || g.rows > (4*len(g.cells)+16)/g.cols {
+	if g.lazy == nil || g.rows > (4*len(g.pos)+16)/g.cols {
 		return nil
 	}
 	g.lazy.gridOnce.Do(func() {
 		grid := make([]int32, g.rows*g.cols)
-		for i, c := range g.cells {
-			if c.Row >= 0 && c.Row < g.rows && c.Col >= 0 && c.Col < g.cols {
-				grid[c.Row*g.cols+c.Col] = int32(i + 1)
+		for i, r := range g.row {
+			if c := g.col[i]; r >= 0 && r < g.rows && c >= 0 && c < g.cols {
+				grid[r*g.cols+c] = int32(i + 1)
 			}
 		}
 		g.lazy.grid = grid
@@ -250,9 +380,9 @@ func (g *Graph) cellGrid() []int32 {
 // HostEdges returns the edges that connect the array to the host.
 func (g *Graph) HostEdges() []Edge {
 	var out []Edge
-	for _, e := range g.edges {
-		if e.From == Host || e.To == Host {
-			out = append(out, e)
+	for i, e := range g.edges {
+		if e.from == int32(Host) || e.to == int32(Host) {
+			out = append(out, g.Edge(i))
 		}
 	}
 	return out
@@ -262,8 +392,8 @@ func (g *Graph) HostEdges() []Edge {
 // half a cell pitch on each side so each unit-area cell fits (A2).
 func (g *Graph) Bounds() geom.Rect {
 	r := geom.EmptyRect()
-	for _, c := range g.cells {
-		r = r.Union(geom.Rect{Min: c.Pos, Max: c.Pos})
+	for _, p := range g.pos {
+		r = r.Union(geom.Rect{Min: p, Max: p})
 	}
 	return r.Expand(0.5)
 }
@@ -275,7 +405,7 @@ func (g *Graph) MaxEdgeLength() float64 {
 	var m float64
 	c := g.PairIndex().Cursor(0)
 	for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
-		if d := g.cells[a].Pos.Dist(g.cells[b].Pos); d > m {
+		if d := g.pos[a].Dist(g.pos[b]); d > m {
 			m = d
 		}
 	}
@@ -288,8 +418,10 @@ func Linear(n int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("comm: Linear needs n ≥ 1, got %d", n)
 	}
-	edges := chainEdges(make([]Edge, 0, n+1), n, "x")
-	return newGraph(KindLinear, fmt.Sprintf("linear-%d", n), 1, n, rowCells(n), edges)
+	return build(KindLinear, fmt.Sprintf("linear-%d", n), 1, n, n, n+1, func(g *Graph) {
+		g.rowCells()
+		g.chainEdges(labelX)
+	})
 }
 
 // Bidirectional returns an n-cell linear array with edges in both
@@ -299,14 +431,15 @@ func Bidirectional(n int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("comm: Linear needs n ≥ 1, got %d", n)
 	}
-	edges := chainEdges(make([]Edge, 0, 2*n+2), n, "x")
-	for i := 0; i+1 < n; i++ {
-		edges = append(edges, Edge{From: CellID(i + 1), To: CellID(i), Label: "y"})
-	}
-	edges = append(edges,
-		Edge{From: 0, To: Host, Label: "y"},
-		Edge{From: Host, To: CellID(n - 1), Label: "y"})
-	return newGraph(KindLinear, fmt.Sprintf("bidi-%d", n), 1, n, rowCells(n), edges)
+	return build(KindLinear, fmt.Sprintf("bidi-%d", n), 1, n, n, 2*n+2, func(g *Graph) {
+		g.rowCells()
+		g.chainEdges(labelX)
+		for i := 0; i+1 < n; i++ {
+			g.addEdge(CellID(i+1), CellID(i), labelY)
+		}
+		g.addEdge(0, Host, labelY)
+		g.addEdge(Host, CellID(n-1), labelY)
+	})
 }
 
 // LinearDual returns an n-cell one-dimensional array carrying two
@@ -317,28 +450,29 @@ func LinearDual(n int) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("comm: LinearDual needs n ≥ 1, got %d", n)
 	}
-	edges := chainEdges(make([]Edge, 0, 2*n+2), n, "x")
-	edges = chainEdges(edges, n, "y")
-	return newGraph(KindLinear, fmt.Sprintf("lineardual-%d", n), 1, n, rowCells(n), edges)
+	return build(KindLinear, fmt.Sprintf("lineardual-%d", n), 1, n, n, 2*n+2, func(g *Graph) {
+		g.rowCells()
+		g.chainEdges(labelX)
+		g.chainEdges(labelY)
+	})
 }
 
-// rowCells returns n cells at (0,0)…(n−1,0), on grid row 0.
-func rowCells(n int) []Cell {
-	cells := make([]Cell, n)
-	for i := range cells {
-		cells[i] = Cell{ID: CellID(i), Pos: geom.Pt(float64(i), 0), Col: i}
+// rowCells places g's cells at (0,0)…(n−1,0), on grid row 0.
+func (g *Graph) rowCells() {
+	for i := range g.pos {
+		g.pos[i], g.col[i] = geom.Pt(float64(i), 0), i
 	}
-	return cells
 }
 
-// chainEdges appends a left-to-right stream with the given label over n
-// cells: in from the host at cell 0, out to the host from cell n−1.
-func chainEdges(edges []Edge, n int, label string) []Edge {
-	edges = append(edges, Edge{From: Host, To: 0, Label: label})
+// chainEdges appends a left-to-right stream with the given label over
+// g's cells: in from the host at cell 0, out to the host from the last.
+func (g *Graph) chainEdges(label uint32) {
+	n := len(g.pos)
+	g.addEdge(Host, 0, label)
 	for i := 0; i+1 < n; i++ {
-		edges = append(edges, Edge{From: CellID(i), To: CellID(i + 1), Label: label})
+		g.addEdge(CellID(i), CellID(i+1), label)
 	}
-	return append(edges, Edge{From: CellID(n - 1), To: Host, Label: label})
+	g.addEdge(CellID(n-1), Host, label)
 }
 
 // Ring returns an n-cell ring laid out on a rectangle perimeter so that
@@ -347,13 +481,12 @@ func Ring(n int) (*Graph, error) {
 	if n < 3 {
 		return nil, fmt.Errorf("comm: Ring needs n ≥ 3, got %d", n)
 	}
-	cells := make([]Cell, n)
-	edges := make([]Edge, n)
-	for i := 0; i < n; i++ {
-		cells[i] = Cell{ID: CellID(i), Pos: ringPos(i, n), Col: i}
-		edges[i] = Edge{From: CellID(i), To: CellID((i + 1) % n), Label: "x"}
-	}
-	return newGraph(KindRing, fmt.Sprintf("ring-%d", n), 0, 0, cells, edges)
+	return build(KindRing, fmt.Sprintf("ring-%d", n), 0, 0, n, n, func(g *Graph) {
+		for i := 0; i < n; i++ {
+			g.pos[i], g.col[i] = ringPos(i, n), i
+			g.addEdge(CellID(i), CellID((i+1)%n), labelX)
+		}
+	})
 }
 
 // ringPos flattens the loop into two facing rows (a hairpin): cells 0..⌈n/2⌉−1
@@ -375,45 +508,46 @@ func Mesh(rows, cols int) (*Graph, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("comm: Mesh needs positive dims, got %d×%d", rows, cols)
 	}
-	cells, edges := meshParts(rows, cols, 2)
-	edges = appendMeshHostEdges(edges, rows, cols)
-	return newGraph(KindMesh, fmt.Sprintf("mesh-%dx%d", rows, cols), rows, cols, cells, edges)
+	return build(KindMesh, fmt.Sprintf("mesh-%dx%d", rows, cols), rows, cols,
+		gridCells(rows, cols), meshEdges(rows, cols)+2, func(g *Graph) {
+			g.layMesh()
+			g.meshHostEdges()
+		})
 }
 
-// meshParts returns an r×c mesh's cells, in row-major order, and its
-// neighbor edges, with room for extra more edges.
-func meshParts(rows, cols, extra int) ([]Cell, []Edge) {
-	cells := make([]Cell, 0, rows*cols)
+// meshEdges is the number of neighbor edges of a rows×cols mesh.
+func meshEdges(rows, cols int) int { return 2*rows*(cols-1) + 2*cols*(rows-1) }
+
+// layMesh places g's Rows×Cols cells in row-major order and appends the
+// mesh's neighbor edges.
+func (g *Graph) layMesh() {
+	rows, cols := g.rows, g.cols
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
-			cells = append(cells, Cell{ID: CellID(len(cells)), Pos: geom.Pt(float64(c), float64(r)), Row: r, Col: c})
+			i := r*cols + c
+			g.pos[i], g.row[i], g.col[i] = geom.Pt(float64(c), float64(r)), r, c
 		}
 	}
-	edges := make([]Edge, 0, 2*rows*(cols-1)+2*cols*(rows-1)+extra)
 	id := func(r, c int) CellID { return CellID(r*cols + c) }
 	for r := 0; r < rows; r++ {
 		for c := 0; c < cols; c++ {
 			if c+1 < cols {
-				edges = append(edges,
-					Edge{From: id(r, c), To: id(r, c+1), Label: "e"},
-					Edge{From: id(r, c+1), To: id(r, c), Label: "w"})
+				g.addEdge(id(r, c), id(r, c+1), labelE)
+				g.addEdge(id(r, c+1), id(r, c), labelW)
 			}
 			if r+1 < rows {
-				edges = append(edges,
-					Edge{From: id(r, c), To: id(r+1, c), Label: "n"},
-					Edge{From: id(r+1, c), To: id(r, c), Label: "s"})
+				g.addEdge(id(r, c), id(r+1, c), labelN)
+				g.addEdge(id(r+1, c), id(r, c), labelS)
 			}
 		}
 	}
-	return cells, edges
 }
 
-// appendMeshHostEdges appends Mesh's host input at the row-0 west corner
-// and host output at the opposite corner.
-func appendMeshHostEdges(edges []Edge, rows, cols int) []Edge {
-	return append(edges,
-		Edge{From: Host, To: 0, Label: "in"},
-		Edge{From: CellID(rows*cols - 1), To: Host, Label: "out"})
+// meshHostEdges appends Mesh's host input at the row-0 west corner and
+// host output at the opposite corner.
+func (g *Graph) meshHostEdges() {
+	g.addEdge(Host, 0, labelIn)
+	g.addEdge(CellID(len(g.pos)-1), Host, labelOut)
 }
 
 // MeshWithBoundaryIO returns an r×c mesh whose west boundary cells each
@@ -426,19 +560,19 @@ func MeshWithBoundaryIO(rows, cols int) (*Graph, error) {
 	if rows < 1 || cols < 1 {
 		return nil, fmt.Errorf("comm: Mesh needs positive dims, got %d×%d", rows, cols)
 	}
-	cells, edges := meshParts(rows, cols, 2*(rows+cols))
-	id := func(r, c int) CellID { return CellID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		edges = append(edges,
-			Edge{From: Host, To: id(r, 0), Label: "e"},
-			Edge{From: id(r, cols-1), To: Host, Label: "e"})
-	}
-	for c := 0; c < cols; c++ {
-		edges = append(edges,
-			Edge{From: Host, To: id(0, c), Label: "n"},
-			Edge{From: id(rows-1, c), To: Host, Label: "n"})
-	}
-	return newGraph(KindMesh, fmt.Sprintf("meshio-%dx%d", rows, cols), rows, cols, cells, edges)
+	return build(KindMesh, fmt.Sprintf("meshio-%dx%d", rows, cols), rows, cols,
+		gridCells(rows, cols), meshEdges(rows, cols)+2*(rows+cols), func(g *Graph) {
+			g.layMesh()
+			id := func(r, c int) CellID { return CellID(r*cols + c) }
+			for r := 0; r < rows; r++ {
+				g.addEdge(Host, id(r, 0), labelE)
+				g.addEdge(id(r, cols-1), Host, labelE)
+			}
+			for c := 0; c < cols; c++ {
+				g.addEdge(Host, id(0, c), labelN)
+				g.addEdge(id(rows-1, c), Host, labelN)
+			}
+		})
 }
 
 // Hex returns a hexagonal array with the given number of cells per side
@@ -448,45 +582,45 @@ func Hex(side int) (*Graph, error) {
 	if side < 1 {
 		return nil, fmt.Errorf("comm: Hex needs side ≥ 1, got %d", side)
 	}
-	cells, edges := hexParts(side, 0)
-	return newGraph(KindHex, fmt.Sprintf("hex-%d", side), side, side, cells, edges)
+	return build(KindHex, fmt.Sprintf("hex-%d", side), side, side,
+		gridCells(side, side), hexEdges(side), (*Graph).layHex)
 }
 
-// hexParts returns a side×side hexagonal array's cells, in row-major
-// order, and its neighbor edges, with room for extra more edges.
-func hexParts(side, extra int) ([]Cell, []Edge) {
+// hexEdges is the number of neighbor edges of a side×side hexagonal
+// array.
+func hexEdges(side int) int { return 4*side*(side-1) + 2*(side-1)*(side-1) }
+
+// layHex places g's Rows×Rows hexagonal array cells in row-major order
+// and appends their neighbor edges.
+func (g *Graph) layHex() {
+	side := g.rows
 	dx, dy := 1.0, math.Sqrt(3)/2
-	cells := make([]Cell, 0, side*side)
 	for r := 0; r < side; r++ {
 		for c := 0; c < side; c++ {
 			x := float64(c) + float64(r)*0.5
-			cells = append(cells, Cell{ID: CellID(len(cells)), Pos: geom.Pt(x*dx, float64(r)*dy), Row: r, Col: c})
+			i := r*side + c
+			g.pos[i], g.row[i], g.col[i] = geom.Pt(x*dx, float64(r)*dy), r, c
 		}
 	}
-	edges := make([]Edge, 0, 4*side*(side-1)+2*(side-1)*(side-1)+extra)
 	id := func(r, c int) CellID { return CellID(r*side + c) }
 	for r := 0; r < side; r++ {
 		for c := 0; c < side; c++ {
 			// Three of the six hex directions; the reverse edges complete
 			// the other three.
 			if c+1 < side {
-				edges = append(edges,
-					Edge{From: id(r, c), To: id(r, c+1), Label: "e"},
-					Edge{From: id(r, c+1), To: id(r, c), Label: "w"})
+				g.addEdge(id(r, c), id(r, c+1), labelE)
+				g.addEdge(id(r, c+1), id(r, c), labelW)
 			}
 			if r+1 < side {
-				edges = append(edges,
-					Edge{From: id(r, c), To: id(r+1, c), Label: "ne"},
-					Edge{From: id(r+1, c), To: id(r, c), Label: "sw"})
+				g.addEdge(id(r, c), id(r+1, c), labelNE)
+				g.addEdge(id(r+1, c), id(r, c), labelSW)
 			}
 			if r+1 < side && c-1 >= 0 {
-				edges = append(edges,
-					Edge{From: id(r, c), To: id(r+1, c-1), Label: "nw"},
-					Edge{From: id(r+1, c-1), To: id(r, c), Label: "se"})
+				g.addEdge(id(r, c), id(r+1, c-1), labelNW)
+				g.addEdge(id(r+1, c-1), id(r, c), labelSE)
 			}
 		}
 	}
-	return cells, edges
 }
 
 // HexWithBandIO returns a w×w hexagonal array (Fig. 3(c)) wired for band
@@ -498,19 +632,21 @@ func HexWithBandIO(w int) (*Graph, error) {
 	if w < 1 {
 		return nil, fmt.Errorf("comm: Hex needs side ≥ 1, got %d", w)
 	}
-	cells, edges := hexParts(w, 4*w-1)
-	id := func(u, v int) CellID { return CellID(u*w + v) }
-	for u := 0; u < w; u++ {
-		edges = append(edges, Edge{From: Host, To: id(u, 0), Label: "e"})
-	}
-	for v := 0; v < w; v++ {
-		edges = append(edges, Edge{From: Host, To: id(0, v), Label: "ne"})
-		edges = append(edges, Edge{From: id(0, v), To: Host, Label: "se"})
-	}
-	for u := 1; u < w; u++ {
-		edges = append(edges, Edge{From: id(u, w-1), To: Host, Label: "se"})
-	}
-	return newGraph(KindHex, fmt.Sprintf("hexio-%d", w), w, w, cells, edges)
+	return build(KindHex, fmt.Sprintf("hexio-%d", w), w, w,
+		gridCells(w, w), hexEdges(w)+4*w-1, func(g *Graph) {
+			g.layHex()
+			id := func(u, v int) CellID { return CellID(u*w + v) }
+			for u := 0; u < w; u++ {
+				g.addEdge(Host, id(u, 0), labelE)
+			}
+			for v := 0; v < w; v++ {
+				g.addEdge(Host, id(0, v), labelNE)
+				g.addEdge(id(0, v), Host, labelSE)
+			}
+			for u := 1; u < w; u++ {
+				g.addEdge(id(u, w-1), Host, labelSE)
+			}
+		})
 }
 
 // Torus returns an r×c torus: a mesh with wraparound edges. Wraparound
@@ -521,20 +657,20 @@ func Torus(rows, cols int) (*Graph, error) {
 	if rows < 3 || cols < 3 {
 		return nil, fmt.Errorf("comm: Torus needs dims ≥ 3, got %d×%d", rows, cols)
 	}
-	cells, edges := meshParts(rows, cols, 2+2*(rows+cols))
-	edges = appendMeshHostEdges(edges, rows, cols)
-	id := func(r, c int) CellID { return CellID(r*cols + c) }
-	for r := 0; r < rows; r++ {
-		edges = append(edges,
-			Edge{From: id(r, cols-1), To: id(r, 0), Label: "wrap-e"},
-			Edge{From: id(r, 0), To: id(r, cols-1), Label: "wrap-w"})
-	}
-	for c := 0; c < cols; c++ {
-		edges = append(edges,
-			Edge{From: id(rows-1, c), To: id(0, c), Label: "wrap-n"},
-			Edge{From: id(0, c), To: id(rows-1, c), Label: "wrap-s"})
-	}
-	return newGraph(KindTorus, fmt.Sprintf("torus-%dx%d", rows, cols), rows, cols, cells, edges)
+	return build(KindTorus, fmt.Sprintf("torus-%dx%d", rows, cols), rows, cols,
+		gridCells(rows, cols), meshEdges(rows, cols)+2+2*(rows+cols), func(g *Graph) {
+			g.layMesh()
+			g.meshHostEdges()
+			id := func(r, c int) CellID { return CellID(r*cols + c) }
+			for r := 0; r < rows; r++ {
+				g.addEdge(id(r, cols-1), id(r, 0), labelWrapE)
+				g.addEdge(id(r, 0), id(r, cols-1), labelWrapW)
+			}
+			for c := 0; c < cols; c++ {
+				g.addEdge(id(rows-1, c), id(0, c), labelWrapN)
+				g.addEdge(id(0, c), id(rows-1, c), labelWrapS)
+			}
+		})
 }
 
 // CompleteBinaryTree returns a complete binary tree COMM graph with the
@@ -546,22 +682,20 @@ func CompleteBinaryTree(levels int) (*Graph, error) {
 		return nil, fmt.Errorf("comm: CompleteBinaryTree needs 1 ≤ levels ≤ 24, got %d", levels)
 	}
 	n := (1 << levels) - 1
-	pos := make([]geom.Point, n)
-	hTreePositions(pos, 0, geom.Pt(0, 0), levels, true)
-	cells := make([]Cell, n)
-	for v := range cells {
-		cells[v] = Cell{ID: CellID(v), Pos: pos[v], Col: v}
-	}
-	edges := make([]Edge, 0, 2*(n-1)+2)
-	for v := 0; 2*v+2 < n; v++ {
-		for _, ch := range []int{2*v + 1, 2*v + 2} {
-			edges = append(edges,
-				Edge{From: CellID(v), To: CellID(ch), Label: "down"},
-				Edge{From: CellID(ch), To: CellID(v), Label: "up"})
+	return build(KindTree, fmt.Sprintf("tree-%d", levels), 0, 0, n, 2*(n-1)+2, func(g *Graph) {
+		hTreePositions(g.pos, 0, geom.Pt(0, 0), levels, true)
+		for v := range g.col {
+			g.col[v] = v
 		}
-	}
-	edges = append(edges, Edge{From: Host, To: 0, Label: "in"}, Edge{From: 0, To: Host, Label: "out"})
-	return newGraph(KindTree, fmt.Sprintf("tree-%d", levels), 0, 0, cells, edges)
+		for v := 0; 2*v+2 < n; v++ {
+			for _, ch := range []int{2*v + 1, 2*v + 2} {
+				g.addEdge(CellID(v), CellID(ch), labelDown)
+				g.addEdge(CellID(ch), CellID(v), labelUp)
+			}
+		}
+		g.addEdge(Host, 0, labelIn)
+		g.addEdge(0, Host, labelOut)
+	})
 }
 
 // hTreePositions recursively places the subtree rooted at v (heap index)

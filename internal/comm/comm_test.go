@@ -184,25 +184,25 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		_, err := New(base.Kind(), base.Name, base.Rows(), base.Cols(), cells, edges)
 		return err
 	}
-	cells := append([]Cell(nil), base.cells...)
+	cells := cellsOf(base)
 	cells[1].ID = 7
-	if err := build(cells, base.edges); err == nil {
+	if err := build(cells, edgesOf(base)); err == nil {
 		t.Error("bad cell ID not caught")
 	}
-	cells = append([]Cell(nil), base.cells...)
+	cells = cellsOf(base)
 	cells[2].Pos = cells[0].Pos
-	if err := build(cells, base.edges); err == nil {
+	if err := build(cells, edgesOf(base)); err == nil {
 		t.Error("duplicate position not caught")
 	}
-	edges := append(append([]Edge(nil), base.edges...), Edge{From: 0, To: 99})
-	if err := build(base.cells, edges); err == nil {
+	edges := append(edgesOf(base), Edge{From: 0, To: 99})
+	if err := build(cellsOf(base), edges); err == nil {
 		t.Error("dangling edge not caught")
 	}
-	edges = append(append([]Edge(nil), base.edges...), Edge{From: 1, To: 1})
-	if err := build(base.cells, edges); err == nil {
+	edges = append(edgesOf(base), Edge{From: 1, To: 1})
+	if err := build(cellsOf(base), edges); err == nil {
 		t.Error("self-loop not caught")
 	}
-	if err := build(base.cells, base.edges); err != nil {
+	if err := build(cellsOf(base), edgesOf(base)); err != nil {
 		t.Errorf("intact graph rejected: %v", err)
 	}
 }
@@ -398,8 +398,8 @@ func TestMutationBeforeFirstPairsCallAllowed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := append([]Cell(nil), base.cells...)
-	edges := append(append([]Edge(nil), base.edges...), Edge{From: 0, To: 3, Label: "late"})
+	cells := cellsOf(base)
+	edges := append(edgesOf(base), Edge{From: 0, To: 3, Label: "late"})
 	g, err := New(KindLinear, "edited", 1, 4, cells, edges)
 	if err != nil {
 		t.Fatal(err)
@@ -428,5 +428,22 @@ func TestCommunicatingPairsLiteralGraph(t *testing.T) {
 	}
 	if got := indexPairs(g.PairIndex()); len(got) != 1 || got[0] != [2]CellID{0, 1} {
 		t.Fatalf("literal graph pairs = %v", got)
+	}
+}
+
+// Cell IDs are stored as int32, so a graph of more than math.MaxInt32
+// cells is rejected before anything is allocated for it.
+func TestGraphOverInt32CellsRejected(t *testing.T) {
+	for name, build := range map[string]func() (*Graph, error){
+		"linear": func() (*Graph, error) { return Linear(math.MaxInt32 + 1) },
+		"ring":   func() (*Graph, error) { return Ring(math.MaxInt32 + 1) },
+		"mesh":   func() (*Graph, error) { return Mesh(1<<16, 1<<16) },
+		"meshio": func() (*Graph, error) { return MeshWithBoundaryIO(1<<40, 1<<40) },
+		"torus":  func() (*Graph, error) { return Torus(math.MaxInt64, 3) },
+		"hex":    func() (*Graph, error) { return Hex(1 << 16) },
+	} {
+		if _, err := build(); err == nil {
+			t.Errorf("%s: graph over %d cells accepted", name, math.MaxInt32)
+		}
 	}
 }

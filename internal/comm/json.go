@@ -35,14 +35,14 @@ type edgeJSON struct {
 func (g *Graph) toJSON() graphJSON {
 	out := graphJSON{
 		Kind: g.kind, Name: g.Name, Rows: g.rows, Cols: g.cols,
-		Cells: make([]cellJSON, len(g.cells)),
+		Cells: make([]cellJSON, len(g.pos)),
 		Edges: make([]edgeJSON, len(g.edges)),
 	}
-	for i, c := range g.cells {
-		out.Cells[i] = cellJSON{ID: c.ID, X: c.Pos.X, Y: c.Pos.Y, Row: c.Row, Col: c.Col}
+	for i, p := range g.pos {
+		out.Cells[i] = cellJSON{ID: CellID(i), X: p.X, Y: p.Y, Row: g.row[i], Col: g.col[i]}
 	}
 	for i, e := range g.edges {
-		out.Edges[i] = edgeJSON{From: e.From, To: e.To, Label: e.Label}
+		out.Edges[i] = edgeJSON{From: CellID(e.from), To: CellID(e.to), Label: g.labels[e.label]}
 	}
 	return out
 }
@@ -61,7 +61,7 @@ func fromJSON(in graphJSON) (*Graph, error) {
 	for i, e := range in.Edges {
 		edges[i] = Edge{From: e.From, To: e.To, Label: e.Label}
 	}
-	g, err := newGraph(in.Kind, in.Name, in.Rows, in.Cols, cells, edges)
+	g, err := New(in.Kind, in.Name, in.Rows, in.Cols, cells, edges)
 	if err != nil {
 		return nil, fmt.Errorf("comm: decoded graph invalid: %w", err)
 	}

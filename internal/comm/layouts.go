@@ -15,19 +15,20 @@ func FoldLinear(g *Graph) (*Graph, error) {
 	if g.kind != KindLinear {
 		return nil, fmt.Errorf("comm: FoldLinear needs a linear array, got %q", g.kind)
 	}
-	n := len(g.cells)
+	n := len(g.pos)
 	half := (n + 1) / 2
-	cells := make([]Cell, n)
-	for i := range cells {
-		if i < half {
-			cells[i] = Cell{ID: CellID(i), Pos: geom.Pt(float64(i), 0), Row: 0, Col: i}
-		} else {
-			cells[i] = Cell{ID: CellID(i), Pos: geom.Pt(float64(n-1-i), 1), Row: 1, Col: n - 1 - i}
+	return build(g.kind, "folded-"+g.Name, 2, half, n, 0, func(f *Graph) {
+		// The edges are shared with g rather than copied: both graphs
+		// are immutable.
+		f.edges, f.labels = g.edges, g.labels
+		for i := range f.pos {
+			if i < half {
+				f.pos[i], f.col[i] = geom.Pt(float64(i), 0), i
+			} else {
+				f.pos[i], f.row[i], f.col[i] = geom.Pt(float64(n-1-i), 1), 1, n-1-i
+			}
 		}
-	}
-	// The edges are shared with g rather than copied: both graphs are
-	// immutable.
-	return newGraph(g.kind, "folded-"+g.Name, 2, half, cells, g.edges)
+	})
 }
 
 // CombLinear returns a copy of a linear array with its cells repositioned
@@ -41,18 +42,20 @@ func CombLinear(g *Graph, toothHeight int) (*Graph, error) {
 	if toothHeight < 1 {
 		return nil, fmt.Errorf("comm: CombLinear toothHeight must be ≥ 1, got %d", toothHeight)
 	}
-	cells := make([]Cell, len(g.cells))
-	for i := range cells {
-		tooth := i / toothHeight
-		within := i % toothHeight
-		y := within
-		if tooth%2 == 1 {
-			y = toothHeight - 1 - within
+	n := len(g.pos)
+	cols := (n+toothHeight-1)/toothHeight*2 - 1
+	return build(g.kind, fmt.Sprintf("comb%d-%s", toothHeight, g.Name), toothHeight, cols, n, 0, func(f *Graph) {
+		f.edges, f.labels = g.edges, g.labels
+		for i := range f.pos {
+			tooth := i / toothHeight
+			within := i % toothHeight
+			y := within
+			if tooth%2 == 1 {
+				y = toothHeight - 1 - within
+			}
+			// Teeth are two pitches apart so the comb's gaps are visible in
+			// the layout (and wires between teeth have length 2).
+			f.pos[i], f.row[i], f.col[i] = geom.Pt(float64(2*tooth), float64(y)), y, 2*tooth
 		}
-		// Teeth are two pitches apart so the comb's gaps are visible in
-		// the layout (and wires between teeth have length 2).
-		cells[i] = Cell{ID: CellID(i), Pos: geom.Pt(float64(2*tooth), float64(y)), Row: y, Col: 2 * tooth}
-	}
-	cols := (len(g.cells)+toothHeight-1)/toothHeight*2 - 1
-	return newGraph(g.kind, fmt.Sprintf("comb%d-%s", toothHeight, g.Name), toothHeight, cols, cells, g.edges)
+	})
 }

@@ -85,7 +85,7 @@ func (g *Graph) PairIndex() *PairIndex {
 	if g.lazy == nil {
 		return buildPairIndex(0, nil) // the zero Graph: no cells, no pairs
 	}
-	g.lazy.pairsOnce.Do(func() { g.lazy.pairs = buildPairIndex(len(g.cells), g.edges) })
+	g.lazy.pairsOnce.Do(func() { g.lazy.pairs = buildPairIndex(len(g.pos), g.edges) })
 	return g.lazy.pairs
 }
 
@@ -96,7 +96,7 @@ func (g *Graph) PairIndex() *PairIndex {
 // order, and a duplicate (a parallel or reversed edge) is always the
 // entry just written to its row; a per-row stamp of the last b seen
 // skips it, once while counting row sizes and once while filling.
-func buildPairIndex(n int, edges []Edge) *PairIndex {
+func buildPairIndex(n int, edges []edge) *PairIndex {
 	// byHigh is a counting-sort offset table: after the scatter, bucket b
 	// is lows[byHigh[b]:byHigh[b+1]].
 	byHigh := make([]int64, n+2)
@@ -111,7 +111,7 @@ func buildPairIndex(n int, edges []Edge) *PairIndex {
 	lows := make([]int32, byHigh[n+1])
 	for _, e := range edges {
 		if a, b, ok := pairOf(e); ok {
-			lows[byHigh[b+1]] = int32(a)
+			lows[byHigh[b+1]] = a
 			byHigh[b+1]++
 		}
 	}
@@ -147,12 +147,12 @@ func buildPairIndex(n int, edges []Edge) *PairIndex {
 
 // pairOf returns e's endpoints as a < b, or ok=false for host edges.
 // Self-loops never reach here: validation rejects them.
-func pairOf(e Edge) (a, b CellID, ok bool) {
-	if e.From == Host || e.To == Host {
+func pairOf(e edge) (a, b int32, ok bool) {
+	if e.from == int32(Host) || e.to == int32(Host) {
 		return 0, 0, false
 	}
-	if e.From < e.To {
-		return e.From, e.To, true
+	if e.from < e.to {
+		return e.from, e.to, true
 	}
-	return e.To, e.From, true
+	return e.to, e.from, true
 }

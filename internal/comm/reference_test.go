@@ -41,3 +41,21 @@ func indexPairs(ix *PairIndex) [][2]CellID {
 	}
 	return out
 }
+
+// cellsOf returns a fresh slice of g's cells, in ID order.
+func cellsOf(g *Graph) []Cell {
+	cells := make([]Cell, g.NumCells())
+	for i := range cells {
+		cells[i] = g.Cell(CellID(i))
+	}
+	return cells
+}
+
+// edgesOf returns a fresh slice of g's edges, in construction order.
+func edgesOf(g *Graph) []Edge {
+	edges := make([]Edge, g.NumEdges())
+	for i := range edges {
+		edges[i] = g.Edge(i)
+	}
+	return edges
+}

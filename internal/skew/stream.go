@@ -212,15 +212,19 @@ func (k *Kernel) Stream(ctx context.Context, model Model, opt StreamOptions) (St
 	defer span.End()
 
 	// Global accumulator: order-independent aggregates folded as shards
-	// complete (for Progress), plus the merged sketch. The
+	// complete (for Progress), plus the merged sketch, which comes from
+	// the kernel's sketch pool like the shard sketches. The
 	// order-dependent exact argmax is folded after Join, in shard order.
 	var mu sync.Mutex
 	var global struct {
-		sketch     stats.LogSketch
+		sketch     *stats.LogSketch
 		pairsDone  int64
 		shardsDone int
 		maxSkew    float64
 	}
+	global.sketch = k.sketches.Get().(*stats.LogSketch)
+	global.sketch.Reset()
+	defer k.sketches.Put(global.sketch)
 
 	results := runner.MapChunks(ctx, opt.Workers, nShards, 1, func(ctx context.Context, s, _ int) (shardAgg, error) {
 		if err := ctx.Err(); err != nil {

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"math"
+	"runtime"
+	"runtime/debug"
 	"sort"
 	"testing"
 
@@ -448,6 +450,45 @@ func TestEnginesChargeNothingForPairIndex(t *testing.T) {
 		if got, want := streamedTier(t, g, tree).FootprintBytes(), tree.FootprintBytes(); got != want {
 			t.Errorf("streamed-tier kernel %d FootprintBytes = %d, want %d (the tree alone)", i, got, want)
 		}
+	}
+}
+
+// TestStreamReusesPooledSketches checks that a warm Stream takes every
+// sketch it needs, the merged one included, from the kernel's pool: a
+// repeated call must allocate far less than one 32 KiB sketch.
+func TestStreamReusesPooledSketches(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	g, err := comm.Mesh(32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := clocktree.HTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := streamedTier(t, g, tree)
+	var m Model = Linear{M: 1, Eps: 0.1}
+	stream := func() {
+		if _, err := k.Stream(context.Background(), m, StreamOptions{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream() // fill the pool
+	// A collection would empty the pool; keep it off while measuring.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const calls = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		stream()
+	}
+	runtime.ReadMemStats(&after)
+	perCall := float64(after.TotalAlloc-before.TotalAlloc) / calls
+	t.Logf("warm Stream allocates %.0f B/call", perCall)
+	if perCall >= 8<<10 {
+		t.Fatalf("warm Stream allocates %.0f B/call, want < 8 KiB", perCall)
 	}
 }
 
