@@ -105,36 +105,13 @@ func main() {
 	}
 	writeObservability(tracer, *tracePath, *manifestPath, start, ms)
 
+	if err := vlsisync.WriteResults(dest, results, *format); err != nil {
+		fail(err)
+	}
 	failures := 0
 	for _, r := range results {
-		status := "PASS"
 		if !r.Pass {
-			status = "FAIL"
 			failures++
-		}
-		switch *format {
-		case "markdown":
-			fmt.Fprintf(dest, "### %s — %s [%s]\n\n", r.ID, r.Title, status)
-			fmt.Fprintf(dest, "*Paper claim:* %s\n\n*Measured:* %s\n\n", r.PaperClaim, r.Finding)
-			if err := r.Table.RenderMarkdown(dest); err != nil {
-				fail(err)
-			}
-			fmt.Fprintln(dest)
-		case "csv":
-			if err := r.Table.RenderCSV(dest); err != nil {
-				fail(err)
-			}
-			fmt.Fprintln(dest)
-		case "text":
-			fmt.Fprintf(dest, "=== %s — %s [%s]\n", r.ID, r.Title, status)
-			fmt.Fprintf(dest, "Paper claim: %s\n", r.PaperClaim)
-			fmt.Fprintf(dest, "Measured:    %s\n\n", r.Finding)
-			if err := r.Table.Render(dest); err != nil {
-				fail(err)
-			}
-			fmt.Fprintln(dest)
-		default:
-			fail(fmt.Errorf("unknown format %q", *format))
 		}
 	}
 	if runErr != nil {

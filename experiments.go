@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"time"
 
@@ -166,6 +167,39 @@ func RunExperiments(ctx context.Context, opts RunOptions) ([]*ExperimentResult, 
 		metrics[i] = m
 	}
 	return results, metrics, errors.Join(errs...)
+}
+
+// WriteResults renders results, in order, as cmd/experiments prints
+// them: format is "text", "markdown" or "csv". The output is a pure
+// function of the results, so it is byte-identical at any parallelism.
+func WriteResults(w io.Writer, results []*ExperimentResult, format string) error {
+	for _, r := range results {
+		status := "PASS"
+		if !r.Pass {
+			status = "FAIL"
+		}
+		var err error
+		switch format {
+		case "markdown":
+			fmt.Fprintf(w, "### %s — %s [%s]\n\n", r.ID, r.Title, status)
+			fmt.Fprintf(w, "*Paper claim:* %s\n\n*Measured:* %s\n\n", r.PaperClaim, r.Finding)
+			err = r.Table.RenderMarkdown(w)
+		case "csv":
+			err = r.Table.RenderCSV(w)
+		case "text":
+			fmt.Fprintf(w, "=== %s — %s [%s]\n", r.ID, r.Title, status)
+			fmt.Fprintf(w, "Paper claim: %s\n", r.PaperClaim)
+			fmt.Fprintf(w, "Measured:    %s\n\n", r.Finding)
+			err = r.Table.Render(w)
+		default:
+			return fmt.Errorf("unknown format %q", format)
+		}
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(w)
+	}
+	return nil
 }
 
 // RunAllExperiments reproduces the whole suite in order. Unlike earlier
