@@ -10,9 +10,10 @@ import (
 
 // The benchmarks here are the perf suite behind BENCH_clocksim.json:
 // the Reference* group measures the retained pre-kernel implementations
-// (the "before" column), the package-function group the kernel-backed
-// entry points, and the Kernel* group the amortized regime the serving
-// path lives in, where one Kernel is built once and queried per trial.
+// (the "before" column, and what the package functions run), and the
+// Kernel* group the amortized regime the serving path lives in, where
+// one Kernel is built once and queried per trial. The kernel's build is
+// skew's BenchmarkKernelBuild32.
 
 func benchSetup(b *testing.B, n int) (*comm.Graph, *clocktree.Tree) {
 	b.Helper()
@@ -48,23 +49,6 @@ func BenchmarkReferenceRandomSkew32(b *testing.B) {
 	}
 }
 
-func BenchmarkRandomSkew32(b *testing.B) {
-	g, tree := benchSetup(b, 32)
-	p := benchParams()
-	rng := stats.NewRNG(7)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arr, err := Random(tree, p, rng)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := arr.MaxCommSkew(g); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkReferenceMaxEventDrift32(b *testing.B) {
 	_, tree := benchSetup(b, 32)
 	bt, err := clocktree.Buffered(tree, 1.5)
@@ -76,17 +60,6 @@ func BenchmarkReferenceMaxEventDrift32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = ReferenceMaxEventDrift(bt, p)
-	}
-}
-
-func BenchmarkClocksimKernelBuild32(b *testing.B) {
-	g, tree := benchSetup(b, 32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewKernel(g, tree); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

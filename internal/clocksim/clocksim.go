@@ -30,34 +30,14 @@ import (
 	"repro/internal/clocktree"
 	"repro/internal/comm"
 	"repro/internal/faults"
+	"repro/internal/skew"
 	"repro/internal/stats"
 )
 
-// Params are the electrical parameters of a clock distribution network.
-type Params struct {
-	// M is the nominal delay per unit of wire length; Eps the variation
-	// band (Section III): unit delays lie in [M−Eps, M+Eps].
-	M, Eps float64
-	// BufferDelay is the fixed delay added at every buffer node (A7).
-	BufferDelay float64
-	// MinSeparation is the smallest spacing two consecutive clock events
-	// may have anywhere in the tree before a pulse collapses.
-	MinSeparation float64
-	// RiseFallBias is the per-buffer difference between rising- and
-	// falling-edge delays; consecutive events accumulate it along root
-	// paths (the Section VII mechanism, on a tree).
-	RiseFallBias float64
-}
-
-func (p Params) validate() error {
-	if p.M <= 0 || p.Eps < 0 || p.Eps > p.M {
-		return fmt.Errorf("clocksim: need 0 < M and 0 ≤ Eps ≤ M, got M=%g Eps=%g", p.M, p.Eps)
-	}
-	if p.BufferDelay < 0 {
-		return fmt.Errorf("clocksim: BufferDelay must be ≥ 0, got %g", p.BufferDelay)
-	}
-	return nil
-}
+// Params are the electrical parameters of a clock distribution network
+// (see skew.ClockParams for the fields). The type is shared with
+// skew.Kernel, whose methods run the regimes over a cached recipe.
+type Params = skew.ClockParams
 
 // Arrivals holds the simulated clock arrival time of every tree node.
 type Arrivals struct {
@@ -129,19 +109,18 @@ func (a *Arrivals) Offsets(g *comm.Graph) (array.Offsets, error) {
 
 // Nominal simulates distribution with every wire at exactly M per unit.
 //
-// Nominal (like every regime function below) builds a throwaway tree
-// Kernel; callers running many regimes, trials, or seeds against one
-// tree should build the Kernel once and query it directly. The
-// pre-kernel closure-traversal implementations are retained in
-// reference.go and the two paths agree bit for bit.
+// Nominal, like every regime function below, runs the retained
+// closure-traversal implementation in reference.go. Callers running many
+// regimes, trials, or seeds over one (graph, tree) pair build a Kernel
+// once and query its skews directly; the two agree bit for bit.
 func Nominal(tree *clocktree.Tree, p Params) (*Arrivals, error) {
-	return newTreeKernel(tree).Nominal(p)
+	return ReferenceNominal(tree, p)
 }
 
 // Random simulates distribution with independent per-edge unit delays in
 // U[M−Eps, M+Eps].
 func Random(tree *clocktree.Tree, p Params, rng *stats.RNG) (*Arrivals, error) {
-	return newTreeKernel(tree).Random(p, rng)
+	return ReferenceRandom(tree, p, rng)
 }
 
 // Jittered simulates distribution with independent per-edge unit delays
@@ -152,7 +131,7 @@ func Random(tree *clocktree.Tree, p Params, rng *stats.RNG) (*Arrivals, error) {
 // resulting skews can exceed every model's prediction, which is exactly
 // what the fault-sweep experiment measures. A nil injector is Random.
 func Jittered(tree *clocktree.Tree, p Params, rng *stats.RNG, inj *faults.Injector) (*Arrivals, error) {
-	return newTreeKernel(tree).Jittered(p, rng, inj)
+	return ReferenceJittered(tree, p, rng, inj)
 }
 
 // Adversarial simulates the worst-case-consistent assignment for a cell
@@ -161,20 +140,7 @@ func Jittered(tree *clocktree.Tree, p Params, rng *stats.RNG, inj *faults.Inject
 // skew is exactly Eps times their tree-path length — assumption A11's
 // lower bound, realized. All other edges run at the nominal M.
 func Adversarial(tree *clocktree.Tree, p Params, a, b comm.CellID) (*Arrivals, error) {
-	return newTreeKernel(tree).Adversarial(p, a, b)
-}
-
-// pathEdgeSet marks the child endpoints of the edges on the path from
-// node up to (but not including) ancestor.
-func pathEdgeSet(tree *clocktree.Tree, node, ancestor clocktree.NodeID) map[clocktree.NodeID]bool {
-	set := make(map[clocktree.NodeID]bool)
-	for v := node; v != ancestor; v = tree.Parent(v) {
-		set[v] = true
-		if tree.Parent(v) < 0 {
-			break
-		}
-	}
-	return set
+	return ReferenceAdversarial(tree, p, a, b)
 }
 
 // MaxEventDrift returns the maximum accumulated rise/fall drift between
@@ -182,7 +148,7 @@ func pathEdgeSet(tree *clocktree.Tree, node, ancestor clocktree.NodeID) map[cloc
 // path shifts alternating events apart by RiseFallBias, so the worst
 // node sees a drift of RiseFallBias times its root-path buffer count.
 func MaxEventDrift(tree *clocktree.Tree, p Params) float64 {
-	return newTreeKernel(tree).MaxEventDrift(p)
+	return ReferenceMaxEventDrift(tree, p)
 }
 
 // MinPipelinedPeriod returns the smallest period at which a 50%-duty
@@ -195,4 +161,14 @@ func MaxEventDrift(tree *clocktree.Tree, p Params) float64 {
 // as the Section VII inverter string.
 func MinPipelinedPeriod(tree *clocktree.Tree, p Params) float64 {
 	return 2 * (p.MinSeparation + MaxEventDrift(tree, p))
+}
+
+// errNeedRNG and errNotClocked are the reference regimes' errors, worded
+// as skew.Kernel's, so differential tests can compare failure modes too.
+func errNeedRNG(fn string) error {
+	return fmt.Errorf("clocksim: %s needs an RNG", fn)
+}
+
+func errNotClocked(c comm.CellID, tree *clocktree.Tree) error {
+	return fmt.Errorf("clocksim: cell %d not clocked by tree %q", c, tree.Name)
 }

@@ -319,3 +319,106 @@ func TestArrivalsMonotoneAlongTreeProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAlongCommTreeArrivalsFollowCells pins the data-path clock's
+// per-cell arrivals to a walk over the heap-indexed COMM tree itself,
+// whose numbering AlongCommTree's nodes had before they were numbered
+// in DFS preorder. Both walks draw one delay per edge in clocksim's
+// stack order with siblings in ascending cell order, so every cell's
+// random and adversarial arrival, and the kernel's random skew, are
+// those of the heap-indexed tree.
+func TestAlongCommTreeArrivalsFollowCells(t *testing.T) {
+	g, err := comm.CompleteBinaryTree(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := clocktree.AlongCommTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumCells()
+	parent := func(c int) int { return (c - 1) / 2 }
+	// heapWalk is clocksim's stack traversal over cells, cell c's edge
+	// delaying it by its wire length times unit(c).
+	heapWalk := func(unit func(c int) float64) []float64 {
+		at := make([]float64, n)
+		stack := []int{0}
+		for len(stack) > 0 {
+			c := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, ch := range []int{2*c + 1, 2*c + 2} {
+				if ch < n {
+					l := g.Cell(comm.CellID(ch)).Pos.ManhattanDist(g.Cell(comm.CellID(c)).Pos)
+					at[ch] = at[c] + l*unit(ch) + 0.0
+					stack = append(stack, ch)
+				}
+			}
+		}
+		return at
+	}
+	sameCells := func(name string, arr *Arrivals, want []float64) {
+		t.Helper()
+		for c := range want {
+			got, err := arr.CellArrival(comm.CellID(c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want[c] {
+				t.Fatalf("%s: cell %d arrives at %v, heap walk %v", name, c, got, want[c])
+			}
+		}
+	}
+	p := params()
+	k, err := NewKernel(g, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		arr, err := Random(tr, p, stats.NewRNG(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(seed)
+		want := heapWalk(func(int) float64 { return rng.Uniform(p.M-p.Eps, p.M+p.Eps) })
+		sameCells("random", arr, want)
+		var worst float64
+		c := g.PairIndex().Cursor(0)
+		for a, b, ok := c.Next(); ok; a, b, ok = c.Next() {
+			worst = math.Max(worst, math.Abs(want[a]-want[b]))
+		}
+		if got, err := k.RandomSkew(p, stats.NewRNG(seed)); err != nil || got != worst {
+			t.Fatalf("seed %d: kernel random skew %v (%v), heap walk %v", seed, got, err, worst)
+		}
+	}
+	for _, pr := range [][2]int{{n - 1, n / 2}, {63, 64}, {5, 0}} {
+		arr, err := Adversarial(tr, p, comm.CellID(pr[0]), comm.CellID(pr[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		onPath := func(from, c int) bool {
+			for v := from; v > 0; v = parent(v) {
+				if v == c {
+					return true
+				}
+			}
+			return false
+		}
+		lca := pr[0]
+		for !onPath(pr[1], lca) && lca != 0 {
+			lca = parent(lca)
+		}
+		want := heapWalk(func(c int) float64 {
+			switch {
+			case onPath(pr[0], c) && !onPath(lca, c) && c != lca:
+				return p.M + p.Eps
+			case onPath(pr[1], c) && !onPath(lca, c) && c != lca:
+				return p.M - p.Eps
+			}
+			return p.M
+		})
+		sameCells("adversarial", arr, want)
+	}
+}

@@ -10,8 +10,8 @@ import (
 )
 
 // This file retains the pre-kernel regime implementations verbatim as
-// executable reference oracles. The kernel-backed fast paths in
-// clocksim.go and kernel.go must agree with these exactly — zero
+// executable reference oracles. skew.Kernel's regime methods must
+// agree with these exactly — zero
 // tolerance — which the differential tests and the propcheck invariant
 // "clocksim-kernel-matches-reference" assert over random layouts, every
 // tree builder, and random parameters. The references deliberately avoid
@@ -49,7 +49,7 @@ func referencePropagate(tree *clocktree.Tree, p Params, unitDelay func(child clo
 // ReferenceNominal is the pre-kernel Nominal: every wire at exactly M
 // per unit, computed through the closure-based traversal.
 func ReferenceNominal(tree *clocktree.Tree, p Params) (*Arrivals, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return referencePropagate(tree, p, func(clocktree.NodeID) float64 { return p.M }, nil), nil
@@ -58,7 +58,7 @@ func ReferenceNominal(tree *clocktree.Tree, p Params) (*Arrivals, error) {
 // ReferenceRandom is the pre-kernel Random: one Uniform call per edge,
 // drawn mid-traversal.
 func ReferenceRandom(tree *clocktree.Tree, p Params, rng *stats.RNG) (*Arrivals, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if rng == nil {
@@ -73,7 +73,7 @@ func ReferenceRandom(tree *clocktree.Tree, p Params, rng *stats.RNG) (*Arrivals,
 // the injector's per-edge excess, both resolved through closures during
 // the traversal.
 func ReferenceJittered(tree *clocktree.Tree, p Params, rng *stats.RNG, inj *faults.Injector) (*Arrivals, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	if rng == nil {
@@ -104,7 +104,7 @@ func referencePathEdgeSet(tree *clocktree.Tree, node, ancestor clocktree.NodeID)
 // path-edge sets are rebuilt as maps and consulted per edge through the
 // unit-delay closure.
 func ReferenceAdversarial(tree *clocktree.Tree, p Params, a, b comm.CellID) (*Arrivals, error) {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	na, ok := tree.CellNode(a)

@@ -3,6 +3,7 @@ package clocktree
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -286,9 +287,9 @@ func TestLCAAndPathLen(t *testing.T) {
 	b := NewBuilder("hand")
 	r := b.Root(geom.Pt(0, 0), comm.Host)
 	a := b.Child(r, geom.Pt(-2, 0), 0)
-	bb := b.Child(r, geom.Pt(3, 0), 1)
 	c := b.Child(a, geom.Pt(-2, 2), 2)
 	d := b.Child(a, geom.Pt(-2, -1), 3)
+	bb := b.Child(r, geom.Pt(3, 0), 1)
 	tr, err := b.Finalize()
 	if err != nil {
 		t.Fatal(err)
@@ -423,6 +424,71 @@ func TestValidateRejectsTernary(t *testing.T) {
 	b.Child(r, geom.Pt(-1, 0), 2)
 	if _, err := b.Finalize(); err == nil {
 		t.Error("ternary root accepted (violates A4)")
+	}
+}
+
+// TestValidateRejectsNonPreorder builds the tree of TestLCAAndPathLen
+// breadth-first — r, a, b, then a's children c and d — so c's parent a
+// is not on b's root path, and Finalize must refuse it: every tree is
+// numbered in DFS preorder.
+func TestValidateRejectsNonPreorder(t *testing.T) {
+	b := NewBuilder("bfs")
+	r := b.Root(geom.Pt(0, 0), comm.Host)
+	a := b.Child(r, geom.Pt(-2, 0), 0)
+	b.Child(r, geom.Pt(3, 0), 1)
+	b.Child(a, geom.Pt(-2, 2), 2)
+	b.Child(a, geom.Pt(-2, -1), 3)
+	_, err := b.Finalize()
+	if err == nil || !strings.Contains(err.Error(), "node 3 breaks DFS preorder") {
+		t.Fatalf("breadth-first tree: got %v, want a DFS preorder error at node 3", err)
+	}
+}
+
+// TestAlongCommTreeIsPreorder pins the data-path clock's numbering: it
+// validates, its node IDs follow the DFS preorder of the heap-indexed
+// cells (children in ascending cell order), and each cell's parent and
+// wire length are those of the COMM tree.
+func TestAlongCommTreeIsPreorder(t *testing.T) {
+	g, err := comm.CompleteBinaryTree(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := AlongCommTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var order []comm.CellID
+	var walk func(c int)
+	walk = func(c int) {
+		order = append(order, comm.CellID(c))
+		for _, ch := range []int{2*c + 1, 2*c + 2} {
+			if ch < g.NumCells() {
+				walk(ch)
+			}
+		}
+	}
+	walk(0)
+	if len(order) != tr.NumNodes() {
+		t.Fatalf("%d nodes for %d cells", tr.NumNodes(), len(order))
+	}
+	for id, c := range order {
+		v := NodeID(id)
+		if got := tr.Node(v).Cell; got != c {
+			t.Fatalf("node %d clocks cell %d, want %d", id, got, c)
+		}
+		if c == 0 {
+			continue
+		}
+		p, _ := tr.CellNode((c - 1) / 2)
+		if tr.Parent(v) != p {
+			t.Fatalf("cell %d's node has parent %d, want cell %d's node %d", c, tr.Parent(v), (c-1)/2, p)
+		}
+		if want := g.Cell(c).Pos.ManhattanDist(g.Cell((c - 1) / 2).Pos); tr.EdgeLen(v) != want {
+			t.Fatalf("cell %d: edge length %g, want %g", c, tr.EdgeLen(v), want)
+		}
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/clocksim"
 	"repro/internal/clocktree"
 	"repro/internal/comm"
 	"repro/internal/core"
@@ -181,36 +180,6 @@ func (s *Server) kernelFor(id engineIdentity, lg *lazyGraph) (*skew.Kernel, erro
 			return nil, err
 		}
 		k, err := skew.NewKernelWithLimits(g, t, s.cfg.KernelLimits)
-		if err != nil {
-			return nil, unprocessable(err)
-		}
-		return k, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	lg.adopt(k.Graph())
-	return k, nil
-}
-
-// clockKernelFor returns the cached clocksim kernel for id's tree
-// recipe over the request's graph: the flat propagation schedule reused
-// across regimes, seeds, trial counts, and the configs of one batched
-// simulate. It rides on kernelFor so the built tree (and graph) is
-// shared with analyze, and the skew size limits apply identically: an
-// array whose skew kernel is on the streamed tier answers 413, and the
-// cached kernel's SizeError says why. A hit adopts the kernel's graph as
-// the request's.
-func (s *Server) clockKernelFor(id engineIdentity, lg *lazyGraph) (*clocksim.Kernel, error) {
-	k, err := s.simKernels.get(id, func() (*clocksim.Kernel, error) {
-		sk, err := s.kernelFor(id, lg)
-		if err != nil {
-			return nil, err
-		}
-		if se := sk.SizeError(); se != nil {
-			return nil, tooLarge(se)
-		}
-		k, err := clocksim.NewKernel(sk.Graph(), sk.Tree())
 		if err != nil {
 			return nil, unprocessable(err)
 		}
@@ -522,7 +491,7 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 
 // ------------------------------------------------------------ simulate
 
-// ClockParamsSpec are clocksim.Params in request form.
+// ClockParamsSpec are clocksim.Params (skew.ClockParams) in request form.
 type ClockParamsSpec struct {
 	M             float64 `json:"m,omitempty"`
 	Eps           float64 `json:"eps,omitempty"`
@@ -865,15 +834,19 @@ func (s *Server) simulateOne(ctx context.Context, in GraphInput, lg *lazyGraph, 
 }
 
 func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyGraph, cfg *SimulateConfig, resp *SimulateResponse) error {
-	// One precomputed clocksim kernel serves every regime, seed, and
-	// trial count over this (graph, tree) recipe — across requests via
-	// the cache, and across the configs of one batch.
-	k, err := s.clockKernelFor(id, lg)
+	// The recipe's one kernel, shared with analyze, serves every regime,
+	// seed, and trial count — across requests via the cache, and across
+	// the configs of one batch. A streamed-tier kernel has no per-node
+	// arrays to simulate on: its SizeError answers 413.
+	k, err := s.kernelFor(id, lg)
 	if err != nil {
 		return err
 	}
+	if se := k.SizeError(); se != nil {
+		return tooLarge(se)
+	}
 	g, tree := k.Graph(), k.Tree()
-	p := clocksim.Params{
+	p := skew.ClockParams{
 		M: cfg.Params.M, Eps: cfg.Params.Eps,
 		BufferDelay:   cfg.Params.BufferDelay,
 		MinSeparation: cfg.Params.MinSeparation,
@@ -942,7 +915,7 @@ func (s *Server) simulateClock(ctx context.Context, id engineIdentity, lg *lazyG
 // without allocating a source, and the injector's keyed decisions give
 // every trial of a seed one pattern. jittered is that pattern's count of
 // jittered edges, read from the injector that ran trial 0 right after it.
-func (s *Server) randomClockTrials(ctx context.Context, k *clocksim.Kernel, p clocksim.Params, cfg *SimulateConfig) ([]float64, int64, error) {
+func (s *Server) randomClockTrials(ctx context.Context, k *skew.Kernel, p skew.ClockParams, cfg *SimulateConfig) ([]float64, int64, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	var jittered int64
 	chunk := (cfg.Trials + 4*s.cfg.Workers - 1) / (4 * s.cfg.Workers)

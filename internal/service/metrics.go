@@ -32,8 +32,8 @@ type metrics struct {
 	kernelHits   atomic.Int64 // skew-kernel cache hits (precomputation reused)
 	kernelMisses atomic.Int64 // skew-kernel cache misses (tree + kernel built)
 
-	simKernelHits   atomic.Int64 // simulation-kernel cache hits (clocksim kernel or hybrid system reused)
-	simKernelMisses atomic.Int64 // simulation-kernel cache misses (engine precomputation built)
+	simKernelHits   atomic.Int64 // hybrid-system cache hits (partition and recurrence kernel reused)
+	simKernelMisses atomic.Int64 // hybrid-system cache misses (hybrid system built)
 
 	streamedFallbacks atomic.Int64 // analyses served by a streamed-tier kernel
 	streamedShards    atomic.Int64 // pair shards processed by streamed analyses
@@ -170,18 +170,18 @@ func (s *Server) metricFamilies() []family {
 		gauge("cache_hit_ratio", "Share of cacheable responses served from the result cache.", hitRatio),
 		counter("coalesced", "Responses shared from another in-flight request.", m.coalesced.Load()),
 		counter("computes", "Underlying engine executions.", m.computes.Load()),
-		counter("kernel_cache_hits", "Skew-kernel cache hits (precomputed geometry reused).", m.kernelHits.Load()),
+		counter("kernel_cache_hits", "Skew-kernel cache hits (a recipe's kernel reused by an analyze or clock simulation).", m.kernelHits.Load()),
 		counter("kernel_cache_misses", "Skew-kernel cache misses (tree and kernel built).", m.kernelMisses.Load()),
 		counter("kernel_cache_evictions", "Kernel cache entries displaced by the capacity bound.", s.kernels.Evictions()),
-		counter("sim_kernel_cache_hits", "Simulation-kernel cache hits (clocksim kernel or hybrid system reused).", m.simKernelHits.Load()),
-		counter("sim_kernel_cache_misses", "Simulation-kernel cache misses (engine precomputation built).", m.simKernelMisses.Load()),
+		counter("sim_kernel_cache_hits", "Hybrid-system cache hits (partition and recurrence kernel reused); clock simulations count under kernel_cache_*.", m.simKernelHits.Load()),
+		counter("sim_kernel_cache_misses", "Hybrid-system cache misses (hybrid system built); clock simulations count under kernel_cache_*.", m.simKernelMisses.Load()),
 		counter("streamed_fallback_total", "Analyses served by a streamed-tier kernel because the array exceeds the kernel size limits.", m.streamedFallbacks.Load()),
 		counter("streamed_shards_total", "Pair shards processed by streamed analyses.", m.streamedShards.Load()),
 		gauge("in_flight", "Requests currently being served.", float64(m.inFlight.Load())),
 		gauge("cache_entries", "Entries currently in the result cache.", float64(s.cache.Len())),
 		gauge("kernel_cache_entries", "Entries currently in the skew-kernel cache.", float64(s.kernels.Len())),
 		gauge("kernel_bytes_in_use", "Estimated resident bytes of every cached skew kernel, either tier.", float64(s.kernelBytesInUse())),
-		gauge("sim_kernel_cache_entries", "Entries currently in the simulation-kernel caches.", float64(s.simKernels.Len()+s.hybridSystems.Len())),
+		gauge("sim_kernel_cache_entries", "Entries currently in the hybrid-system cache.", float64(s.hybridSystems.Len())),
 		gauge("uptime_seconds", "Seconds since the server started.", time.Since(m.start).Seconds()),
 		counter("runner_tasks_started_total", "Worker-pool tasks started, process-wide.", ps.TasksStarted),
 		counter("runner_tasks_done_total", "Worker-pool tasks finished, process-wide.", ps.TasksDone),

@@ -22,7 +22,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/clocksim"
 	"repro/internal/cluster"
 	"repro/internal/hybrid"
 	"repro/internal/jobs"
@@ -145,12 +144,11 @@ type Server struct {
 	// The engine caches hold immutable per-(graph, recipe)
 	// precomputations reused across models, regimes, seeds, trial
 	// counts, and batch sweeps, each built once per engineIdentity:
-	// skew kernels of either tier (a streamed-tier kernel holds the
-	// tree, and the graph its CSR pair index, 4 B/pair + 8 B/cell
-	// against the resident tier's 24 B/pair); clocksim kernels; and
-	// hybrid systems.
+	// skew kernels of either tier, which serve both analyze and clock
+	// simulations (a streamed-tier kernel holds the tree, and the graph
+	// its CSR pair index, 4 B/pair + 8 B/cell against the resident
+	// tier's 24 B/pair); and hybrid systems.
 	kernels       *engineCache[*skew.Kernel]
-	simKernels    *engineCache[*clocksim.Kernel]
 	hybridSystems *engineCache[*hybrid.System]
 	flight        *flightGroup[response]
 	metrics       *metrics
@@ -187,7 +185,6 @@ func NewServer(cfg Config) *Server {
 		cfg:           cfg,
 		cache:         newLRU[response](cfg.CacheEntries),
 		kernels:       newEngineCache[*skew.Kernel]("kernel", n, &m.kernelHits, &m.kernelMisses),
-		simKernels:    newEngineCache[*clocksim.Kernel]("simkernel", n, &m.simKernelHits, &m.simKernelMisses),
 		hybridSystems: newEngineCache[*hybrid.System]("hybridsys", n, &m.simKernelHits, &m.simKernelMisses),
 		flight:        newFlightGroup[response](),
 		metrics:       m,

@@ -396,6 +396,29 @@ func TestMetricsLatencyHistogram(t *testing.T) {
 	}
 }
 
+// TestOneKernelPerRecipeAcrossEndpoints pins one engine per recipe:
+// analyze then simulate of one recipe, and simulate then analyze of
+// another, each build exactly one kernel, which the second request
+// reuses; no clock simulation builds a second engine of its own.
+func TestOneKernelPerRecipeAcrossEndpoints(t *testing.T) {
+	for _, order := range [][2]string{{"analyze", "simulate"}, {"simulate", "analyze"}} {
+		s, ts := newTestServer(t, Config{})
+		body := map[string]string{
+			"analyze":  `{"topology":{"kind":"mesh","n":6},"trees":["htree"],"equalize":true,"buffer_spacing":1,"montecarlo_trials":8}`,
+			"simulate": `{"topology":{"kind":"mesh","n":6},"tree":"htree","equalize":true,"buffer_spacing":1,"regime":"random","trials":8}`,
+		}
+		for _, ep := range order {
+			if resp, b := postJSON(t, ts.URL+"/v1/"+ep, body[ep]); resp.StatusCode != 200 {
+				t.Fatalf("%v: %s status %d: %s", order, ep, resp.StatusCode, b)
+			}
+		}
+		miss, hit, simMiss := s.metrics.kernelMisses.Load(), s.metrics.kernelHits.Load(), s.metrics.simKernelMisses.Load()
+		if miss != 1 || hit != 1 || simMiss != 0 {
+			t.Errorf("%v: kernel cache misses %d, hits %d, sim-kernel misses %d; want 1, 1, 0", order, miss, hit, simMiss)
+		}
+	}
+}
+
 func TestKernelCacheSharedAcrossSeedsAndEndpoints(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	// Same (graph, tree) recipe, different seeds: distinct result-cache

@@ -363,7 +363,7 @@ func TestClockSimulateMatchesPerTrialLoop(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%d: %v", regime, trials, err)
 			}
-			k, err := s.clockKernelFor(cfg.engineID(req.GraphInput), lg)
+			k, err := s.kernelFor(cfg.engineID(req.GraphInput), lg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -424,7 +424,7 @@ func TestJitteredFaultTallyCountsOneTrial(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg := req.config()
-		k, err := s.clockKernelFor(cfg.engineID(req.GraphInput), &lazyGraph{in: req.GraphInput})
+		k, err := s.kernelFor(cfg.engineID(req.GraphInput), &lazyGraph{in: req.GraphInput})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -9,7 +9,7 @@ import (
 // NewKernelWithLimits builds the streamed tier instead.
 //
 // The resident kernel's flat arrays index tree nodes with int32
-// (pairA/pairB, parent), so a tree with more than math.MaxInt32 nodes —
+// (pairA/pairB, draw), so a tree with more than math.MaxInt32 nodes —
 // or a pair list longer than math.MaxInt32 — would silently truncate
 // indices and corrupt every subsequent query. Limits turns that cliff,
 // and the quadratic pair-array memory that precedes it, into the
@@ -98,14 +98,15 @@ func (e *SizeError) tripped() int64 {
 // KernelBytes estimates the resident size of a kernel built over a
 // tree with the given node count and a pair list of the given length:
 // the per-pair arrays (int32 endpoint nodes, float64 d and s), the
-// per-node preorder edge schedule (parent, length), and one Monte-Carlo
-// arena (units, arrival). The schedule and units skip the root, so the
-// per-node term overstates them by one entry each. The pairs themselves
-// live in the graph's PairIndex, which the graph owns. The scale sweep
-// records the same number as each size's kernel-resident bytes.
+// per-node draw order (int32), and one trial arena (units, arrival).
+// The units skip the root, so the per-node term overstates them by one
+// entry. The schedule is the tree's own parent and edge arrays, which
+// Tree.FootprintBytes counts, and the pairs themselves live in the
+// graph's PairIndex, which the graph owns. The scale sweep records the
+// same number as each size's kernel-resident bytes.
 func KernelBytes(nodes, pairs int) int64 {
 	const perPair = 4 + 4 + 8 + 8 // pairA/pairB + d + s
-	const perNode = 4 + 8 + 8 + 8 // parent + length + units + arrival
+	const perNode = 4 + 8 + 8     // draw + units + arrival
 	return int64(pairs)*perPair + int64(nodes)*perNode
 }
 

@@ -125,10 +125,9 @@ func TestCheckKernelSizePrecedence(t *testing.T) {
 // TestKernelBytesMatchesKernelArrays pins KernelBytes' per-pair term to
 // the arrays a kernel actually holds per pair: pairA, pairB, d and s.
 // The pairs themselves live in the graph's PairIndex, not the kernel.
-// It pins the per-node term likewise to the preorder edge schedule
-// (parent, length) and one Monte-Carlo arena (units, arrival): every
-// node is charged a full entry in each, and only the root, which has no
-// edge, holds none in parent, length and units.
+// It pins the per-node term likewise to the draw order and one trial
+// arena (units, arrival): every node is charged a full entry in each,
+// and only the root, which has no edge, holds none in units.
 func TestKernelBytesMatchesKernelArrays(t *testing.T) {
 	k, se := buildOrSizeError(t, Limits{})
 	if se != nil {
@@ -141,8 +140,8 @@ func TestKernelBytesMatchesKernelArrays(t *testing.T) {
 	a := k.arenas.Get().(*mcArena)
 	defer k.arenas.Put(a)
 	nodes := k.tree.NumNodes()
-	held = int64(4*cap(k.parent) + 8*cap(k.length) + 8*cap(a.units) + 8*cap(a.arrival))
-	const root = 4 + 8 + 8 // the root's unused parent, length and units entries
+	held = int64(4*cap(k.draw) + 8*cap(a.units) + 8*cap(a.arrival))
+	const root = 8 // the root's unused units entry
 	if want := KernelBytes(nodes, 0); held+root != want {
 		t.Fatalf("kernel holds %d B of per-node arrays over %d nodes (+%d B for the root), KernelBytes counts %d",
 			held, nodes, root, want)
