@@ -41,7 +41,7 @@ var registry = []Invariant{
 	{
 		Name:  "clocksim-kernel-matches-reference",
 		Ref:   "Section III (implementation)",
-		Doc:   "the clocksim kernel's regime skews reproduce the retained reference propagation bit for bit",
+		Doc:   "the skew kernel's clock-regime skews reproduce clocksim's retained reference propagation bit for bit",
 		Check: checkClocksimKernelMatchesReference,
 	},
 	{
@@ -289,7 +289,7 @@ func checkStreamedMatchesKernel(rng *stats.RNG) error {
 	return nil
 }
 
-// checkClocksimKernelMatchesReference pins the clocksim kernel's
+// checkClocksimKernelMatchesReference pins the skew kernel's clock
 // regime fast paths to the retained reference propagation with zero
 // tolerance on a random (graph, tree, model): nominal, same-seed
 // random, same-(seed, fault-config) jittered, adversarial over a

@@ -103,7 +103,7 @@ func (c *lru[V]) Entries() []cachePair[V] {
 // engineIdentity is the one identity of a cached engine: the graph
 // exactly as the request described it (topology spec or inline graph,
 // the latter by its full content) plus the engine's recipe — the tree
-// recipe for skew and clocksim kernels, the element size for hybrid
+// recipe for skew kernels, the element size for hybrid
 // systems — read after applyDefaults. The same value names the ring
 // route and every engine cache entry, each under its own namespace. Hashing the
 // request's description instead of the built graph makes key derivation
@@ -137,7 +137,7 @@ func (id engineIdentity) routeKey() (string, bool) {
 }
 
 // engineCache is one bounded cache of built engines (skew kernels,
-// clocksim kernels, hybrid systems), keyed by engineIdentity
+// hybrid systems), keyed by engineIdentity
 // under the cache's name and counted into a shared hit/miss pair.
 type engineCache[V any] struct {
 	*lru[V]
