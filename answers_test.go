@@ -6,6 +6,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -57,6 +58,10 @@ var answerCorpus = []struct {
 	{name: "layout/tree-comm", path: "/v1/layout.svg?kind=tree&n=5&tree=comm"},
 	{name: "layout/tree-comm-buffered", path: "/v1/layout.svg?kind=tree&n=5&tree=comm&spacing=1.5"},
 }
+
+// analyzeJob is the corpus's job: an analyze whose Monte-Carlo trials
+// run in chunks, pinned by its final result.
+const analyzeJob = `{"analyze":{"topology":{"kind":"mesh","n":8},"trees":["htree","spine"],"equalize":true,"montecarlo_trials":24,"seed":6},"chunk_trials":5}`
 
 // simulateRecipes and simulateRegimes span the single simulate requests
 // of the corpus: every regime on every recipe.
@@ -110,6 +115,7 @@ func TestAnswerDigests(t *testing.T) {
 		}
 		got[c.name] = digest(fetch(t, url, c.body))
 	}
+	got["job/analyze"] = digest(jobResult(t, resident, analyzeJob))
 	for _, r := range simulateRecipes {
 		for _, g := range simulateRegimes {
 			body := "{" + r.graph + "," + r.recipe + "," + g.fields + "," + simParams + "}"
@@ -177,6 +183,36 @@ func fetch(t *testing.T, url, body string) []byte {
 		t.Fatalf("%s %s: status %d: %s", url, body, resp.StatusCode, b)
 	}
 	return b
+}
+
+// jobResult creates a job from body, follows its event stream to the
+// terminal event and returns that event's result: the job's answer,
+// without the stream's wall-clock fields.
+func jobResult(t *testing.T, base, body string) []byte {
+	t.Helper()
+	var snap struct{ ID string }
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = json.NewDecoder(resp.Body).Decode(&snap)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("POST /v1/jobs: status %d, %v", resp.StatusCode, err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(fetch(t, base+"/v1/jobs/"+snap.ID+"/stream", "")), []byte("\n"))
+	var last struct {
+		State  string
+		Error  string
+		Result json.RawMessage
+	}
+	if err := json.Unmarshal(lines[len(lines)-1], &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.State != "done" {
+		t.Fatalf("job %s ended %q: %s", snap.ID, last.State, last.Error)
+	}
+	return last.Result
 }
 
 func readDigests(t *testing.T) map[string]string {

@@ -124,7 +124,9 @@ func side(tree *clocktree.Tree, node clocktree.NodeID) float64 {
 	prev := node
 	for p := tree.Parent(node); p >= 0; p = tree.Parent(prev) {
 		if p == tree.Root() {
-			if len(tree.Children(p)) > 0 && tree.Children(p)[0] == prev {
+			// Trees number their nodes in preorder: the root's first
+			// child is the node after it.
+			if prev == tree.Root()+1 {
 				return 1
 			}
 			return -1

@@ -18,7 +18,8 @@ import (
 // every kernel-era shortcut: arrival times are computed by an explicit
 // stack traversal calling per-edge closures, each random delay is drawn
 // with a separate Uniform call, and the adversarial path sets are
-// rebuilt as maps on every call.
+// rebuilt as maps on every call, their meeting point found by a plain
+// parent walk.
 
 // referencePropagate computes arrival times with a per-edge unit-delay
 // function and an optional flat per-edge extra delay (nil means none).
@@ -31,7 +32,7 @@ func referencePropagate(tree *clocktree.Tree, p Params, unitDelay func(child clo
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range tree.Children(v) {
+		for _, c := range tree.AppendChildren(nil, v) {
 			buf := 0.0
 			if tree.Node(c).Buffer {
 				buf = p.BufferDelay
@@ -115,7 +116,14 @@ func ReferenceAdversarial(tree *clocktree.Tree, p Params, a, b comm.CellID) (*Ar
 	if !ok {
 		return nil, errNotClocked(b, tree)
 	}
-	lca := tree.LCA(na, nb)
+	// The lowest common ancestor, by plain parent walks and independently
+	// of the tree's jump-pointer search: mark na's ancestors, then climb
+	// from nb to the first marked node.
+	anc := referencePathEdgeSet(tree, na, -1)
+	lca := nb
+	for !anc[lca] {
+		lca = tree.Parent(lca)
+	}
 	slow := referencePathEdgeSet(tree, na, lca)
 	fast := referencePathEdgeSet(tree, nb, lca)
 	return referencePropagate(tree, p, func(c clocktree.NodeID) float64 {
@@ -140,7 +148,7 @@ func ReferenceMaxEventDrift(tree *clocktree.Tree, p Params) float64 {
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range tree.Children(v) {
+		for _, c := range tree.AppendChildren(nil, v) {
 			buffers[c] = buffers[v]
 			if tree.Node(c).Buffer {
 				buffers[c]++

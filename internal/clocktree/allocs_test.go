@@ -8,8 +8,8 @@ import (
 
 // TestTreeBuildAllocs gates the allocation counts of H-tree construction
 // and buffer insertion on a 128² mesh. Both are a fixed set of presized
-// arrays, so neither count may grow with the array: HTree measures 16
-// and Buffered 15, and the ceiling of 24 leaves eight or more of slack.
+// arrays, so neither count may grow with the array: HTree and Buffered
+// measure 16 each, and the ceiling of 24 leaves eight of slack.
 func TestTreeBuildAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")

@@ -389,13 +389,14 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 	out := newTree(fmt.Sprintf("buffered%.3g/%s", spacing, t.Name), n, len(t.cellNode))
 	out.pos, out.cell, out.buffer = out.pos[:n], out.cell[:n], out.buffer[:n]
 	out.parent, out.edgeLen = out.parent[:n], out.edgeLen[:n]
-	out.rootDist, out.depth = make([]float64, n), make([]int32, n)
+	out.rootDist, out.jump = make([]float64, n), make([]int32, n)
+	depth := make([]int32, n)
 	if t.extra != nil {
 		out.extra = make([]float64, n)
 	}
 	// Every parent is emitted before its children, so each node's root
-	// distance and depth are final as it is emitted; only the child
-	// lists are left for afterwards.
+	// distance and jump pointer are final as it is emitted; only the
+	// subtree ends are left for afterwards.
 	k := int32(0)
 	emit := func(pos geom.Point, cell int32, buffer bool, parent int32, length, slack float64) int32 {
 		out.pos[k], out.cell[k], out.buffer[k] = pos, cell, buffer
@@ -407,7 +408,7 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 				edge += slack // EdgeLen's sum
 			}
 			out.rootDist[k] = out.rootDist[parent] + edge
-			out.depth[k] = out.depth[parent] + 1
+			out.link(depth, k, parent)
 		}
 		if cell >= 0 {
 			out.cellNode[cell] = k
@@ -417,6 +418,7 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 	}
 	emit(t.pos[0], t.cell[0], t.buffer[0], -1, 0, 0)
 	stack := make([]int32, 1, 64)
+	var kids [2]NodeID
 	var w wire
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
@@ -444,12 +446,12 @@ func Buffered(t *Tree, spacing float64) (*Tree, error) {
 			}
 			newID[v] = emit(b, t.cell[v], t.buffer[v], p, last, slack)
 		}
-		kids := t.Children(NodeID(v))
-		for i := len(kids) - 1; i >= 0; i-- {
-			stack = append(stack, int32(kids[i]))
+		cs := t.AppendChildren(kids[:0], NodeID(v))
+		for i := len(cs) - 1; i >= 0; i-- {
+			stack = append(stack, int32(cs[i]))
 		}
 	}
-	out.indexChildren()
+	out.indexEnds()
 	if err := out.Validate(); err != nil {
 		return nil, err
 	}

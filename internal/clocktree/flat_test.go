@@ -97,10 +97,20 @@ func TestRetainedBytesPerNode(t *testing.T) {
 		}
 		return bt
 	})
+	bufferedPerNode := float64(buffered) / float64(bt.NumNodes())
 	t.Logf("128² H-tree: %.1f B/node over %d nodes; buffered at 0.5: %.1f B/node over %d nodes",
-		perNode, tr.NumNodes(), float64(buffered)/float64(bt.NumNodes()), bt.NumNodes())
-	if perNode > 80 {
-		t.Errorf("unbuffered 128² H-tree retains %.1f B/node, want ≤ 80", perNode)
+		perNode, tr.NumNodes(), bufferedPerNode, bt.NumNodes())
+	// The node arrays hold 49 B/node (position 16, edge length and root
+	// distance 8 each, cell, parent, subtree end and jump pointer 4 each,
+	// buffer flag 1) and the cell index about 2 more; both trees measure
+	// about 51. The ceiling of 56 leaves 10% for allocator size classes.
+	for _, m := range []struct {
+		name    string
+		perNode float64
+	}{{"unbuffered", perNode}, {"buffered", bufferedPerNode}} {
+		if m.perNode > 56 {
+			t.Errorf("%s 128² H-tree retains %.1f B/node, want ≤ 56", m.name, m.perNode)
+		}
 	}
 	runtime.KeepAlive(g)
 	runtime.KeepAlive(tr)

@@ -34,12 +34,12 @@ type Node struct {
 // children visited in ascending ID order: the root is node 0, node v's
 // first child is v+1, and each later child follows the previous child's
 // whole subtree. So every parent precedes its children, one ascending
-// pass computes root distances and depths, and the parent and edge
-// arrays are themselves the schedule a clock event propagates down.
-// Wires are rectilinear L routes and are regenerated from the node
-// positions on demand rather than stored. Build one with a Builder; a
-// finalized Tree is immutable apart from Equalize and is safe for
-// concurrent reads.
+// pass computes root distances and jump pointers, the parent and edge
+// arrays are themselves the schedule a clock event propagates down, and
+// v's subtree is the ID range [v, end[v]). Wires are rectilinear L
+// routes and are regenerated from the node positions on demand rather
+// than stored. Build one with a Builder; a finalized Tree is immutable
+// apart from Equalize and is safe for concurrent reads.
 type Tree struct {
 	Name string
 
@@ -48,15 +48,15 @@ type Tree struct {
 	buffer []bool
 
 	parent   []int32   // -1 at the root
-	depth    []int32   // edges from the root
 	edgeLen  []float64 // wire length from parent(v) to v, 0 at the root
 	extra    []float64 // tuning slack added to edge v by Equalize; nil if none
 	rootDist []float64
 
-	// Child lists in CSR form: v's children, in ascending ID order, are
-	// kids[kidStart[v]:kidStart[v+1]].
-	kidStart []int32
-	kids     []NodeID
+	// end[v] is one past the last node of v's subtree. jump[v] is v's
+	// skew-binary jump pointer (Myers 1983): an ancestor of v (the root
+	// for the root) chosen so that following jumps and parent links
+	// reaches any ancestor in O(log depth) steps.
+	end, jump []int32
 
 	cellNode []int32 // node clocking each cell, indexed by CellID; -1 if none
 }
@@ -75,10 +75,15 @@ func (t *Tree) Node(id NodeID) Node {
 // Parent returns the parent of v, or -1 for the root.
 func (t *Tree) Parent(v NodeID) NodeID { return NodeID(t.parent[v]) }
 
-// Children returns v's children in ascending ID order; the slice must not
-// be modified.
-func (t *Tree) Children(v NodeID) []NodeID {
-	return t.kids[t.kidStart[v]:t.kidStart[v+1]]
+// AppendChildren appends v's children, in ascending ID order, to dst
+// and returns the extended slice. The first child is v+1 and each later
+// one starts where its predecessor's subtree ends, so the walk reads
+// only the subtree ends and allocates nothing once dst has room for two.
+func (t *Tree) AppendChildren(dst []NodeID, v NodeID) []NodeID {
+	for c := int32(v) + 1; c < t.end[v]; c = t.end[c] {
+		dst = append(dst, NodeID(c))
+	}
+	return dst
 }
 
 // Wire returns the rectilinear wire route from v's parent to v (nil at
@@ -137,22 +142,34 @@ func (t *Tree) MaxRootDist() float64 {
 	return m
 }
 
-// LCA returns the lowest common ancestor of a and b by walking parent
-// links: lift the deeper node to the shallower's depth, then walk both up
-// in lockstep. O(depth) per query; callers with a known pair list use
-// PathLens instead.
+// LCA returns the lowest common ancestor of a and b. In preorder every
+// ancestor of a node precedes it, and an ancestor u of the later node y
+// is also an ancestor of the earlier node x exactly when u ≤ x, which
+// holds for the LCA and the nodes above it. So the LCA is y's first ancestor
+// (y included) whose ID is at most x, and the search climbs from y by
+// jump pointers while they stay above x and by parent links otherwise:
+// O(log depth) steps, no scratch.
 func (t *Tree) LCA(a, b NodeID) NodeID {
-	for t.depth[a] > t.depth[b] {
-		a = NodeID(t.parent[a])
+	l, _ := t.lca(a, b)
+	return l
+}
+
+// lca is LCA, also returning the number of jump and parent steps the
+// search took.
+func (t *Tree) lca(a, b NodeID) (NodeID, int) {
+	x, y := int32(a), int32(b)
+	if x > y {
+		x, y = y, x
 	}
-	for t.depth[b] > t.depth[a] {
-		b = NodeID(t.parent[b])
+	steps := 0
+	for ; y > x; steps++ {
+		if j := t.jump[y]; j > x {
+			y = j
+		} else {
+			y = t.parent[y]
+		}
 	}
-	for a != b {
-		a = NodeID(t.parent[a])
-		b = NodeID(t.parent[b])
-	}
-	return a
+	return NodeID(y), steps
 }
 
 // PathLen returns the electrical length s of the tree path connecting a
@@ -177,77 +194,11 @@ func (t *Tree) PairNodes(ix *comm.PairIndex) (a, b []int32) {
 	return a, b
 }
 
-// PathLens sets s[i] = PathLen(a[i], b[i]) for every i, resolving all the
-// LCAs in one offline pass (Tarjan's algorithm) in O(nodes + pairs) time:
-// a depth-first walk enters each node, answers every query whose other
-// endpoint was entered earlier with the union-find root of that endpoint
-// — its deepest ancestor still on the walk's path — and on leaving a node
-// links it to its parent. The arithmetic is PathLen's, so the results are
-// bit-identical to per-pair queries.
+// PathLens sets s[i] = PathLen(a[i], b[i]) for every i: one LCA search
+// per pair, O(pairs · log depth) time and no scratch.
 func (t *Tree) PathLens(a, b []int32, s []float64) {
-	n := len(t.parent)
-	// Queries in CSR form: the pair indices touching v are
-	// q[qStart[v]:qStart[v+1]].
-	qStart := make([]int32, n+1)
 	for i := range a {
-		qStart[a[i]]++
-		qStart[b[i]]++
-	}
-	var sum int32
-	for v := 0; v < n; v++ {
-		sum += qStart[v]
-		qStart[v] = sum
-	}
-	qStart[n] = sum
-	q := make([]int32, sum)
-	for i := len(a) - 1; i >= 0; i-- {
-		qStart[a[i]]--
-		q[qStart[a[i]]] = int32(i)
-		qStart[b[i]]--
-		q[qStart[b[i]]] = int32(i)
-	}
-
-	// uf[v] is -1 before v is entered, v while v is on the walk's path,
-	// and v's parent once v's subtree is done.
-	uf := make([]int32, n)
-	for v := range uf {
-		uf[v] = -1
-	}
-	find := func(x int32) int32 {
-		r := x
-		for uf[r] != r {
-			r = uf[r]
-		}
-		for uf[x] != r {
-			x, uf[x] = uf[x], r
-		}
-		return r
-	}
-	// A negative stack entry ^v marks the exit from v's subtree.
-	stack := []int32{0}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if v < 0 {
-			uf[^v] = t.parent[^v]
-			continue
-		}
-		uf[v] = v
-		for _, i := range q[qStart[v]:qStart[v+1]] {
-			u := a[i]
-			if u == v {
-				u = b[i]
-			}
-			if uf[u] >= 0 {
-				s[i] = t.rootDist[a[i]] + t.rootDist[b[i]] - 2*t.rootDist[find(u)]
-			}
-		}
-		if v != 0 {
-			stack = append(stack, ^v)
-		}
-		for _, c := range t.kids[t.kidStart[v]:t.kidStart[v+1]] {
-			stack = append(stack, int32(c))
-		}
+		s[i] = t.PathLen(NodeID(a[i]), NodeID(b[i]))
 	}
 }
 
@@ -294,8 +245,8 @@ func (t *Tree) Bounds() geom.Rect {
 func (t *Tree) FootprintBytes() int64 {
 	return int64(len(t.Name)) +
 		16*int64(cap(t.pos)) + int64(cap(t.buffer)) +
-		4*int64(cap(t.cell)+cap(t.parent)+cap(t.depth)+cap(t.kidStart)+cap(t.cellNode)) +
-		8*int64(cap(t.edgeLen)+cap(t.extra)+cap(t.rootDist)+cap(t.kids))
+		4*int64(cap(t.cell)+cap(t.parent)+cap(t.end)+cap(t.jump)+cap(t.cellNode)) +
+		8*int64(cap(t.edgeLen)+cap(t.extra)+cap(t.rootDist))
 }
 
 // Separator is Lemma 5 on the tree with its cell-clocking nodes marked:
@@ -320,9 +271,10 @@ func (t *Tree) Separator() (NodeID, error) {
 		return 0, fmt.Errorf("clocktree %q: separator needs at least 2 cells, have %d", t.Name, total)
 	}
 	v := t.Root()
+	var kids [2]NodeID
 	for descend := true; descend; {
 		descend = false
-		for _, c := range t.Children(v) {
+		for _, c := range t.AppendChildren(kids[:0], v) {
 			if 3*int(count[c]) > 2*total {
 				v, descend = c, true
 				break
@@ -331,7 +283,7 @@ func (t *Tree) Separator() (NodeID, error) {
 	}
 	// v's subtree holds more than 2/3·total ≥ 4/3 marks, so v is no leaf.
 	heaviest := NodeID(-1)
-	for _, c := range t.Children(v) {
+	for _, c := range t.AppendChildren(kids[:0], v) {
 		if heaviest < 0 || count[c] > count[heaviest] {
 			heaviest = c
 		}
@@ -364,7 +316,7 @@ func (t *Tree) Equalize() (float64, error) {
 		if id < 0 {
 			continue
 		}
-		if t.kidStart[id+1] > t.kidStart[id] {
+		if t.end[id] != id+1 {
 			return 0, fmt.Errorf("clocktree %q: cannot equalize: cell %d is not a leaf", t.Name, c)
 		}
 		if d := t.rootDist[id]; d > target {
@@ -396,40 +348,47 @@ func (t *Tree) recomputeDistances() {
 	}
 }
 
-// index computes root distances, depths and the CSR child lists of a tree
-// whose node arrays are complete.
+// index computes the root distances, jump pointers and subtree ends of
+// a tree whose node arrays are complete.
 func (t *Tree) index() {
 	n := len(t.pos)
 	t.rootDist = make([]float64, n)
-	t.depth = make([]int32, n)
 	t.recomputeDistances()
-	for v := 1; v < n; v++ {
-		t.depth[v] = t.depth[t.parent[v]] + 1
+	t.jump = make([]int32, n)
+	depth := make([]int32, n)
+	for v := int32(1); int(v) < n; v++ {
+		t.link(depth, v, t.parent[v])
 	}
-	t.indexChildren()
+	t.indexEnds()
 }
 
-// indexChildren builds the CSR child lists from the parent array.
-func (t *Tree) indexChildren() {
-	n := len(t.pos)
-	t.kidStart = make([]int32, n+1)
-	t.kids = make([]NodeID, n-1)
-	// Count children per parent, turn the counts into block ends, then
-	// fill each block from its end in descending child order so that
-	// kidStart ends at the block starts and each block ascends.
-	for v := 1; v < n; v++ {
-		t.kidStart[t.parent[v]]++
+// link sets node v's depth and jump pointer from those of its parent p,
+// which must be set already. Myers' rule: v jumps over its parent's
+// jump's jump when the parent's two jumps span equal depths, and to its
+// parent otherwise, which makes every jump span 2^k − 1 levels.
+func (t *Tree) link(depth []int32, v, p int32) {
+	depth[v] = depth[p] + 1
+	j := t.jump[p]
+	if depth[p]-depth[j] == depth[j]-depth[t.jump[j]] {
+		t.jump[v] = t.jump[j]
+	} else {
+		t.jump[v] = p
 	}
-	var sum int32
-	for v := 0; v < n; v++ {
-		sum += t.kidStart[v]
-		t.kidStart[v] = sum
-	}
-	t.kidStart[n] = sum
-	for v := n - 1; v >= 1; v-- {
-		p := t.parent[v]
-		t.kidStart[p]--
-		t.kids[t.kidStart[p]] = NodeID(v)
+}
+
+// indexEnds fills the subtree ends in one reverse sweep over the parent
+// array: children follow their parent, so each node's end is final
+// before its parent reads it, and the first child the sweep meets is
+// the last one, whose subtree ends the parent's.
+func (t *Tree) indexEnds() {
+	t.end = make([]int32, len(t.parent))
+	for v := len(t.end) - 1; v >= 0; v-- {
+		if t.end[v] == 0 {
+			t.end[v] = int32(v + 1)
+		}
+		if p := t.parent[v]; p >= 0 && t.end[p] == 0 {
+			t.end[p] = t.end[v]
+		}
 	}
 }
 
@@ -441,7 +400,9 @@ func (t *Tree) indexChildren() {
 // parent lies on the root path of node v−1 (v−1 itself, or the ancestor
 // whose next subtree v starts). The walk up from v−1 passes only nodes
 // whose subtrees are complete, and it passes each node at most once, so
-// the check is O(nodes).
+// the check is O(nodes). The last node it passes before the parent is
+// v's previous sibling, so v is a third child exactly when that sibling
+// is not the parent's first child.
 func (t *Tree) Validate() error {
 	n := len(t.pos)
 	if n == 0 {
@@ -455,17 +416,15 @@ func (t *Tree) Validate() error {
 		if p < 0 || int(p) >= v {
 			return fmt.Errorf("clocktree %q: node %d has parent %d; parents must precede children", t.Name, v, p)
 		}
-		u := int32(v - 1)
+		u, sibling := int32(v-1), int32(-1)
 		for u != p && u >= 0 {
-			u = t.parent[u]
+			sibling, u = u, t.parent[u]
 		}
 		if u < 0 {
 			return fmt.Errorf("clocktree %q: node %d breaks DFS preorder: its parent %d is not on node %d's root path", t.Name, v, p, v-1)
 		}
-	}
-	for v := 0; v < n; v++ {
-		if k := t.kidStart[v+1] - t.kidStart[v]; k > 2 {
-			return fmt.Errorf("clocktree %q: node %d has %d children (A4 requires binary)", t.Name, v, k)
+		if sibling >= 0 && sibling != p+1 {
+			return fmt.Errorf("clocktree %q: node %d has more than 2 children (A4 requires binary)", t.Name, p)
 		}
 	}
 	for v, c := range t.cell {
@@ -549,7 +508,7 @@ func (t *Tree) add(pos geom.Point, cell comm.CellID, buffer bool, parent int32, 
 	return id
 }
 
-// Finalize computes distances and child lists and returns the completed
+// Finalize computes distances and indexes and returns the completed
 // tree. The Builder must not be used afterwards.
 func (b *Builder) Finalize() (*Tree, error) {
 	t := b.t

@@ -676,10 +676,10 @@ func naiveLCA(tr *Tree, a, b NodeID) NodeID {
 	}
 }
 
-// The offline batch pass and the parent walk are independent LCA
-// implementations; they must give bit-identical path lengths on every
-// node pair of every tree shape the package builds, and the walk must
-// agree with a naive ancestor-set LCA.
+// The batch PathLens and the per-pair queries must give bit-identical
+// path lengths on every node pair of every tree shape the package
+// builds, and the jump-pointer search must agree with a naive
+// ancestor-set LCA.
 func TestBatchLCAMatchesWalk(t *testing.T) {
 	for _, tr := range everyBuilderTree(t) {
 		n := tr.NumNodes()
@@ -725,6 +725,81 @@ func TestLCASingleNodeTree(t *testing.T) {
 	}
 }
 
+// TestLCAMatchesNaiveOnBufferedRandomTrees checks LCA, PathLen and
+// PathLens against naiveLCA on random trees buffered at random
+// spacings, whose long unary buffer chains the jump pointers skip.
+func TestLCAMatchesNaiveOnBufferedRandomTrees(t *testing.T) {
+	rng := stats.NewRNG(29)
+	for trial := 0; trial < 24; trial++ {
+		g, err := comm.Mesh(2+rng.Intn(6), 2+rng.Intn(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := RandomBinary(g, rng.Fork(int64(trial)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spacing := 0.05 + rng.Float64()
+		if tr, err = Buffered(tr, spacing); err != nil {
+			t.Fatal(err)
+		}
+		n := tr.NumNodes()
+		as, bs := make([]int32, 512), make([]int32, 512)
+		for i := range as {
+			as[i], bs[i] = int32(rng.Intn(n)), int32(rng.Intn(n))
+		}
+		s := make([]float64, len(as))
+		tr.PathLens(as, bs, s)
+		for i := range as {
+			a, b := NodeID(as[i]), NodeID(bs[i])
+			l := naiveLCA(tr, a, b)
+			if got := tr.LCA(a, b); got != l {
+				t.Fatalf("%s at spacing %g: LCA(%d,%d) = %d, want %d", tr.Name, spacing, a, b, got, l)
+			}
+			want := tr.RootDist(a) + tr.RootDist(b) - 2*tr.RootDist(l)
+			if got := tr.PathLen(a, b); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: PathLen(%d,%d) = %v, want %v", tr.Name, a, b, got, want)
+			}
+			if math.Float64bits(s[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: PathLens[%d] = %v, want %v", tr.Name, i, s[i], want)
+			}
+		}
+	}
+}
+
+// TestLCAJumpsLogarithmically builds a 2^20-node chain, the deepest
+// tree that many nodes make, and requires every LCA search on it,
+// end to end included, to take O(log n) steps: the parent walk would
+// take up to 2^20.
+func TestLCAJumpsLogarithmically(t *testing.T) {
+	const n = 1 << 20
+	b := newBuilder("chain", n, 0)
+	v := b.Root(geom.Pt(0, 0), comm.Host)
+	for i := 1; i < n; i++ {
+		v = b.Child(v, geom.Pt(float64(i), 0), comm.Host)
+	}
+	tr, err := b.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const maxSteps = 3 * 20 // 3·log2(n)
+	worst := 0
+	for _, q := range [][2]NodeID{
+		{0, n - 1}, {n - 1, 0}, {1, n - 1}, {n / 3, n - 1}, {n/2 - 1, n/2 + 1},
+		{n - 2, n - 1}, {12345, 987654}, {n - 1, n - 1},
+	} {
+		l, steps := tr.lca(q[0], q[1])
+		if want := min(q[0], q[1]); l != want {
+			t.Fatalf("LCA(%d,%d) = %d on a chain, want %d", q[0], q[1], l, want)
+		}
+		worst = max(worst, steps)
+		if steps > maxSteps {
+			t.Errorf("LCA(%d,%d) took %d steps, want ≤ %d", q[0], q[1], steps, maxSteps)
+		}
+	}
+	t.Logf("worst LCA search on a %d-node chain: %d steps", n, worst)
+}
+
 func benchHTree(b *testing.B, n int) (*comm.Graph, *Tree) {
 	b.Helper()
 	g, err := comm.Mesh(n, n)
@@ -749,7 +824,7 @@ func BenchmarkLCAWalk32(b *testing.B) {
 }
 
 // BenchmarkPathLensBatch32 resolves every communicating pair of a 32×32
-// mesh in one offline pass, the way skew.NewKernel does.
+// mesh in one batch, the way skew.NewKernel does.
 func BenchmarkPathLensBatch32(b *testing.B) {
 	g, tr := benchHTree(b, 32)
 	as, bs := tr.PairNodes(g.PairIndex())
@@ -758,6 +833,34 @@ func BenchmarkPathLensBatch32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr.PathLens(as, bs, s)
+	}
+}
+
+// BenchmarkLCABufferedSpine queries the LCA of cells spread along a
+// spine over 1024 cells buffered at 1/16, a chain over 16k nodes deep:
+// the deep unary chains buffering makes, which the jump pointers skip.
+func BenchmarkLCABufferedSpine(b *testing.B) {
+	g, err := comm.Linear(1024)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp, err := Spine(g)
+	if err != nil {
+		b.Fatal(err)
+	}
+	tr, err := Buffered(sp, 1.0/16)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var nodes [64]NodeID
+	rng := stats.NewRNG(1)
+	for i := range nodes {
+		nodes[i], _ = tr.CellNode(comm.CellID(rng.Intn(g.NumCells())))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.LCA(nodes[i%64], nodes[(i*7+3)%64])
 	}
 }
 

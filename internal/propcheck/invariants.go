@@ -169,11 +169,10 @@ func checkAnalysisBoundsMonteCarlo(rng *stats.RNG) error {
 
 // checkKernelMatchesReference pins the kernel fast paths to the retained
 // pre-kernel implementations with zero tolerance: same Analysis field
-// for field (the reference recomputes every distance through the
-// parent-walk LCA, so this also cross-checks the kernel's offline batch
-// LCA pass),
-// same guaranteed minimum, and bit-identical Monte-Carlo results for a
-// shared seed.
+// for field (the reference recomputes every distance through its own
+// parent-walk LCA, so this also cross-checks the tree's jump-pointer
+// LCA search), same guaranteed minimum, and bit-identical Monte-Carlo
+// results for a shared seed.
 func checkKernelMatchesReference(rng *stats.RNG) error {
 	g, err := AnyGraph(rng)
 	if err != nil {

@@ -147,7 +147,7 @@ type Server struct {
 	// skew kernels of either tier, which serve both analyze and clock
 	// simulations (a streamed-tier kernel holds the tree, and the graph
 	// its CSR pair index, 4 B/pair + 8 B/cell against the resident
-	// tier's 24 B/pair); and hybrid systems.
+	// tier's 16 B/pair); and hybrid systems.
 	kernels       *engineCache[*skew.Kernel]
 	hybridSystems *engineCache[*hybrid.System]
 	flight        *flightGroup[response]

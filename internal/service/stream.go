@@ -56,7 +56,7 @@ func (s *Server) streamedTreeAnalysis(ctx context.Context, k *skew.Kernel, treeN
 }
 
 // kernelBytesInUse estimates the resident bytes of every cached skew
-// kernel — the resident tier's 24 B/pair class and every kernel's clock
+// kernel — the resident tier's 16 B/pair class and every kernel's clock
 // tree; the graphs and their shared pair indexes are not charged — the
 // gauge operators watch against the configured kernel byte budget.
 func (s *Server) kernelBytesInUse() int64 {

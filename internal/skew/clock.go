@@ -44,12 +44,12 @@ func (p ClockParams) Validate() error {
 
 // clock propagates one clock event down the tree's preorder into
 // a.arrival: node v's edge delays it by its electrical length times the
-// unit delay a.units[k.draw[v]], plus BufferDelay at a buffer node, plus
+// unit delay a.units[draw[v]], plus BufferDelay at a buffer node, plus
 // inj's excess for the edge when inj is non-nil. Per edge, the operands
 // and their order are those of clocksim's reference traversal, so every
 // arrival is bit-identical to it.
 func (k *Kernel) clock(a *mcArena, p ClockParams, inj *faults.Injector) {
-	t, at := k.tree, a.arrival
+	t, at, draw := k.tree, a.arrival, k.drawOrder()
 	parent := t.Parents()[:len(at)]
 	at[0] = 0
 	for v := 1; v < len(at); v++ {
@@ -58,7 +58,7 @@ func (k *Kernel) clock(a *mcArena, p ClockParams, inj *faults.Injector) {
 		if t.IsBuffer(id) {
 			buf = p.BufferDelay
 		}
-		at[v] = at[parent[v]] + t.EdgeLen(id)*a.units[k.draw[v]] + buf
+		at[v] = at[parent[v]] + t.EdgeLen(id)*a.units[draw[v]] + buf
 		if inj != nil {
 			at[v] += inj.EdgeJitter(uint64(v))
 		}
@@ -134,12 +134,12 @@ func (k *Kernel) AdversarialSkew(p ClockParams, a, b comm.CellID) (float64, erro
 			return fmt.Errorf("clocksim: cell %d not clocked by tree %q", b, k.tree.Name)
 		}
 		setAll(units, p.M)
-		lca := k.tree.LCA(na, nb)
+		draw, lca := k.drawOrder(), k.tree.LCA(na, nb)
 		for v := nb; v != lca; v = k.tree.Parent(v) {
-			units[k.draw[v]] = p.M - p.Eps
+			units[draw[v]] = p.M - p.Eps
 		}
 		for v := na; v != lca; v = k.tree.Parent(v) {
-			units[k.draw[v]] = p.M + p.Eps
+			units[draw[v]] = p.M + p.Eps
 		}
 		return nil
 	})

@@ -19,29 +19,31 @@ import (
 // tiers.
 //
 // Within the limits the kernel is resident. Built once — every pair's
-// LCA resolved in one offline pass over the tree, O(nodes + pairs) — it
+// LCA found by the tree's jump-pointer search, O(pairs · log depth) — it
 // caches:
 //
 //   - the graph's communicating pairs, in PairIndex order, resolved to
 //     the tree nodes clocking their cells,
-//   - each pair's d and s (computed once instead of per query),
-//   - each node's position in clocksim's stack-order draw sequence, and
-//     the worst root-path buffer count.
+//   - each pair's s (computed once instead of per query); Analyze reads
+//     d off the tree's root distances, the two gathers DiffDist makes,
+//   - the worst root-path buffer count, and, from the first clock
+//     regime on, each node's position in clocksim's stack-order draw
+//     sequence, which analyses never read.
 //
 // The schedule itself is the tree's: a Tree numbers its nodes in DFS
 // preorder, so one ascending pass over its parent and edge-length
 // arrays finalizes a parent's arrival time before any child reads it,
 // and draws the Monte-Carlo trial's per-edge delays in the order the
 // pre-kernel recursive walk drew them. A tree must not be equalized
-// after a kernel is built over it: the cached d and s, like every
-// arrival the kernel computes, read its electrical lengths.
+// after a kernel is built over it: the cached s, like every distance
+// and arrival the kernel computes, reads its electrical lengths.
 //
 // Over the limits the kernel is streamed: it holds the graph, the tree
 // and a pool of shard sketches, and allocates no per-pair or per-node
 // array. Its Analyze and GuaranteedMinSkew walk the graph's CSR pair
-// index, resolving each pair's LCA by walking parent links, so the
-// resident cost is O(cells) rather than 24 B per pair; SizeError names
-// the limit that tripped, and the Monte-Carlo and clock-regime methods,
+// index, resolving each pair's LCA by the same search, so the resident
+// cost is O(cells) rather than 16 B per pair; SizeError names the
+// limit that tripped, and the Monte-Carlo and clock-regime methods,
 // which need the per-node arrays, return it. Both tiers give
 // bit-identical answers: each scans the pairs in ascending index order
 // with strictly-greater updates. Stream, the sharded scan with sketch
@@ -62,10 +64,14 @@ type Kernel struct {
 
 	// The resident tier's arrays; nil on the streamed tier.
 	pairA, pairB []int32   // tree node of each pair's endpoint cells
-	d, s         []float64 // per-pair difference / tree-path distances
+	s            []float64 // per-pair tree-path distances
 	maxD, maxS   float64
-	draw         []int32 // draw[v] is node v's edge's position in clocksim's draw sequence
-	worstBuffers int     // max root-path buffer count over nodes
+	worstBuffers int // max root-path buffer count over nodes
+
+	// draw[v] is node v's edge's position in clocksim's draw sequence,
+	// built by drawOrder on the first clock regime.
+	drawOnce sync.Once
+	draw     []int32
 
 	arenas   sync.Pool // *mcArena, reused across trials, regimes and chunks (resident tier)
 	sketches sync.Pool // *stats.LogSketch, one per Stream shard in flight
@@ -91,10 +97,10 @@ func NewKernel(g *comm.Graph, tree *clocktree.Tree) (*Kernel, error) {
 // (zero fields default). The count limits clamp to math.MaxInt32 —
 // int32 indexing is a representation ceiling no limit can raise. Sizes
 // are checked before anything is allocated: within the limits the
-// kernel precomputes the pair geometry and draw order in
-// O(nodes + pairs); past them it returns a streamed-tier kernel, whose
-// SizeError reports the limit. The only error is a tree that does not
-// clock every cell of g.
+// kernel precomputes the pair geometry in O(nodes + pairs · log depth);
+// past them it returns a streamed-tier kernel, whose SizeError reports
+// the limit. The only error is a tree that does not clock every cell
+// of g.
 func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kernel, error) {
 	if !tree.Covers(g) {
 		return nil, fmt.Errorf("skew: tree %q does not clock every cell of %q", tree.Name, g.Name)
@@ -106,25 +112,21 @@ func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kern
 	n := tree.NumNodes()
 	k := &Kernel{graph: g, tree: tree, ix: ix}
 	k.sketches.New = func() any { return new(stats.LogSketch) }
+	k.worstBuffers = indexDraws(tree, nil)
 	if k.sizeErr = checkKernelSize(g.Name, tree.Name, n, int(ix.NumPairs()), lim); k.sizeErr != nil {
-		k.indexDraws(nil)
 		return k, nil
 	}
 	k.pairA, k.pairB = tree.PairNodes(ix)
-	k.d = make([]float64, len(k.pairA))
 	k.s = make([]float64, len(k.pairA))
 	tree.PathLens(k.pairA, k.pairB, k.s)
-	for i := range k.pairA {
-		k.d[i] = tree.DiffDist(clocktree.NodeID(k.pairA[i]), clocktree.NodeID(k.pairB[i]))
-		if k.d[i] > k.maxD {
-			k.maxD = k.d[i]
+	for i, s := range k.s {
+		if d := k.diffDist(i); d > k.maxD {
+			k.maxD = d
 		}
-		if k.s[i] > k.maxS {
-			k.maxS = k.s[i]
+		if s > k.maxS {
+			k.maxS = s
 		}
 	}
-	k.draw = make([]int32, n)
-	k.indexDraws(k.draw)
 	k.arenas.New = func() any {
 		return &mcArena{
 			units:   make([]float64, n-1),
@@ -135,23 +137,23 @@ func NewKernelWithLimits(g *comm.Graph, tree *clocktree.Tree, lim Limits) (*Kern
 	return k, nil
 }
 
-// indexDraws counts the worst root-path buffer count and, when draw is
-// non-nil, records each node's position in the order clocksim's
+// indexDraws returns the worst root-path buffer count of t and, when
+// draw is non-nil, records each node's position in the order clocksim's
 // pre-kernel traversal drew edge delays: an explicit stack, children
 // pushed in ascending ID order and popped last-in first-out, each
 // popped node's edges to its children drawn in push order. The stack
 // holds each node with its root-path buffer count; a binary tree keeps
 // it within twice the tree's depth, so the streamed tier, which has no
 // per-node arrays, can count its buffers too.
-func (k *Kernel) indexDraws(draw []int32) {
-	t := k.tree
+func indexDraws(t *clocktree.Tree, draw []int32) (worstBuffers int) {
 	type entry struct{ v, buffers int32 }
 	stack := []entry{{0, 0}}
+	var kids [2]clocktree.NodeID
 	next := int32(0)
 	for len(stack) > 0 {
 		e := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, c := range t.Children(clocktree.NodeID(e.v)) {
+		for _, c := range t.AppendChildren(kids[:0], clocktree.NodeID(e.v)) {
 			if draw != nil {
 				draw[c] = next
 				next++
@@ -160,10 +162,27 @@ func (k *Kernel) indexDraws(draw []int32) {
 			if t.IsBuffer(c) {
 				b++
 			}
-			k.worstBuffers = max(k.worstBuffers, int(b))
+			worstBuffers = max(worstBuffers, int(b))
 			stack = append(stack, entry{int32(c), b})
 		}
 	}
+	return worstBuffers
+}
+
+// drawOrder returns the draw order, building it on first use: a kernel
+// that only analyzes never holds it. Resident tier only.
+func (k *Kernel) drawOrder() []int32 {
+	k.drawOnce.Do(func() {
+		k.draw = make([]int32, k.tree.NumNodes())
+		indexDraws(k.tree, k.draw)
+	})
+	return k.draw
+}
+
+// diffDist returns pair i's difference distance d, the tree's DiffDist
+// of its two nodes. Resident tier only.
+func (k *Kernel) diffDist(i int) float64 {
+	return k.tree.DiffDist(clocktree.NodeID(k.pairA[i]), clocktree.NodeID(k.pairB[i]))
 }
 
 // Graph returns the communication graph the kernel was built over.
@@ -192,9 +211,10 @@ func (k *Kernel) FootprintBytes() int64 {
 }
 
 // Analyze evaluates model over every communicating pair. The resident
-// tier reads the cached distances and performs no tree or graph
-// traversal: the worst pair's cells are looked up once, after the scan.
-// The streamed tier walks the pair index in one sequential pass.
+// tier reads the cached path lengths and the tree's root distances and
+// performs no tree or graph traversal: the worst pair's cells are
+// looked up once, after the scan. The streamed tier walks the pair
+// index in one sequential pass.
 func (k *Kernel) Analyze(model Model) Analysis {
 	if k.sizeErr != nil {
 		return k.processShard(model, nil, 0, k.ix.NumPairs(), nil).analysis(model, k)
@@ -204,14 +224,14 @@ func (k *Kernel) Analyze(model Model) Analysis {
 		MaxD: k.maxD, MaxS: k.maxS, Pairs: len(k.pairA),
 	}
 	worst := -1
-	for i, d := range k.d {
-		if sk := model.Bound(d, k.s[i]); sk > out.MaxSkew {
+	for i, s := range k.s {
+		if sk := model.Bound(k.diffDist(i), s); sk > out.MaxSkew {
 			out.MaxSkew, worst = sk, i
 		}
 	}
 	if worst >= 0 {
 		a, b := k.ix.Pair(int64(worst))
-		out.WorstPair = PairSkew{A: a, B: b, D: k.d[worst], S: k.s[worst], Skew: out.MaxSkew}
+		out.WorstPair = PairSkew{A: a, B: b, D: k.diffDist(worst), S: k.s[worst], Skew: out.MaxSkew}
 	}
 	return out
 }

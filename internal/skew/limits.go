@@ -97,16 +97,17 @@ func (e *SizeError) tripped() int64 {
 
 // KernelBytes estimates the resident size of a kernel built over a
 // tree with the given node count and a pair list of the given length:
-// the per-pair arrays (int32 endpoint nodes, float64 d and s), the
-// per-node draw order (int32), and one trial arena (units, arrival).
-// The units skip the root, so the per-node term overstates them by one
-// entry. The schedule is the tree's own parent and edge arrays, which
-// Tree.FootprintBytes counts, and the pairs themselves live in the
+// the per-pair arrays (int32 endpoint nodes, float64 s), the per-node
+// draw order (int32, built on the first clock regime), and one trial
+// arena (units, arrival). The units skip the root, so the per-node term
+// overstates them by one entry. The schedule is the tree's own parent
+// and edge arrays, and each pair's d comes from its root distances,
+// which Tree.FootprintBytes counts; the pairs themselves live in the
 // graph's PairIndex, which the graph owns. The scale sweep records the
 // same number as each size's kernel-resident bytes.
 func KernelBytes(nodes, pairs int) int64 {
-	const perPair = 4 + 4 + 8 + 8 // pairA/pairB + d + s
-	const perNode = 4 + 8 + 8     // draw + units + arrival
+	const perPair = 4 + 4 + 8 // pairA/pairB + s
+	const perNode = 4 + 8 + 8 // draw + units + arrival
 	return int64(pairs)*perPair + int64(nodes)*perNode
 }
 

@@ -4,9 +4,12 @@ import (
 	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/clocktree"
+	"repro/internal/faults"
+	"repro/internal/stats"
 )
 
 // buildOrSizeError builds a kernel under lim and returns the SizeError
@@ -123,19 +126,24 @@ func TestCheckKernelSizePrecedence(t *testing.T) {
 }
 
 // TestKernelBytesMatchesKernelArrays pins KernelBytes' per-pair term to
-// the arrays a kernel actually holds per pair: pairA, pairB, d and s.
-// The pairs themselves live in the graph's PairIndex, not the kernel.
-// It pins the per-node term likewise to the draw order and one trial
-// arena (units, arrival): every node is charged a full entry in each,
-// and only the root, which has no edge, holds none in units.
+// the arrays a kernel actually holds per pair: pairA, pairB and s. Each
+// pair's d is read off the tree's root distances, and the pairs
+// themselves live in the graph's PairIndex, not the kernel. It pins the
+// per-node term likewise to the draw order, which the first clock
+// regime builds, and one trial arena (units, arrival): every node is
+// charged a full entry in each, and only the root, which has no edge,
+// holds none in units.
 func TestKernelBytesMatchesKernelArrays(t *testing.T) {
 	k, se := buildOrSizeError(t, Limits{})
 	if se != nil {
 		t.Fatal(se)
 	}
-	held := int64(4*cap(k.pairA) + 4*cap(k.pairB) + 8*cap(k.d) + 8*cap(k.s))
+	held := int64(4*cap(k.pairA) + 4*cap(k.pairB) + 8*cap(k.s))
 	if want := KernelBytes(0, k.Pairs()); held != want {
 		t.Fatalf("kernel holds %d B of per-pair arrays, KernelBytes counts %d", held, want)
+	}
+	if _, err := k.NominalSkew(ClockParams{M: 1}); err != nil {
+		t.Fatal(err)
 	}
 	a := k.arenas.Get().(*mcArena)
 	defer k.arenas.Put(a)
@@ -145,5 +153,95 @@ func TestKernelBytesMatchesKernelArrays(t *testing.T) {
 	if want := KernelBytes(nodes, 0); held+root != want {
 		t.Fatalf("kernel holds %d B of per-node arrays over %d nodes (+%d B for the root), KernelBytes counts %d",
 			held, nodes, root, want)
+	}
+}
+
+// TestAnalyzeOnlyKernelHoldsNoDrawOrder: analyses, Monte-Carlo trials
+// and the drift figures never read the draw order, so a kernel that
+// only serves them never builds it; the first clock regime does.
+func TestAnalyzeOnlyKernelHoldsNoDrawOrder(t *testing.T) {
+	k, se := buildOrSizeError(t, Limits{})
+	if se != nil {
+		t.Fatal(se)
+	}
+	k.Analyze(Linear{M: 1, Eps: 0.2})
+	k.GuaranteedMinSkew(Linear{M: 1, Eps: 0.2})
+	if _, err := k.MonteCarlo(Linear{M: 1, Eps: 0.2}, 4, stats.NewRNG(1)); err != nil {
+		t.Fatal(err)
+	}
+	k.MinPipelinedPeriod(ClockParams{M: 1, RiseFallBias: 0.1})
+	if k.draw != nil {
+		t.Fatal("an analyze-only kernel built the draw order")
+	}
+	if _, err := k.NominalSkew(ClockParams{M: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if len(k.draw) != k.tree.NumNodes() {
+		t.Fatalf("after a regime the draw order has %d entries, want %d", len(k.draw), k.tree.NumNodes())
+	}
+}
+
+// TestConcurrentFirstRegimesBuildDrawOrderOnce starts the first random
+// and jittered regimes of a fresh kernel on several goroutines at once.
+// The draw order is built once, under a sync.Once, so the race detector
+// sees no conflicting writes, every goroutine reads the one array, and
+// every answer equals a sequential run's on a kernel built beforehand.
+func TestConcurrentFirstRegimesBuildDrawOrderOnce(t *testing.T) {
+	g := meshArray(t, 8)
+	tr, err := clocktree.HTree(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := ClockParams{M: 1, Eps: 0.2, BufferDelay: 0.1}
+	// An injector counts what it injects, so each run gets its own.
+	run := func(k *Kernel, i int) (float64, error) {
+		if i%2 == 0 {
+			return k.RandomSkew(p, stats.NewRNG(int64(i)))
+		}
+		inj, err := faults.New(faults.Config{JitterProb: 0.3, MaxJitter: 0.5}, 7)
+		if err != nil {
+			return 0, err
+		}
+		return k.JitteredSkew(p, stats.NewRNG(int64(i)), inj)
+	}
+	const workers = 8
+	seq, err := NewKernel(g, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [workers]float64
+	for i := range want {
+		if want[i], err = run(seq, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	k, err := NewKernel(g, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [workers]float64
+	var errs [workers]error
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := 0; i < workers; i++ {
+		done.Add(1)
+		go func(i int) {
+			defer done.Done()
+			start.Wait()
+			got[i], errs[i] = run(k, i)
+		}(i)
+	}
+	start.Done()
+	done.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got[i] != want[i] {
+			t.Errorf("worker %d: concurrent first regime %v, sequential %v", i, got[i], want[i])
+		}
+	}
+	if first := &k.drawOrder()[0]; first != &k.draw[0] {
+		t.Fatal("the draw order was rebuilt after the first regimes")
 	}
 }

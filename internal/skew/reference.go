@@ -17,10 +17,10 @@ import (
 // random layouts, every tree builder, and random models. The references
 // deliberately avoid every kernel-era shortcut: pairs are re-enumerated
 // from the raw edge set (no memoization), distances are recomputed per
-// query through the tree's parent-walk LCA (the kernel resolves all its
-// pairs in one offline batch pass instead), and the Monte-Carlo trial
-// walks the tree with a recursive closure and draws each delay with a
-// separate Uniform call.
+// query through a plain parent-walk LCA of this file's own (the kernel
+// uses the tree's jump-pointer search instead), and the Monte-Carlo
+// trial walks the tree with a recursive closure and draws each delay
+// with a separate Uniform call.
 
 // referencePairs re-enumerates the communicating pairs of g from its raw
 // edge list with a set and a sort, independently of comm's PairIndex:
@@ -62,14 +62,37 @@ func referenceCellDiffDist(tree *clocktree.Tree, a, b comm.CellID) float64 {
 
 // referenceCellPathLen recomputes the tree-path length with the tree's
 // exact pre-kernel formula rootDist(a) + rootDist(b) − 2·rootDist(lca)
-// — resolving each LCA with the tree's parent walk, independently of the
-// kernel's offline batch pass, so a wrong batch answer (a different
-// node, hence a different rootDist) cannot go unnoticed.
+// — resolving each LCA with referenceLCA, independently of the tree's
+// jump-pointer search, so a wrong search answer (a different node,
+// hence a different rootDist) cannot go unnoticed.
 func referenceCellPathLen(tree *clocktree.Tree, a, b comm.CellID) float64 {
 	na, _ := tree.CellNode(a)
 	nb, _ := tree.CellNode(b)
-	l := tree.LCA(na, nb)
+	l := referenceLCA(tree, na, nb)
 	return tree.RootDist(na) + tree.RootDist(nb) - 2*tree.RootDist(l)
+}
+
+// referenceLCA walks parent links only: it counts both nodes' depths,
+// lifts the deeper node to the shallower's depth, then climbs both in
+// lockstep until they meet.
+func referenceLCA(tree *clocktree.Tree, a, b clocktree.NodeID) clocktree.NodeID {
+	depth := func(v clocktree.NodeID) (d int) {
+		for ; v != tree.Root(); v = tree.Parent(v) {
+			d++
+		}
+		return d
+	}
+	da, db := depth(a), depth(b)
+	for ; da > db; da-- {
+		a = tree.Parent(a)
+	}
+	for ; db > da; db-- {
+		b = tree.Parent(b)
+	}
+	for a != b {
+		a, b = tree.Parent(a), tree.Parent(b)
+	}
+	return a
 }
 
 // ReferenceAnalyze is the pre-kernel Analyze: a full per-pair traversal
@@ -141,7 +164,7 @@ func referenceTrial(g *comm.Graph, tree *clocktree.Tree, m Linear, pairs [][2]co
 	// Arrival time = parent's arrival + edge length · random unit delay.
 	var walk func(v clocktree.NodeID)
 	walk = func(v clocktree.NodeID) {
-		for _, c := range tree.Children(v) {
+		for _, c := range tree.AppendChildren(nil, v) {
 			unit := r.Uniform(m.M-m.Eps, m.M+m.Eps)
 			arrival[c] = arrival[v] + tree.EdgeLen(c)*unit
 			walk(c)

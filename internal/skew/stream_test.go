@@ -420,7 +420,7 @@ func TestStreamedTierFootprint(t *testing.T) {
 	if fp := st.FootprintBytes(); fp <= 0 || fp >= kb {
 		t.Fatalf("FootprintBytes = %d, want in (0, %d)", fp, kb)
 	}
-	if st.pairA != nil || st.d != nil || st.draw != nil {
+	if st.pairA != nil || st.s != nil || st.draw != nil {
 		t.Fatal("streamed-tier kernel holds per-pair or per-node arrays")
 	}
 }
