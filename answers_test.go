@@ -59,9 +59,13 @@ var answerCorpus = []struct {
 	{name: "layout/tree-comm-buffered", path: "/v1/layout.svg?kind=tree&n=5&tree=comm&spacing=1.5"},
 }
 
-// analyzeJob is the corpus's job: an analyze whose Monte-Carlo trials
-// run in chunks, pinned by its final result.
+// analyzeJob is the corpus's resident job: an analyze whose Monte-Carlo
+// trials run in chunks, pinned by its final result.
 const analyzeJob = `{"analyze":{"topology":{"kind":"mesh","n":8},"trees":["htree","spine"],"equalize":true,"montecarlo_trials":24,"seed":6},"chunk_trials":5}`
+
+// analyzeStreamedJob is an analyze job the streamed tier serves, with
+// the certified bound and a builder that does not apply to a mesh.
+const analyzeStreamedJob = `{"analyze":{"topology":{"kind":"mesh","n":8},"trees":["htree","ladder"],"montecarlo_trials":16,"seed":3,"certified_lower_bound":true},"chunk_trials":4}`
 
 // simulateRecipes and simulateRegimes span the single simulate requests
 // of the corpus: every regime on every recipe.
@@ -116,6 +120,7 @@ func TestAnswerDigests(t *testing.T) {
 		got[c.name] = digest(fetch(t, url, c.body))
 	}
 	got["job/analyze"] = digest(jobResult(t, resident, analyzeJob))
+	got["job/analyze-streamed"] = digest(jobResult(t, streamed, analyzeStreamedJob))
 	for _, r := range simulateRecipes {
 		for _, g := range simulateRegimes {
 			body := "{" + r.graph + "," + r.recipe + "," + g.fields + "," + simParams + "}"

@@ -210,9 +210,7 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, r *http.Request) {
 		info.HedgeEnabled = true
 		info.HedgeDelayMS = float64(d.Nanoseconds()) / 1e6
 	}
-	b, _ := json.MarshalIndent(info, "", "  ")
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
+	writeJSON(w, http.StatusOK, info)
 }
 
 // DrainToPeers pushes this node's successful result-cache entries to

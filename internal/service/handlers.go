@@ -418,60 +418,54 @@ type AnalyzeResponse struct {
 }
 
 func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (response, error) {
-	lg := &lazyGraph{in: req.GraphInput}
+	return s.analyze(ctx, req, nil)
+}
+
+// validate checks req's model, trial count and, when it runs Monte
+// Carlo, the linear delay band the trials draw from, and returns the
+// model.
+func (req *AnalyzeRequest) validate() (skew.Model, error) {
 	model, err := req.Model.build()
+	if err != nil {
+		return nil, err
+	}
+	if req.MonteCarloTrials < 0 || req.MonteCarloTrials > 1<<20 {
+		return nil, badRequest("montecarlo_trials must be in [0, %d], got %d", 1<<20, req.MonteCarloTrials)
+	}
+	if req.MonteCarloTrials > 0 {
+		if err := req.band().Validate(); err != nil {
+			return nil, unprocessable(err)
+		}
+	}
+	return model, nil
+}
+
+// band is the delay band [M−ε, M+ε] req's Monte-Carlo trials draw from.
+func (req *AnalyzeRequest) band() skew.Linear {
+	return skew.Linear{M: req.Model.M, Eps: req.Model.Eps}
+}
+
+// analyze is the analysis behind both POST /v1/analyze and analyze
+// jobs. Without a progress sink (the endpoint) the candidate trees fan
+// out over the worker pool and each tree's Monte-Carlo trials fan out
+// again inside MonteCarloParallel. With one (a job) the trees run in
+// order, so trials_done strictly increases and each tree's partials
+// are contiguous. Both answer the same bytes. The kernel cache means a
+// repeat of a (graph, tree) recipe — even under a different model,
+// trial count, or seed — skips the graph build, the tree build and the
+// pair-geometry precomputation entirely.
+func (s *Server) analyze(ctx context.Context, req *AnalyzeRequest, p *analyzeProgress) (response, error) {
+	lg := &lazyGraph{in: req.GraphInput}
+	model, err := req.validate()
 	if err != nil {
 		return response{}, lg.failWith(err)
 	}
-	if req.MonteCarloTrials < 0 || req.MonteCarloTrials > 1<<20 {
-		return response{}, lg.failWith(badRequest("montecarlo_trials must be in [0, %d], got %d", 1<<20, req.MonteCarloTrials))
+	workers := s.cfg.Workers
+	if p != nil {
+		workers = 1
 	}
-
-	// Fan the candidate trees out over the worker pool; each tree's
-	// Monte Carlo trials fan out again inside MonteCarloParallel. The
-	// kernel cache means a repeat of a (graph, tree) recipe — even under
-	// a different model, trial count, or seed — skips the graph build,
-	// the tree build and the pair-geometry precomputation entirely.
-	results := runner.Map(ctx, s.cfg.Workers, len(req.Trees), func(ctx context.Context, i int) (TreeAnalysis, error) {
-		out := TreeAnalysis{Tree: req.Trees[i]}
-		k, err := s.kernelFor(req.engineID(req.Trees[i]), lg)
-		if err != nil {
-			out.Error = err.Error()
-			return out, nil
-		}
-		if k.SizeError() != nil {
-			// An oversize array's kernel is streamed, and answers
-			// exactly in bounded memory.
-			return s.streamedTreeAnalysis(ctx, k, req.Trees[i], req, model, nil)
-		}
-		tree := k.Tree()
-		analysis := k.Analyze(model)
-		out.Nodes = tree.NumNodes()
-		out.Buffers = tree.BufferCount()
-		out.TotalWireLength = tree.TotalWireLength()
-		out.MaxSkew = analysis.MaxSkew
-		out.WorstPair = [2]int{int(analysis.WorstPair.A), int(analysis.WorstPair.B)}
-		out.MaxD, out.MaxS = analysis.MaxD, analysis.MaxS
-		out.Pairs = analysis.Pairs
-		out.GuaranteedMinSkew = k.GuaranteedMinSkew(model)
-		if req.MonteCarloTrials > 0 {
-			mc, err := k.MonteCarloParallel(ctx, s.cfg.Workers,
-				skew.Linear{M: req.Model.M, Eps: req.Model.Eps},
-				req.MonteCarloTrials, stats.NewRNG(req.Seed))
-			if err != nil {
-				return out, err
-			}
-			out.MonteCarloMaxSkew = mc
-		}
-		if g := k.Graph(); req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
-			cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
-			if err != nil {
-				out.Error = err.Error()
-				return out, nil
-			}
-			out.CertifiedLowerBound = cert.Bound
-		}
-		return out, nil
+	results := runner.Map(ctx, workers, len(req.Trees), func(ctx context.Context, i int) (TreeAnalysis, error) {
+		return s.analyzeTree(ctx, lg, req, model, i, p)
 	})
 	if err := runner.Join(results); err != nil {
 		return response{}, lg.failWith(firstTypedError(results, err))
@@ -482,11 +476,52 @@ func (s *Server) computeAnalyze(ctx context.Context, req *AnalyzeRequest) (respo
 	if err != nil {
 		return response{}, err
 	}
-	resp := AnalyzeResponse{Graph: g.Name, Cells: g.NumCells(), Model: model.Name()}
-	for _, r := range results {
-		resp.Results = append(resp.Results, r.Value)
+	return marshalResponse(AnalyzeResponse{Graph: g.Name, Cells: g.NumCells(), Model: model.Name(), Results: runner.Values(results)})
+}
+
+// analyzeTree analyzes req's i-th candidate tree on its kernel's tier.
+// A builder that does not apply to the graph reports its error inline.
+func (s *Server) analyzeTree(ctx context.Context, lg *lazyGraph, req *AnalyzeRequest, model skew.Model, i int, p *analyzeProgress) (TreeAnalysis, error) {
+	out := TreeAnalysis{Tree: req.Trees[i]}
+	k, err := s.kernelFor(req.engineID(out.Tree), lg)
+	if err != nil {
+		out.Error = err.Error()
+		return out, nil
 	}
-	return marshalResponse(resp)
+	tree := k.Tree()
+	out.Nodes, out.Buffers, out.TotalWireLength = tree.NumNodes(), tree.BufferCount(), tree.TotalWireLength()
+	var a skew.Analysis
+	if k.SizeError() != nil {
+		// An oversize array's kernel is streamed, and answers exactly
+		// in bounded memory.
+		a, err = s.streamedAnalysis(ctx, k, req, model, p.streamed(req, i), &out)
+	} else {
+		a = k.Analyze(model)
+		out.GuaranteedMinSkew = k.GuaranteedMinSkew(model)
+		switch {
+		case req.MonteCarloTrials == 0:
+		case p == nil:
+			out.MonteCarloMaxSkew, err = k.MonteCarloParallel(ctx, s.cfg.Workers, req.band(), req.MonteCarloTrials, stats.NewRNG(req.Seed))
+		default:
+			// A job's trials run in chunks, publishing partial quantiles.
+			out.MonteCarloMaxSkew, err = s.monteCarloChunks(ctx, k, req, i, p)
+		}
+	}
+	if err != nil {
+		return out, err
+	}
+	out.MaxSkew = a.MaxSkew
+	out.WorstPair = [2]int{int(a.WorstPair.A), int(a.WorstPair.B)}
+	out.MaxD, out.MaxS, out.Pairs = a.MaxD, a.MaxS, a.Pairs
+	if g := k.Graph(); req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
+		cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
+		if err != nil {
+			out.Error = err.Error()
+		} else {
+			out.CertifiedLowerBound = cert.Bound
+		}
+	}
+	return out, nil
 }
 
 // ------------------------------------------------------------ simulate

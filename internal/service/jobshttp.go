@@ -17,7 +17,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/comm"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/skew"
@@ -87,7 +86,7 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.jobsCreated.Add(1)
-	writeSnapshot(w, http.StatusAccepted, j.Snapshot())
+	writeJSON(w, http.StatusAccepted, j.Snapshot())
 }
 
 // traceJob wraps a job's run function so its background execution is a
@@ -152,12 +151,9 @@ func (s *Server) prepareJob(req *JobRequest) (kind string, run jobs.RunFunc, can
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	doc := struct {
+	writeJSON(w, http.StatusOK, struct {
 		Jobs []jobs.Snapshot `json:"jobs"`
-	}{Jobs: s.jobs.List()}
-	b, _ := json.MarshalIndent(doc, "", "  ")
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(b, '\n'))
+	}{Jobs: s.jobs.List()})
 }
 
 // handleJob serves one job: GET returns its snapshot, DELETE cancels it.
@@ -170,14 +166,14 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, err.Error(), ReasonJobNotFound)
 			return
 		}
-		writeSnapshot(w, http.StatusOK, j.Snapshot())
+		writeJSON(w, http.StatusOK, j.Snapshot())
 	case http.MethodDelete:
 		j, err := s.jobs.Cancel(id)
 		if err != nil {
 			writeError(w, http.StatusNotFound, err.Error(), ReasonJobNotFound)
 			return
 		}
-		writeSnapshot(w, http.StatusOK, j.Snapshot())
+		writeJSON(w, http.StatusOK, j.Snapshot())
 	default:
 		w.Header().Set("Allow", "GET, DELETE")
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed; use GET or DELETE", ReasonMethodNotAllowed)
@@ -251,8 +247,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, max int64) ([]byte, error)
 	return raw, nil
 }
 
-func writeSnapshot(w http.ResponseWriter, status int, snap jobs.Snapshot) {
-	b, _ := json.MarshalIndent(snap, "", "  ")
+// writeJSON answers with v as an indented JSON document.
+func writeJSON(w http.ResponseWriter, status int, v any) {
+	b, _ := json.MarshalIndent(v, "", "  ")
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	w.Write(append(b, '\n'))
@@ -322,118 +319,70 @@ func streamedPartial(tree string, p skew.StreamPartial) json.RawMessage {
 	return b
 }
 
-// runAnalyzeJob is the analyze job body: the same analysis as POST
-// /v1/analyze — same kernels, same per-trial RNG forks, bit-identical
-// Monte-Carlo maximum — but with the trials chunked so progress and
-// partial quantiles stream while the sweep runs.
+// analyzeProgress is an analyze job's progress sink: the job its
+// partial results are published to, and how many Monte-Carlo trials
+// run between two of them.
+type analyzeProgress struct {
+	job   *jobs.Job
+	chunk int
+}
+
+// streamed returns the progress hook of the i-th tree's streamed scan,
+// which publishes shard-level partials; nil without a sink.
+func (p *analyzeProgress) streamed(req *AnalyzeRequest, i int) func(skew.StreamPartial) {
+	if p == nil {
+		return nil
+	}
+	trials := req.MonteCarloTrials
+	return func(sp skew.StreamPartial) {
+		p.job.Publish(i*trials, trials*len(req.Trees), streamedPartial(req.Trees[i], sp))
+	}
+}
+
+// monteCarloChunks runs the i-th tree's Monte-Carlo trials on k, a
+// resident kernel, in chunks of p.chunk, publishing the partial
+// quantiles after each, and returns the worst skew drawn. Trees run in
+// order, so the trials of the trees before this one are done.
+func (s *Server) monteCarloChunks(ctx context.Context, k *skew.Kernel, req *AnalyzeRequest, i int, p *analyzeProgress) (float64, error) {
+	trials, tree, band := req.MonteCarloTrials, req.Trees[i], req.band()
+	rng, fork := stats.NewRNG(req.Seed), stats.NewRNG(0)
+	samples := make([]float64, 0, trials)
+	for start := 0; start < trials; start += p.chunk {
+		if err := ctx.Err(); err != nil {
+			return 0, err
+		}
+		end := min(start+p.chunk, trials)
+		_, cs := obs.Start(ctx, "job.mc_chunk", obs.String("tree", tree), obs.Int("trials", int64(end-start)))
+		chunkStart := time.Now()
+		// Forking the RNG by absolute trial index makes the chunked
+		// sweep reproduce Kernel.MonteCarlo bit for bit; each fork
+		// reseeds one generator in place.
+		for t := start; t < end; t++ {
+			samples = append(samples, k.Trial(band, rng.ForkInto(int64(t), fork)))
+		}
+		if sec := time.Since(chunkStart).Seconds(); sec > 0 {
+			s.metrics.jobTrials.Observe(float64(end-start)/sec, cs.TraceID())
+		}
+		cs.End()
+		p.job.Publish(i*trials+end, trials*len(req.Trees), mcPartial(tree, samples, trials))
+	}
+	return stats.Max(samples), nil
+}
+
+// jobOutcome maps a compute function's answer onto a job's: the
+// response body, or the error with its machine-readable reason.
+func jobOutcome(res response, err error) (json.RawMessage, string, error) {
+	if err != nil {
+		return nil, reasonOf(err), err
+	}
+	return res.body, "", nil
+}
+
+// runAnalyzeJob is the analyze job body: POST /v1/analyze's analysis,
+// bit-identical, with partial results streamed while it runs.
 func (s *Server) runAnalyzeJob(req *AnalyzeRequest, chunk int) jobs.RunFunc {
 	return func(ctx context.Context, job *jobs.Job) (json.RawMessage, string, error) {
-		lg := &lazyGraph{in: req.GraphInput}
-		fail := func(err error) (json.RawMessage, string, error) {
-			err = lg.failWith(err)
-			return nil, reasonOf(err), err
-		}
-		model, err := req.Model.build()
-		if err != nil {
-			return fail(err)
-		}
-		if req.MonteCarloTrials < 0 || req.MonteCarloTrials > 1<<20 {
-			return fail(badRequest("montecarlo_trials must be in [0, %d], got %d", 1<<20, req.MonteCarloTrials))
-		}
-		trials := req.MonteCarloTrials
-		totalTrials := trials * len(req.Trees)
-		doneTrials := 0
-		resp := AnalyzeResponse{Model: model.Name()}
-		for _, treeName := range req.Trees {
-			if err := ctx.Err(); err != nil {
-				return nil, "", err
-			}
-			out := TreeAnalysis{Tree: treeName}
-			k, err := s.kernelFor(req.engineID(treeName), lg)
-			if err != nil {
-				// Mirror computeAnalyze: a builder mismatch reports inline
-				// and the sweep continues.
-				out.Error = err.Error()
-				resp.Results = append(resp.Results, out)
-				doneTrials += trials
-				continue
-			}
-			if k.SizeError() != nil {
-				// An oversize array's kernel is streamed: publish
-				// shard-level partials as the scan runs.
-				sa, err := s.streamedTreeAnalysis(ctx, k, treeName, req, model, func(p skew.StreamPartial) {
-					job.Publish(doneTrials, totalTrials, streamedPartial(treeName, p))
-				})
-				if err != nil {
-					return nil, reasonOf(err), err
-				}
-				resp.Results = append(resp.Results, sa)
-				doneTrials += trials
-				continue
-			}
-			tree := k.Tree()
-			analysis := k.Analyze(model)
-			out.Nodes = tree.NumNodes()
-			out.Buffers = tree.BufferCount()
-			out.TotalWireLength = tree.TotalWireLength()
-			out.MaxSkew = analysis.MaxSkew
-			out.WorstPair = [2]int{int(analysis.WorstPair.A), int(analysis.WorstPair.B)}
-			out.MaxD, out.MaxS = analysis.MaxD, analysis.MaxS
-			out.Pairs = analysis.Pairs
-			out.GuaranteedMinSkew = k.GuaranteedMinSkew(model)
-			if trials > 0 {
-				m := skew.Linear{M: req.Model.M, Eps: req.Model.Eps}
-				if err := m.Validate(); err != nil {
-					return nil, ReasonUnprocessable, unprocessable(err)
-				}
-				rng, fork := stats.NewRNG(req.Seed), stats.NewRNG(0)
-				samples := make([]float64, 0, trials)
-				for start := 0; start < trials; start += chunk {
-					if err := ctx.Err(); err != nil {
-						return nil, "", err
-					}
-					end := start + chunk
-					if end > trials {
-						end = trials
-					}
-					_, cs := obs.Start(ctx, "job.mc_chunk",
-						obs.String("tree", treeName), obs.Int("trials", int64(end-start)))
-					chunkStart := time.Now()
-					// Forking the RNG by absolute trial index makes the
-					// chunked sweep reproduce Kernel.MonteCarlo bit for bit;
-					// each fork reseeds one generator in place.
-					for i := start; i < end; i++ {
-						samples = append(samples, k.Trial(m, rng.ForkInto(int64(i), fork)))
-					}
-					if sec := time.Since(chunkStart).Seconds(); sec > 0 {
-						s.metrics.jobTrials.Observe(float64(end-start)/sec, cs.TraceID())
-					}
-					cs.End()
-					doneTrials += end - start
-					job.Publish(doneTrials, totalTrials, mcPartial(treeName, samples, trials))
-				}
-				out.MonteCarloMaxSkew = stats.Max(samples)
-			}
-			if g := k.Graph(); req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
-				cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
-				if err != nil {
-					out.Error = err.Error()
-				} else {
-					out.CertifiedLowerBound = cert.Bound
-				}
-			}
-			resp.Results = append(resp.Results, out)
-		}
-		g, err := lg.get()
-		if err != nil {
-			return nil, reasonOf(err), err
-		}
-		resp.Graph, resp.Cells = g.Name, g.NumCells()
-		b, err := json.MarshalIndent(resp, "", "  ")
-		if err != nil {
-			return nil, "", err
-		}
-		return append(b, '\n'), "", nil
+		return jobOutcome(s.analyze(ctx, req, &analyzeProgress{job: job, chunk: chunk}))
 	}
 }
 
@@ -448,13 +397,6 @@ func (s *Server) runSimulateJob(req *SimulateRequest) jobs.RunFunc {
 		// a runaway sweep cannot pin a worker slot forever.
 		ctx, cancel := context.WithTimeout(ctx, s.cfg.MaxDeadline)
 		defer cancel()
-		res, err := s.computeSimulate(ctx, req)
-		if err != nil {
-			return nil, reasonOf(err), err
-		}
-		if res.status != http.StatusOK {
-			return nil, ReasonInternal, fmt.Errorf("simulate answered status %d", res.status)
-		}
-		return json.RawMessage(res.body), "", nil
+		return jobOutcome(s.computeSimulate(ctx, req))
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/skew"
 )
 
 // streamEvent is the decoded shape of one NDJSON/SSE stream line.
@@ -85,34 +87,87 @@ type jobSnapshot struct {
 }
 
 // An analyze job computes the same bytes as the synchronous endpoint:
-// same kernels, same per-trial RNG forks, bit-identical document.
+// same kernels, same per-trial RNG forks, bit-identical document — on
+// both kernel tiers, with the certified bound, on an equalized and
+// buffered recipe, and with a builder that reports its error inline.
 func TestJobResultMatchesAnalyze(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	analyze := `{"topology":{"kind":"mesh","n":8},"trees":["htree","greedy"],"montecarlo_trials":32,"seed":7}`
-	_, want := postJSON(t, ts.URL+"/v1/analyze", analyze)
+	streamed := Config{KernelLimits: skew.Limits{MaxPairs: 1}}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		marker  string // in the endpoint's body: the case reaches its branch
+		analyze string
+	}{
+		{"inline builder error", Config{}, `"error": "unknown tree builder`,
+			`{"topology":{"kind":"mesh","n":8},"trees":["htree","greedy"],"montecarlo_trials":32,"seed":7}`},
+		{"streamed", streamed, `"streamed": true`,
+			`{"topology":{"kind":"mesh","n":8},"trees":["htree","spine","greedy"],"montecarlo_trials":16,"seed":7,"certified_lower_bound":true}`},
+		{"certified bound", Config{}, `"certified_lower_bound": `,
+			`{"topology":{"kind":"mesh","n":8},"trees":["htree","serpentine"],"montecarlo_trials":8,"certified_lower_bound":true}`},
+		{"equalized buffered", Config{}, `"buffers": `,
+			`{"topology":{"kind":"mesh","n":8},"trees":["htree"],"equalize":true,"buffer_spacing":1.5,"model":{"kind":"summation","eps":0.2},"montecarlo_trials":20,"seed":4}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, ts := newTestServer(t, tc.cfg)
+			resp, want := postJSON(t, ts.URL+"/v1/analyze", tc.analyze)
+			if resp.StatusCode != http.StatusOK || !bytes.Contains(want, []byte(tc.marker)) {
+				t.Fatalf("POST /v1/analyze: status %d, want 200 with %s: %s", resp.StatusCode, tc.marker, want)
+			}
+			snap := createJob(t, ts.URL, fmt.Sprintf(`{"analyze":%s,"chunk_trials":8}`, tc.analyze))
+			evs := readStream(t, ts.URL+"/v1/jobs/"+snap.ID+"/stream")
+			last := evs[len(evs)-1]
+			if last.State != "done" {
+				t.Fatalf("terminal state %q (error %q), want done", last.State, last.Error)
+			}
+			// The stream relay compacts embedded JSON, so compare the
+			// compacted forms — still a byte-level check on every value,
+			// numbers included.
+			var jobC, syncC bytes.Buffer
+			if err := json.Compact(&jobC, last.Result); err != nil {
+				t.Fatalf("compacting job result: %v", err)
+			}
+			if err := json.Compact(&syncC, want); err != nil {
+				t.Fatalf("compacting sync result: %v", err)
+			}
+			if !bytes.Equal(jobC.Bytes(), syncC.Bytes()) {
+				t.Fatalf("job result differs from POST /v1/analyze:\njob:  %.300s\nsync: %.300s", jobC.Bytes(), syncC.Bytes())
+			}
+			var got jobSnapshot
+			getJSON(t, ts.URL+"/v1/jobs/"+snap.ID, &got)
+			if got.State != "done" || len(got.Result) == 0 {
+				t.Fatalf("snapshot after done: state=%q result-bytes=%d", got.State, len(got.Result))
+			}
+		})
+	}
+}
 
-	snap := createJob(t, ts.URL, fmt.Sprintf(`{"analyze":%s,"chunk_trials":8}`, analyze))
-	evs := readStream(t, ts.URL+"/v1/jobs/"+snap.ID+"/stream")
-	last := evs[len(evs)-1]
-	if last.State != "done" {
-		t.Fatalf("terminal state %q (error %q), want done", last.State, last.Error)
-	}
-	// The stream relay compacts embedded JSON, so compare the compacted
-	// forms — still a byte-level check on every value, numbers included.
-	var jobC, syncC bytes.Buffer
-	if err := json.Compact(&jobC, last.Result); err != nil {
-		t.Fatalf("compacting job result: %v", err)
-	}
-	if err := json.Compact(&syncC, want); err != nil {
-		t.Fatalf("compacting sync result: %v", err)
-	}
-	if !bytes.Equal(jobC.Bytes(), syncC.Bytes()) {
-		t.Fatalf("job result differs from POST /v1/analyze:\njob:  %.300s\nsync: %.300s", jobC.Bytes(), syncC.Bytes())
-	}
-	var got jobSnapshot
-	getJSON(t, ts.URL+"/v1/jobs/"+snap.ID, &got)
-	if got.State != "done" || len(got.Result) == 0 {
-		t.Fatalf("snapshot after done: state=%q result-bytes=%d", got.State, len(got.Result))
+// A Monte-Carlo band with ε > M gets one answer, 422 unprocessable,
+// from the endpoint and from a job, on both kernel tiers.
+func TestInvalidMonteCarloBandUnprocessable(t *testing.T) {
+	const analyze = `{"topology":{"kind":"mesh","n":4},"model":{"kind":"linear","m":1,"eps":2},"montecarlo_trials":4}`
+	for _, tier := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"resident", Config{}},
+		{"streamed", Config{KernelLimits: skew.Limits{MaxPairs: 1}}},
+	} {
+		t.Run(tier.name+"/endpoint", func(t *testing.T) {
+			_, ts := newTestServer(t, tier.cfg)
+			resp, body := postJSON(t, ts.URL+"/v1/analyze", analyze)
+			var eb ErrorBody
+			if err := json.Unmarshal(body, &eb); err != nil || resp.StatusCode != http.StatusUnprocessableEntity || eb.Reason != ReasonUnprocessable {
+				t.Fatalf("status %d body %s, want 422 %q", resp.StatusCode, body, ReasonUnprocessable)
+			}
+		})
+		t.Run(tier.name+"/job", func(t *testing.T) {
+			_, ts := newTestServer(t, tier.cfg)
+			snap := createJob(t, ts.URL, `{"analyze":`+analyze+`}`)
+			evs := readStream(t, ts.URL+"/v1/jobs/"+snap.ID+"/stream")
+			if last := evs[len(evs)-1]; last.State != "failed" || last.Reason != ReasonUnprocessable {
+				t.Fatalf("terminal state %q reason %q error %q, want failed %q", last.State, last.Reason, last.Error, ReasonUnprocessable)
+			}
+		})
 	}
 }
 

@@ -10,15 +10,13 @@ package service
 import (
 	"context"
 
-	"repro/internal/comm"
 	"repro/internal/skew"
 )
 
-// streamedTreeAnalysis runs one candidate tree's analysis over k, a
-// streamed-tier kernel, and reports it in TreeAnalysis form, marked
-// with the streamed metadata.
-func (s *Server) streamedTreeAnalysis(ctx context.Context, k *skew.Kernel, treeName string, req *AnalyzeRequest, model skew.Model, progress func(skew.StreamPartial)) (TreeAnalysis, error) {
-	out := TreeAnalysis{Tree: treeName, Streamed: true}
+// streamedAnalysis runs one candidate tree's analysis over k, a
+// streamed-tier kernel: it fills out's streamed metadata, Monte-Carlo
+// estimate and guaranteed minimum skew, and returns the exact analysis.
+func (s *Server) streamedAnalysis(ctx context.Context, k *skew.Kernel, req *AnalyzeRequest, model skew.Model, progress func(skew.StreamPartial), out *TreeAnalysis) (skew.Analysis, error) {
 	s.metrics.streamedFallbacks.Add(1)
 	res, err := k.Stream(ctx, model, skew.StreamOptions{
 		Workers:  s.cfg.Workers,
@@ -27,32 +25,17 @@ func (s *Server) streamedTreeAnalysis(ctx context.Context, k *skew.Kernel, treeN
 		Progress: progress,
 	})
 	if err != nil {
-		return out, err
+		return skew.Analysis{}, err
 	}
 	s.metrics.streamedShards.Add(int64(res.Shards))
-	tree := k.Tree()
-	out.Nodes = tree.NumNodes()
-	out.Buffers = tree.BufferCount()
-	out.TotalWireLength = tree.TotalWireLength()
-	out.MaxSkew = res.MaxSkew
-	out.WorstPair = [2]int{int(res.WorstPair.A), int(res.WorstPair.B)}
-	out.MaxD, out.MaxS = res.MaxD, res.MaxS
-	out.Pairs = res.Pairs
+	out.Streamed = true
 	out.GuaranteedMinSkew = res.GuaranteedMinSkew
 	out.StreamShards = res.Shards
 	out.ShardSize = res.ShardSize
 	out.SkewP50, out.SkewP90, out.SkewP99 = res.P50, res.P90, res.P99
 	out.QuantileRelError = res.QuantileRelError
 	out.Sampled = res.Sampled
-	if g := k.Graph(); req.CertifiedLowerBound && g.Kind() == comm.KindMesh {
-		cert, err := skew.MeshCertifiedLowerBound(g, tree, req.Model.Eps)
-		if err != nil {
-			out.Error = err.Error()
-		} else {
-			out.CertifiedLowerBound = cert.Bound
-		}
-	}
-	return out, nil
+	return res.Analysis, nil
 }
 
 // kernelBytesInUse estimates the resident bytes of every cached skew

@@ -161,6 +161,7 @@ func TestBadTopologyFailsWholeRequest(t *testing.T) {
 		{"analyze unknown tree", "/v1/analyze", `{` + bad + `,"trees":["nosuch"]}`},
 		{"analyze bad model", "/v1/analyze", `{` + bad + `,"model":{"kind":"nosuch"}}`},
 		{"analyze bad trials", "/v1/analyze", `{` + bad + `,"montecarlo_trials":-1}`},
+		{"analyze bad band", "/v1/analyze", `{` + bad + `,"model":{"m":1,"eps":2},"montecarlo_trials":4}`},
 		{"simulate clock", "/v1/simulate", `{` + bad + `,"mode":"clock"}`},
 		{"simulate hybrid", "/v1/simulate", `{` + bad + `,"mode":"hybrid"}`},
 		{"simulate bad hybrid config", "/v1/simulate", `{` + bad + `,"mode":"hybrid","hybrid":{"hold_delay":9}}`},
@@ -192,6 +193,7 @@ func TestBadTopologyFailsAnalyzeJob(t *testing.T) {
 	for _, analyze := range []string{
 		`{"topology":{"kind":"mesh","n":-3},"trees":["htree","nosuch"],"montecarlo_trials":4}`,
 		`{"topology":{"kind":"mesh","n":-3},"model":{"kind":"nosuch"}}`,
+		`{"topology":{"kind":"mesh","n":-3},"model":{"m":1,"eps":2},"montecarlo_trials":4}`,
 	} {
 		snap := createJob(t, ts.URL, `{"analyze":`+analyze+`}`)
 		evs := readStream(t, ts.URL+"/v1/jobs/"+snap.ID+"/stream")
